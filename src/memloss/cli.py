@@ -32,7 +32,7 @@ from .coupling import (
     s_tail_mc,
     synthetic_poly_family,
 )
-from .errors import ConfigError, FormatError, MemlossError
+from .errors import ConfigError, MemlossError
 from .maps import cui, grossmann_horner, lsv, pikovsky, state_interval
 from .partitions import (
     TailTable,
@@ -464,10 +464,13 @@ def run_cli(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
     try:
-        return args.func(args)
-    except (ConfigError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        if getattr(args, "out", None):
+            os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create --out directory: {e}", file=sys.stderr)
         return 2
+    try:
+        return args.func(args)
     except MemlossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -475,3 +478,7 @@ def run_cli(argv=None) -> int:
 
 def main(argv=None) -> int:
     return run_cli(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

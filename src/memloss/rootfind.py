@@ -1,16 +1,18 @@
-"""Bracketed root finding for strictly monotone functions.
+"""Root finding for strictly monotone functions.
 
-Two schemes are used throughout the package:
+Two schemes run in the package:
 
-* :func:`bisect_newton` -- bisection down to a fixed bracket width followed
-  by a handful of safeguarded Newton refinements.  Used where robustness
-  matters more than speed (forward evaluation of implicitly defined maps).
-* :func:`newton_bracketed` -- Newton iteration that falls back to bisection
-  whenever a step would leave the bracket ("rtsafe" style).  Used in hot
-  loops with good starting guesses.
+* :func:`bisect_newton` and its elementwise form :func:`vec_bisect_newton`
+  -- bisection down to a fixed bracket width (1e-14) followed by at most
+  five Newton refinements clamped to the final bracket.  Used for the
+  forward evaluation of the Pikovsky map, which is defined implicitly.
+* :func:`vec_newton_from_above` -- elementwise Newton for an increasing
+  convex function started above its root, capped at 60 iterations.  Used
+  for the LSV/Cui left inverse branch on arrays; the scalar left inverse in
+  :mod:`memloss.maps` runs the same iteration inline.
 
-Vector variants operate elementwise on numpy arrays with per-element
-brackets; they run the same iteration on the whole array.
+The vector variants run one iteration on the whole array, with
+per-element brackets.
 """
 
 from __future__ import annotations
@@ -51,27 +53,6 @@ def bisect_newton(f, df, lo, hi, *, width=BISECT_WIDTH, max_newton=MAX_NEWTON):
             break
         if x_new == x:
             break
-        x = x_new
-    return x
-
-
-def newton_bracketed(f, df, lo, hi, x0=None, *, tol=1e-15, max_iter=80):
-    """Root of increasing f on [lo, hi], Newton with bisection fallback."""
-    x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
-    for _ in range(max_iter):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        d = df(x)
-        x_new = x - fx / d if d != 0.0 else x
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol * (1.0 + abs(x)):
-            return x_new
         x = x_new
     return x
 

@@ -26,7 +26,7 @@ from typing import Sequence as SeqType
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, NoGoodMaps, ParamError
+from .errors import ConfigError, DepthError, NoGoodMaps, ParamError
 from .maps import Family, MapParams, cui, grossmann_horner, lsv, pikovsky, validate_params
 
 
@@ -168,7 +168,7 @@ def param_at(seq: ParamSequence, k: int) -> MapParams:
     k = k + seq.offset
     if seq.kind == "explicit":
         if k > len(seq.entries):
-            raise IndexError(f"explicit sequence has {len(seq.entries)} entries, asked for {k}")
+            raise DepthError(f"explicit sequence has {len(seq.entries)} entries, asked for {k}")
         return seq.entries[k - 1]
     if seq.kind == "periodic":
         return seq.entries[(k - 1) % len(seq.entries)]
@@ -335,9 +335,11 @@ def sequence_from_config(config: dict) -> ParamSequence:
 
 
 def load_sequence(path: str) -> ParamSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+    except OSError as e:
+        raise ConfigError(str(e)) from None
     return sequence_from_config(config)

@@ -12,14 +12,25 @@ exactly, for arbitrarily rough cell data.  The inverse branches are
 closed-form except the LSV/Cui left branch, which is root-found at cell
 edges only.
 
+A step has two parts: the clipped inverse-branch images of the cell edges,
+which depend only on the map and the grid, and their application to a
+density.  :func:`evolve`, :func:`memory_loss_curve` and :func:`mixing_mass`
+list the maps of their horizon before the first step and compute each
+distinct map's edge images once per call, dropping them after the map's
+last step; they hold two arrays of N+1 floats per distinct map still
+ahead.  Nothing is cached between calls.
+
 Total variation here is half the L1 distance of densities, so it lies in
 [0, 1] for probability densities.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -190,22 +201,74 @@ def cone_membership(f: GridDensity, beta: float, a_beta: float) -> ConeReport:
 # -- transfer steps --------------------------------------------------------------
 
 
-def push_density(params: MapParams, f: GridDensity) -> GridDensity:
-    """Cell averages of the pushforward density (transfer operator step).
+# Edge images of the maps of the stepping run in progress (see _steps), keyed
+# by map; None outside a step, so a direct push_density call computes its own.
+# Passing them this way keeps push_density (params, f) the one step function,
+# so whatever wraps or observes it still sees every step of a run.
+_run_images: ContextVar[dict[MapParams, tuple[np.ndarray, ...]] | None] = ContextVar(
+    "_run_images", default=None
+)
 
-    Exact branchwise preimage integration: output cell mass is the input
-    integral between inverse-branch images of the cell edges."""
+
+def _edge_images(params: MapParams, f: GridDensity) -> tuple[np.ndarray, ...]:
+    """Inverse-branch images of f's cell edges under one map, clipped to
+    the state interval: one array of N+1 floats per branch."""
     lo, hi = state_interval(params)
     if f.interval != (lo, hi):
         raise ShapeMismatch(f"density lives on {f.interval}, map on {(lo, hi)}")
     edges = f.edges()
+    return tuple(np.clip(inverse_branch_array(params, branch, edges), lo, hi) for branch in Branch)
+
+
+def _apply_images(images: tuple[np.ndarray, ...], f: GridDensity) -> GridDensity:
+    """One transfer step of f, given its map's edge images: output cell
+    mass is the input integral between the images of the cell edges."""
+    edges = f.edges()
     prefix = np.concatenate([[0.0], np.cumsum(f.values) * f.cell_width])
     out = np.zeros(f.n_cells)
-    for branch in Branch:
-        u = np.clip(inverse_branch_array(params, branch, edges), lo, hi)
+    for u in images:
         r = np.interp(u, edges, prefix)
         out += np.abs(np.diff(r))
     return GridDensity(out / f.cell_width, f.interval)
+
+
+def push_density(params: MapParams, f: GridDensity) -> GridDensity:
+    """Cell averages of the pushforward density (transfer operator step).
+
+    Exact branchwise preimage integration: output cell mass is the input
+    integral between inverse-branch images of the cell edges.  A direct
+    call computes the images and applies them once; within a step of
+    :func:`evolve`, :func:`memory_loss_curve` or :func:`mixing_mass` the
+    images come from that call's store."""
+    store = _run_images.get()
+    if store is None:
+        return _apply_images(_edge_images(params, f), f)
+    if params not in store:
+        store[params] = _edge_images(params, f)
+    return _apply_images(store[params], f)
+
+
+def _steps(
+    maps: list[MapParams], densities: tuple[GridDensity, ...]
+) -> Iterator[tuple[GridDensity, ...]]:
+    """Push all densities (one grid) through the maps in order, yielding
+    them after each step.  A map's edge images are computed at its first
+    step and dropped after its last."""
+    last = {p: j for j, p in enumerate(maps)}
+    store: dict[MapParams, tuple[np.ndarray, ...]] = {}
+    for j, p in enumerate(maps):
+        token = _run_images.set(store)
+        try:
+            densities = tuple(push_density(p, d) for d in densities)
+        finally:
+            _run_images.reset(token)
+        if last[p] == j:
+            del store[p]
+        yield densities
+
+
+def _maps(seq: ParamSequence, start: int, n: int) -> list[MapParams]:
+    return [param_at(seq, start + j) for j in range(n)]
 
 
 def evolve(seq: ParamSequence, f: GridDensity, n: int, start: int = 1) -> GridDensity:
@@ -213,8 +276,8 @@ def evolve(seq: ParamSequence, f: GridDensity, n: int, start: int = 1) -> GridDe
     start, start+1, ..., start+n-1; n = 0 returns the input."""
     if n < 0:
         raise ParamError("n must be >= 0")
-    for j in range(n):
-        f = push_density(param_at(seq, start + j), f)
+    for (f,) in _steps(_maps(seq, start, n), (f,)):
+        pass
     return f
 
 
@@ -229,12 +292,10 @@ def memory_loss_curve(
 ) -> TailTable:
     """tv_distance between the two evolved densities after n = 0..n_max steps."""
     _require_same_grid(f, g)
+    maps = _maps(seq, start, n_max)
     vals = np.empty(n_max + 1)
     vals[0] = tv_distance(f, g)
-    for n in range(1, n_max + 1):
-        p = param_at(seq, start + n - 1)
-        f = push_density(p, f)
-        g = push_density(p, g)
+    for n, (f, g) in enumerate(_steps(maps, (f, g)), 1):
         vals[n] = tv_distance(f, g)
     return TailTable(values=vals, k=start, label="memloss")
 
@@ -266,24 +327,22 @@ def mixing_mass(seq: ParamSequence, k: int, n_max: int, n_cells: int = 2**12) ->
 
     Reference-set boundaries snap to the nearest cell edge; the worst snap
     distance is reported in the table notes."""
-    p0 = param_at(seq, k)
-    lo, hi = state_interval(p0)
+    maps = _maps(seq, k, n_max + 1)
+    lo, hi = state_interval(maps[0])
     proto = GridDensity(np.full(n_cells, 1.0 / (hi - lo)), (lo, hi))
-    cells0, snap0 = _snap_intervals(reference_set(p0), proto)
+    cells0, snap0 = _snap_intervals(reference_set(maps[0]), proto)
     vals = np.zeros(n_cells)
     for ia, ib in cells0:
         vals[ia:ib] = 1.0
     total = float(np.sum(vals)) * proto.cell_width
     f = GridDensity(vals / total, (lo, hi))
+    evolved = itertools.chain([(f,)], _steps(maps[:n_max], (f,)))
     out = np.empty(n_max + 1)
     worst_snap = snap0
-    for n in range(n_max + 1):
-        pn = param_at(seq, k + n)
+    for n, (pn, (f,)) in enumerate(zip(maps, evolved)):
         cells, snap = _snap_intervals(reference_set(pn), f)
         worst_snap = max(worst_snap, snap)
         out[n] = sum(float(np.sum(f.values[ia:ib])) * f.cell_width for ia, ib in cells)
-        if n < n_max:
-            f = push_density(pn, f)
     out = np.clip(out, 0.0, None)
     return TailTable(
         values=np.minimum(out, 1.0 + 1e-9),

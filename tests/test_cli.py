@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import memloss
 from memloss import csvio
 from memloss.cli import run_cli
 
@@ -212,3 +215,60 @@ class TestSummarize:
             out = json.loads(capsys.readouterr().out)
             fits.append(next(iter(out.values()))["slope"])
         assert abs(fits[0] - fits[1]) <= 0.3
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["tails", "--n-max", "50"],
+        ["memloss", "--n-max", "10", "--grid", "1024"],
+        ["evolve", "--steps", "10", "--grid", "1024"],
+        ["mixing", "--n-max", "10", "--grid", "1024"],
+    ], ids=lambda argv: argv[0])
+    def test_explicit_sequence_past_its_end_exits_2(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps({"kind": "explicit", "family": "lsv", "cycle": [0.5, 0.6, 0.7]}))
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: explicit sequence has 3 entries") and err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    def test_missing_out_directory_is_created(self, tmp_path):
+        out = tmp_path / "results" / "run1"
+        code = run_cli(["evolve", "--family", "lsv", "--steps", "2", "--grid", "1024",
+                        "--out", str(out)])
+        assert code == 0
+        assert (out / "density.csv").exists()
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = run_cli(["evolve", "--family", "lsv", "--steps", "2", "--grid", "1024",
+                        "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot create --out directory")
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code = run_cli(["memloss", "--config", str(tmp_path / "nope.json"), "--n-max", "10",
+                        "--grid", "1024", "--out", str(tmp_path)])
+        assert code == 2
+        assert "nope.json" in capsys.readouterr().err
+
+    def test_missing_model_exits_2(self, tmp_path, capsys):
+        code = run_cli(["coupling", "--model", str(tmp_path / "nope.json"), "--n-max", "20",
+                        "--samples", "100", "--out", str(tmp_path)])
+        assert code == 2
+        assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["memloss", "memloss.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(memloss.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "evolve", "--family", "lsv", "--steps", "2",
+         "--grid", "1024", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "density.csv").exists()

@@ -1,12 +1,16 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from memloss import errors
 from memloss import sequences as seqs
-from memloss.maps import grossmann_horner, lsv, pikovsky, state_interval
-from memloss.partitions import fit_power_law
+from memloss.maps import cui, grossmann_horner, lsv, pikovsky, state_interval
+from memloss.partitions import fit_power_law, reference_set
 from memloss.transfer import (
     GridDensity,
+    _snap_intervals,
     cone_membership,
     evolve,
     make_density,
@@ -201,3 +205,96 @@ class TestMixingMass:
         mm = mixing_mass(seqs.constant(pikovsky(1.7)), 1, 10, n_cells=N)
         assert mm.notes["worst_snap"] <= mm.values.size and mm.notes["worst_snap"] >= 0.0
         assert mm.values[0] == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the shared stepping path against a loop of push_density -----------------------
+
+_PAIRS = {
+    "lsv": (lsv(0.5), lsv(0.8)),
+    "cui": (cui(0.4, 2.0), cui(0.7, 1.5)),
+    "pikovsky": (pikovsky(1.5), pikovsky(2.5)),
+    "gh": (grossmann_horner(), grossmann_horner()),
+}
+_KINDS = {
+    "constant": lambda a, b: seqs.constant(a),
+    "periodic": lambda a, b: seqs.periodic([a, b]),
+    "iid": lambda a, b: seqs.iid([a, b], [0.4, 0.6], seed=11),
+    "explicit": lambda a, b: seqs.explicit([a, b, b, a, b, a, a, a, b, b, a, b, a]),
+}
+STEPS = 12  # the explicit sequence has STEPS + 1 entries
+
+
+def _sequence(family, kind):
+    return _KINDS[kind](*_PAIRS[family])
+
+
+def _pushed(seq, f, n, start=1):
+    """Reference: f after each of n push_density steps."""
+    out = []
+    for j in range(n):
+        f = push_density(seqs.param_at(seq, start + j), f)
+        out.append(f)
+    return out
+
+
+def _mixing_reference(seq, k, n_max, n_cells):
+    """mixing_mass as a loop of push_density."""
+    p0 = seqs.param_at(seq, k)
+    lo, hi = state_interval(p0)
+    proto = GridDensity(np.full(n_cells, 1.0 / (hi - lo)), (lo, hi))
+    vals = np.zeros(n_cells)
+    for ia, ib in _snap_intervals(reference_set(p0), proto)[0]:
+        vals[ia:ib] = 1.0
+    f = GridDensity(vals / (float(np.sum(vals)) * proto.cell_width), (lo, hi))
+    out = []
+    for n in range(n_max + 1):
+        pn = seqs.param_at(seq, k + n)
+        cells, _ = _snap_intervals(reference_set(pn), f)
+        out.append(sum(float(np.sum(f.values[ia:ib])) * f.cell_width for ia, ib in cells))
+        if n < n_max:
+            f = push_density(pn, f)
+    return np.minimum(np.clip(np.array(out), 0.0, None), 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("family", sorted(_PAIRS))
+class TestSharedSteppingPath:
+    def test_evolve_matches_push_loop(self, family, kind):
+        seq = _sequence(family, kind)
+        f = make_density("holder", N, state_interval(_PAIRS[family][0]), profile=1)
+        assert np.array_equal(evolve(seq, f, STEPS).values, _pushed(seq, f, STEPS)[-1].values)
+        part = evolve(seq, f, STEPS - 3, start=2)
+        assert np.array_equal(part.values, _pushed(seq, f, STEPS - 3, start=2)[-1].values)
+
+    def test_memory_loss_curve_matches_push_loop(self, family, kind):
+        seq = _sequence(family, kind)
+        interval = state_interval(_PAIRS[family][0])
+        f = make_density("holder", N, interval, profile=1)
+        g = make_density("holder", N, interval, profile=2)
+        ref = [tv_distance(f, g)] + [
+            tv_distance(a, b) for a, b in zip(_pushed(seq, f, STEPS), _pushed(seq, g, STEPS))
+        ]
+        assert np.array_equal(memory_loss_curve(seq, f, g, STEPS).values, np.array(ref))
+
+    def test_mixing_mass_matches_push_loop(self, family, kind):
+        seq = _sequence(family, kind)
+        table = mixing_mass(seq, 1, STEPS, n_cells=N)
+        assert np.array_equal(table.values, _mixing_reference(seq, 1, STEPS, N))
+
+
+class TestOneStepProperties:
+    @settings(max_examples=60, deadline=2000)
+    @given(
+        params=st.sampled_from([lsv(0.3), lsv(0.9), cui(0.5, 3.0), pikovsky(1.2),
+                                pikovsky(2.8), grossmann_horner()]),
+        a=hnp.arrays(np.float64, N, elements=st.floats(0.0, 1e6)),
+        b=hnp.arrays(np.float64, N, elements=st.floats(0.0, 1e6)),
+    )
+    def test_mass_conserved_and_tv_contracts(self, params, a, b):
+        assume(np.sum(a) > 0.0 and np.sum(b) > 0.0)
+        lo, hi = state_interval(params)
+        f = GridDensity(a / (np.sum(a) * (hi - lo) / N), (lo, hi))
+        g = GridDensity(b / (np.sum(b) * (hi - lo) / N), (lo, hi))
+        pf, pg = push_density(params, f), push_density(params, g)
+        assert abs(pf.mass - f.mass) <= 1e-8
+        assert tv_distance(pf, pg) <= tv_distance(f, g) + 1e-12
