@@ -23,7 +23,9 @@ arrival masses W(t, x) carry a factor (1 - theta) per step) removes the
 truncation over tau entirely: the only cap is the tabulated n_max, and
 trajectories whose partial sum exceeds it are absorbed into a "beyond"
 bucket that is exact for every tabulated n.  The reported remainder is
-therefore 0.  A Monte Carlo sampler provides the independent cross-check.
+therefore 0.  The DP sweeps the anti-diagonals t + x = s, one array step
+each.  A Monte Carlo sampler that moves all its walkers in lock step
+provides the independent cross-check.
 """
 
 from __future__ import annotations
@@ -391,15 +393,17 @@ class CouplingModel:
         self._prefix = np.cumsum(shifted, axis=0)  # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i')
         self._env_cache: dict[int, np.ndarray] = {}
 
-    def _compute_env(self, t: int, x: int, length: int) -> np.ndarray:
-        s = t + x
+    def _envelopes(self, ts, s: int, length: int) -> np.ndarray:
+        """env[i, l] = clamped composed tail hhat at base offset ts[i], shift
+        s - ts[i], for l = 0..length: one row per state of the anti-diagonal
+        t + x = s, which all read the same prefix-table columns."""
         if s + length > self._prefix.shape[1] - 1:
             raise HorizonError("conditional tail requested beyond the prefix table")
-        cols = np.arange(s + 1, s + length + 1)
-        raw = self.constants.c_h * (self._prefix[s + 1, cols] - self._prefix[t, cols])
-        env = np.empty(length + 1)
-        env[0] = 1.0
-        env[1:] = np.minimum.accumulate(np.minimum(raw, 1.0))
+        cols = slice(s + 1, s + length + 1)
+        raw = self.constants.c_h * (self._prefix[s + 1, cols] - self._prefix[ts, cols])
+        env = np.empty((raw.shape[0], length + 1))
+        env[:, 0] = 1.0
+        env[:, 1:] = np.minimum.accumulate(np.minimum(raw, 1.0), axis=1)
         return env
 
     def conditional_tail(self, t: int, x: int, length: int) -> np.ndarray:
@@ -411,61 +415,86 @@ class CouplingModel:
         if self.family.stationary:
             cached = self._env_cache.get(x)
             if cached is None:
-                cached = self._compute_env(0, x, max(self.horizon - x + 1, length))
+                cached = self._envelopes([0], x, max(self.horizon - x + 1, length))[0]
                 self._env_cache[x] = cached
             if length <= len(cached) - 1:
                 return cached[: length + 1]
-        return self._compute_env(t, x, length)
+        return self._envelopes([t], t + x, length)[0]
 
 
 def build_model(family: TailFamily, constants: CouplingConstants, horizon: int) -> CouplingModel:
     return CouplingModel(family, constants, horizon)
 
 
+def _add_rows(a: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``a`` taken in order, as repeated ``+=`` would add
+    them.  numpy reduces axis 0 row by row, except for a single column,
+    which it sums pairwise; that case goes through a sequential cumsum."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a[:, 0])[-1:]
+
+
 def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     """Exact P(S >= n) for n = 0..n_max by dynamic programming over
     (partial sum, last increment), with the geometric coupling time summed
     in closed form.  notes["remainder"] is the truncation remainder (0 by
-    construction); notes["beyond"] is the exact mass with S > n_max."""
+    construction); notes["beyond"] is the exact mass with S > n_max.
+
+    A state (t, x) pushes its mass into row s = t + x, so the states of one
+    anti-diagonal t + x = s are processed together, in ascending t.  When
+    n0 = 0 the last of them, (s, 0), receives mass from the others and
+    loops on itself; it is resolved geometrically after them.  Each
+    processed cell of W is dead, and keeps that state's share of the
+    "beyond" mass, which is summed in row-major order at the end.  Every
+    sum runs in the order of a per-state loop over t, then x, so the
+    table is the same to the bit."""
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
     c = model.constants
     n0, th = c.n0, c.theta
+    one_m = 1.0 - th
     rv = model.r_hat.values
     W = np.zeros((n_max + 1, n_max + 1))
-    beyond = 0.0
     xs = np.arange(n0, n_max + 1)
     if xs.size:
         W[0, xs] = rv[xs - n0] - rv[xs + 1 - n0]
-    beyond += float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
+    beyond = float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
+    table = None
+    if model.family.stationary:
+        # one envelope row per shift; row x is valid up to column n_max - x + 1
+        table = np.zeros((n_max + 1, n_max + 2))
+        for x in range(n0, n_max + 1):
+            table[x, : n_max - x + 2] = model.conditional_tail(0, x, n_max - x + 1)
     coupled = np.zeros(n_max + 1)
-    one_m = 1.0 - th
-    for t in range(n_max + 1):
-        row = W[t]
-        for x in np.nonzero(row)[0]:
-            w = float(row[x])
-            s = t + int(x)
-            env = model.conditional_tail(t, int(x), n_max - s + 1)
-            if x == 0:
-                # zero increments self-loop on (t, 0); resolve geometrically
-                p0 = (1.0 - env[1]) if n0 == 0 else 0.0
-                w = w / (1.0 - one_m * p0)
-            coupled[s] += th * w
-            hi = n_max - s - n0
-            if hi >= 0:
-                probs = env[:hi + 1] - env[1 : hi + 2]
-                if n0 == 0 and x == 0:
-                    probs = probs.copy()
-                    probs[0] = 0.0  # the self-loop mass was resolved above
-                W[s, n0 : n0 + hi + 1] += one_m * w * probs
-                beyond += one_m * w * float(env[hi + 1])
-            else:
-                beyond += one_m * w
-    tail = np.empty(n_max + 1)
-    acc = beyond
-    for n in range(n_max, -1, -1):
-        acc += coupled[n]
-        tail[n] = acc
+    for s in range(n0, n_max + 1):
+        ts = np.arange(s - n0 + 1)  # states (t, s - t) with shift >= n0
+        w = W[ts, s - ts]
+        hi = n_max - s - n0
+        if hi < 0:
+            coupled[s] = np.cumsum(th * w)[-1]
+            W[ts, s - ts] = one_m * w
+            continue
+        if table is not None:
+            env = table[n0 : s + 1, : hi + 2][::-1]
+        else:
+            env = model._envelopes(ts, s, hi + 1)
+        m = len(ts) - 1 if n0 == 0 else len(ts)  # (s, 0) waits for the others
+        coef = one_m * w[:m]
+        if m:
+            push = env[:m, : hi + 1] - env[:m, 1 : hi + 2]
+            push *= coef[:, None]
+            W[s, n0 : n0 + hi + 1] += _add_rows(push)
+            coupled[s] = np.cumsum(th * w[:m])[-1]
+            W[ts[:m], s - ts[:m]] = coef * env[:m, hi + 1]
+        if n0 == 0:
+            e = env[m]
+            w0 = W[s, 0] / (1.0 - one_m * (1.0 - e[1]))
+            coupled[s] += th * w0
+            W[s, 1 : hi + 1] += one_m * w0 * (e[1 : hi + 1] - e[2 : hi + 2])
+            W[s, 0] = one_m * w0 * e[hi + 1]
+    for row in W:
+        row[0] += beyond
+        beyond = float(np.cumsum(row)[-1])
+    tail = np.cumsum(np.concatenate([[beyond], coupled[::-1]]))[:0:-1]
     tail = np.minimum.accumulate(np.minimum(tail, 1.0))
     return TailTable(
         values=tail,
@@ -477,61 +506,61 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
 
 def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> TailTable:
     """Empirical tail of S by inverse-transform sampling of each conditional
-    tail and of the geometric coupling time; binomial standard errors."""
+    tail and of the geometric coupling time; binomial standard errors.
+
+    All live walkers move in lock step: each step draws one uniform per
+    live walker, in walker order, and inverts the envelope of its state,
+    one ``searchsorted`` per distinct envelope (shift x for stationary
+    families, (t, x) otherwise)."""
     if samples < 10**4:
         raise ParamError("samples must be >= 10**4")
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
     c = model.constants
     n0, th = c.n0, c.theta
+    stationary = model.family.stationary
     gen = np.random.default_rng(_rng.child_seed(seed, "s-tail-mc"))
     taus = gen.geometric(th, size=samples)
-    rv = model.r_hat.values
-    r_rev = rv[1:][::-1]  # ascending for binary search
-
-    def draw_first(u: np.ndarray) -> np.ndarray:
-        counts = len(r_rev) - np.searchsorted(r_rev, u, side="right")
-        return n0 + counts
-
+    r_rev = model.r_hat.values[1:][::-1]  # ascending for binary search
     u0 = gen.uniform(size=samples)
-    x_first = draw_first(u0)
-    env_rev_cache: dict[tuple, np.ndarray] = {}
+    x = n0 + (len(r_rev) - np.searchsorted(r_rev, u0, side="right"))
+    t = np.zeros(samples, dtype=np.int64)
+    s = x.copy()
     over = n_max + 1
-    final = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
-        tau = taus[i]
-        x = int(x_first[i])
-        s = x
-        t = 0
-        j = 1
-        while j < tau and s <= n_max:
-            need = n_max - s + 1
-            key = (x,) if model.family.stationary else (t, x)
-            rev = env_rev_cache.get(key)
+    env_rev: dict[int, np.ndarray] = {}  # envelope key -> env[1:] reversed
+    step = 1
+    live = np.nonzero((taus > step) & (s <= n_max))[0]
+    while live.size:
+        u = gen.uniform(size=live.size)
+        keys = x[live] if stationary else t[live] * over + x[live]
+        order = np.argsort(keys, kind="stable")
+        uniq, starts = np.unique(keys[order], return_index=True)
+        counts = np.empty(live.size, dtype=np.int64)
+        for key, a, b in zip(uniq.tolist(), starts.tolist(), [*starts[1:].tolist(), live.size]):
+            rev = env_rev.get(key)
             if rev is None:
-                # cache the longest envelope this shift can ever need and
-                # slice it per state (entries l = 1..need sit at the end
-                # of the reversed array)
-                length = (n_max - x + 1) if model.family.stationary else need
-                env = model.conditional_tail(t, x, length)
-                rev = env[1:][::-1]
-                env_rev_cache[key] = rev
-            rev_use = rev[len(rev) - need :] if len(rev) > need else rev
-            u = gen.uniform()
-            nxt = n0 + (len(rev_use) - int(np.searchsorted(rev_use, u, side="right")))
-            if nxt > n_max - s:
-                s = over
-                break
-            t, x = s, nxt
-            s = t + x
-            j += 1
-        final[i] = min(s, over)
-    counts = np.bincount(final, minlength=over + 1)
+                # the longest envelope the key can need: a walker whose
+                # draw lands past its own room ends beyond n_max either way
+                kt, kx = (0, key) if stationary else divmod(key, over)
+                rev = model.conditional_tail(kt, kx, n_max - kt - kx + 1)[1:][::-1]
+                env_rev[key] = rev
+            idx = order[a:b]
+            counts[idx] = len(rev) - rev.searchsorted(u[idx], side="right")
+        nxt = n0 + counts
+        moved = nxt <= n_max - s[live]
+        s[live[~moved]] = over
+        live = live[moved]
+        t[live] = s[live]
+        x[live] = nxt[moved]
+        s[live] += x[live]
+        step += 1
+        live = live[(taus[live] > step) & (s[live] <= n_max)]
+    counts = np.bincount(np.minimum(s, over), minlength=over + 1)
     survivors = samples - np.concatenate([[0], np.cumsum(counts[:-1])])
-    t = survivors[: n_max + 1] / samples
-    stderr = np.sqrt(np.maximum(t * (1.0 - t), 0.0) / samples)
+    tail = survivors[: n_max + 1] / samples
+    stderr = np.sqrt(np.maximum(tail * (1.0 - tail), 0.0) / samples)
     return TailTable(
-        values=t,
+        values=tail,
         k=model.family.k,
         label="mc",
         stderr=stderr,

@@ -513,6 +513,8 @@ def mc_zscores(exact: TailTable, mc: TailTable, min_tail: float | None = None) -
     tail is outside (min_tail, 1 - min_tail) and the comparison is
     Poisson-noisy or trivially clamped."""
     samples = mc.notes.get("samples")
+    if samples is None:
+        raise ParamError("the MC table has no sample count (notes['samples'])")
     n = min(exact.n_max, mc.n_max)
     p = exact.values[: n + 1]
     q = mc.values[: n + 1]

@@ -1,12 +1,16 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memloss import errors
+from memloss import rng as _rng
 from memloss import sequences as seqs
 from memloss.coupling import (
     CouplingConstants,
+    _add_rows,
     alpha_weights,
     build_model,
     check_stail_bound,
@@ -22,7 +26,7 @@ from memloss.coupling import (
     synthetic_poly_family,
 )
 from memloss.maps import lsv
-from memloss.partitions import TailTable, lsv_preimage_points, return_time_tail
+from memloss.partitions import TailTable, lsv_preimage_points, mc_zscores, return_time_tail
 
 
 class TestConstants:
@@ -105,6 +109,18 @@ class TestComposeTail:
 
 
 class TestAlphaWeights:
+    @settings(max_examples=60, deadline=2000)
+    @given(
+        tail=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=80),
+        n0=st.integers(0, 3),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_completeness_property(self, tail, n0, cut):
+        r_hat = hat_envelope(np.array([1.0, *tail]))
+        j_max = n0 + int(cut * (len(tail) - 1))
+        w = alpha_weights(r_hat, n0, j_max)
+        assert abs(w.alphas.sum() + w.residual - 1.0) <= 1e-12
+
     def test_telescoping_harmonic(self):
         rh = hat_envelope(np.minimum(1.0, 1.0 / np.arange(1.0, 50.0)))
         w = alpha_weights(rh, 1, 40)
@@ -158,6 +174,110 @@ def _model(beta_prime, theta=0.25, n0=1, horizon=250):
     fam = synthetic_poly_family(beta_prime, n_rows=horizon + 10, depth=2 * horizon + 20)
     c = make_constants(theta=theta, n0=n0, K=0.5)
     return build_model(fam, c, horizon)
+
+
+def _poly_family(exponents, beta_prime, scales=None, depth=None):
+    """Row j has tail min(1, a_j m**-b_j); one row per exponent.  Equal rows
+    make a stationary family."""
+    depth = depth or 2 * len(exponents) + 20
+    m = np.arange(depth + 1, dtype=float)
+    m[0] = 1.0
+    scales = np.ones(len(exponents)) if scales is None else scales
+    rows = [TailTable(values=np.minimum(1.0, a * m**-b), label="r") for a, b in zip(scales, exponents)]
+    r = TailTable(values=np.minimum(1.0, m**-beta_prime), label="r")
+    return family_from_tables(1, r, rows, beta=min(exponents), beta_prime=beta_prime, c_beta=1.0, c_beta_prime=1.0)
+
+
+def _reference_s_tail_dp(model, n_max):
+    """The DP as one Python step per (t, x) state, in row-major order."""
+    c = model.constants
+    n0, th = c.n0, c.theta
+    rv = model.r_hat.values
+    W = np.zeros((n_max + 1, n_max + 1))
+    beyond = 0.0
+    xs = np.arange(n0, n_max + 1)
+    if xs.size:
+        W[0, xs] = rv[xs - n0] - rv[xs + 1 - n0]
+    beyond += float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
+    coupled = np.zeros(n_max + 1)
+    one_m = 1.0 - th
+    for t in range(n_max + 1):
+        row = W[t]
+        for x in np.nonzero(row)[0]:
+            w = float(row[x])
+            s = t + int(x)
+            env = model.conditional_tail(t, int(x), n_max - s + 1)
+            if x == 0:
+                # zero increments self-loop on (t, 0); resolve geometrically
+                p0 = (1.0 - env[1]) if n0 == 0 else 0.0
+                w = w / (1.0 - one_m * p0)
+            coupled[s] += th * w
+            hi = n_max - s - n0
+            if hi >= 0:
+                probs = env[: hi + 1] - env[1 : hi + 2]
+                if n0 == 0 and x == 0:
+                    probs = probs.copy()
+                    probs[0] = 0.0  # the self-loop mass was resolved above
+                W[s, n0 : n0 + hi + 1] += one_m * w * probs
+                beyond += one_m * w * float(env[hi + 1])
+            else:
+                beyond += one_m * w
+    tail = np.empty(n_max + 1)
+    acc = beyond
+    for n in range(n_max, -1, -1):
+        acc += coupled[n]
+        tail[n] = acc
+    return np.minimum.accumulate(np.minimum(tail, 1.0)), beyond
+
+
+def _reference_s_tail_mc(model, n_max, samples, seed):
+    """The Monte Carlo sampler as one Python walk per sample."""
+    c = model.constants
+    n0, th = c.n0, c.theta
+    gen = np.random.default_rng(_rng.child_seed(seed, "s-tail-mc"))
+    taus = gen.geometric(th, size=samples)
+    r_rev = model.r_hat.values[1:][::-1]
+    x_first = n0 + len(r_rev) - np.searchsorted(r_rev, gen.uniform(size=samples), side="right")
+    over = n_max + 1
+    final = np.empty(samples, dtype=np.int64)
+    for i in range(samples):
+        x, t, j = int(x_first[i]), 0, 1
+        s = x
+        while j < taus[i] and s <= n_max:
+            rev = model.conditional_tail(t, x, n_max - s + 1)[1:][::-1]
+            nxt = n0 + len(rev) - int(np.searchsorted(rev, gen.uniform(), side="right"))
+            if nxt > n_max - s:
+                s = over
+                break
+            t, x = s, nxt
+            s = t + x
+            j += 1
+        final[i] = min(s, over)
+    counts = np.bincount(final, minlength=over + 1)
+    return (samples - np.concatenate([[0], np.cumsum(counts[:-1])]))[: n_max + 1] / samples
+
+
+def _assert_dp_matches_reference(model, n_max):
+    dp = s_tail_dp(model, n_max)
+    values, beyond = _reference_s_tail_dp(model, n_max)
+    assert np.array_equal(dp.values, values)
+    assert dp.notes["beyond"] == beyond
+    return dp
+
+
+# (family, constants, horizon, n_max) for the models the tests, the CLI and
+# the benchmark run, at test sizes
+_DP_MODELS = {
+    "poly1.5": (lambda: synthetic_poly_family(1.5, n_rows=230, depth=460), dict(theta=0.25, n0=1), 220, 200),
+    "poly2.0": (lambda: synthetic_poly_family(2.0, n_rows=330, depth=660), dict(theta=0.25, n0=1), 320, 300),
+    "poly2.5": (lambda: synthetic_poly_family(2.5, n_rows=230, depth=460), dict(theta=0.25, n0=1), 220, 200),
+    "degenerate-n0-2": (lambda: degenerate_family(n_rows=130, depth=150), dict(theta=0.5, n0=2), 120, 120),
+    "n0-3-theta0.4": (lambda: synthetic_poly_family(2.0, n_rows=260, depth=520), dict(theta=0.4, n0=3), 250, 150),
+    "nonstationary": (lambda: _poly_family([2.0 + 0.25 * (j % 3) for j in range(220)], 2.0, depth=440),
+                      dict(theta=0.25, n0=1), 210, 200),
+    "nonstationary-n0-0": (lambda: _poly_family([2.0 + 0.5 * (j % 2) for j in range(130)], 1.5, depth=260),
+                           dict(theta=0.3, n0=0), 120, 100),
+}
 
 
 class TestSTailDp:
@@ -240,6 +360,60 @@ class TestSTailDp:
             assert np.max(z[gate]) <= 4.0, bp
 
 
+class TestSTailDpAgainstReference:
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_rows_are_added_in_order(self, cols):
+        # 1e16 + 1 rounds back to 1e16, so adding the ones one at a time
+        # loses them all, while a pairwise sum would keep them
+        a = np.ones((16, cols))
+        a[0] = 1e16
+        acc = np.zeros(cols)
+        for row in a:
+            acc += row
+        assert np.array_equal(_add_rows(a), acc)
+
+    @pytest.mark.parametrize("name", sorted(_DP_MODELS))
+    def test_bit_identical(self, name):
+        make_family, kw, horizon, n_max = _DP_MODELS[name]
+        model = build_model(make_family(), make_constants(K=0.5, **kw), horizon)
+        assert model.family.stationary == (not name.startswith("nonstationary"))
+        _assert_dp_matches_reference(model, n_max)
+
+    @pytest.mark.parametrize("beta_prime", [1.5, 2.5])
+    def test_zero_n0_self_loop(self, beta_prime):
+        # with n0 = 0 the state (s, 0) receives mass from its anti-diagonal
+        # and loops on itself, so it has to be resolved after the others
+        model = _model(beta_prime, n0=0)
+        dp = _assert_dp_matches_reference(model, 200)
+        mc = s_tail_mc(model, 200, 100_000, seed=17)
+        assert np.nanmax(np.abs(mc_zscores(dp, mc))) <= 4.0
+
+    @settings(max_examples=40, deadline=5000)
+    @given(
+        exponents=st.lists(st.floats(1.1, 4.0), min_size=1, max_size=4),
+        scales=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+        bp_frac=st.floats(0.2, 1.0),
+        stationary=st.booleans(),
+        theta=st.floats(0.01, 0.5),
+        n0=st.integers(0, 3),
+        K=st.floats(0.0, 1.0),
+        n_max=st.integers(1, 60),
+    )
+    def test_random_families(self, exponents, scales, bp_frac, stationary, theta, n0, K, n_max):
+        rows = n_max + 10
+        if stationary:
+            family = synthetic_poly_family(exponents[0], exponents[0] * bp_frac, n_rows=rows, depth=2 * rows)
+        else:
+            family = _poly_family([exponents[j % len(exponents)] for j in range(rows)],
+                                  min(exponents) * bp_frac,
+                                  [scales[j % len(scales)] for j in range(rows)], depth=2 * rows)
+        model = build_model(family, make_constants(theta=theta, n0=n0, K=K), n_max)
+        dp = _assert_dp_matches_reference(model, n_max)
+        v = dp.values
+        assert np.all(np.diff(v) <= 0.0) and np.all((v >= 0.0) & (v <= 1.0))
+        assert dp.notes["remainder"] == 0.0
+
+
 class TestSTailMc:
     def test_tail_starts_at_one(self):
         mc = s_tail_mc(_model(2.0), 50, 10_000, seed=3)
@@ -259,6 +433,37 @@ class TestSTailMc:
         a = s_tail_mc(model, 60, 10_000, seed=9)
         b = s_tail_mc(model, 60, 10_000, seed=9)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("name", ["poly1.5", "nonstationary-n0-0"])
+    def test_envelope_cache_does_not_change_the_draws(self, name):
+        make_family, kw, horizon, n_max = _DP_MODELS[name]
+        fresh = build_model(make_family(), make_constants(K=0.5, **kw), horizon)
+        warm = build_model(make_family(), make_constants(K=0.5, **kw), horizon)
+        s_tail_dp(warm, n_max)
+        a = s_tail_mc(fresh, n_max // 2, 10_000, seed=4)
+        b = s_tail_mc(warm, n_max // 2, 10_000, seed=4)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.stderr, b.stderr)
+
+    def test_nonstationary_envelope_per_state(self):
+        # every third row has a much lighter tail, so walkers with the same
+        # shift x but different base offsets t follow different laws
+        family = _poly_family([1.5 + 2.5 * (j % 3 == 0) for j in range(140)], 1.2, depth=280)
+        model = build_model(family, make_constants(theta=0.25, n0=1, K=0.0), 130)
+        dp = s_tail_dp(model, 120)
+        mc = s_tail_mc(model, 120, 50_000, seed=1)
+        assert np.nanmax(np.abs(mc_zscores(dp, mc))) <= 4.0
+
+    @pytest.mark.parametrize("name", ["poly1.5", "nonstationary-n0-0"])
+    def test_same_law_as_one_walk_per_sample(self, name):
+        # lock-step walkers draw their uniforms in another order, so the
+        # two samplers agree in law, not draw for draw
+        make_family, kw, horizon, _ = _DP_MODELS[name]
+        model = build_model(make_family(), make_constants(K=0.5, **kw), horizon)
+        a = s_tail_mc(model, 60, 20_000, seed=6).values
+        b = _reference_s_tail_mc(model, 60, 20_000, seed=7)
+        se = np.sqrt((a * (1 - a) + b * (1 - b)) / 20_000)
+        gate = se > 0
+        assert np.max(np.abs(a - b)[gate] / se[gate]) <= 5.0
 
 
 class TestStailBound:

@@ -228,6 +228,13 @@ class TestReturnTimeTailMc:
         assert np.nanmax(np.abs(mc_zscores(exact, a))) <= 4.0
         assert np.nanmax(np.abs(mc_zscores(exact, b))) <= 4.0
 
+    @pytest.mark.parametrize("min_tail", [None, 1e-4])
+    def test_zscores_need_a_sample_count(self, min_tail):
+        exact = TailTable(values=np.array([1.0, 1.0, 0.5]), label="h_k")
+        mc = TailTable(values=np.array([1.0, 1.0, 0.49]), label="mc")
+        with pytest.raises(errors.ParamError, match="sample count"):
+            mc_zscores(exact, mc, min_tail=min_tail)
+
 
 class TestTailTable:
     def test_depth_error(self):
