@@ -385,12 +385,15 @@ class CouplingModel:
         self.r_hat = hat_envelope(family.r)
         if len(self.r_hat.values) - 1 < horizon + 1 - constants.n0:
             raise HorizonError("measure tail r is tabulated too shallow for the horizon")
+        # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i') for the columns c <= horizon + 1
+        # that the envelopes read; h^{k+i}(m) sits in column i + m.
         rows, depth = family.h_rows.shape[0], family.h_rows.shape[1] - 1
-        n_levels = rows + depth + 1
-        shifted = np.zeros((rows + 1, n_levels))
-        for i in range(rows):
-            shifted[i + 1, i + 1 : i + 1 + depth] = family.h_rows[i, 1:]
-        self._prefix = np.cumsum(shifted, axis=0)  # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i')
+        n_cols = self.horizon + 2
+        shifted = np.zeros((rows + 1, n_cols))
+        for i in range(min(rows, n_cols - 1)):
+            m = min(depth, n_cols - 1 - i)
+            shifted[i + 1, i + 1 : i + 1 + m] = family.h_rows[i, 1 : m + 1]
+        self._prefix = np.cumsum(shifted, axis=0)
         self._env_cache: dict[int, np.ndarray] = {}
 
     def _envelopes(self, ts, s: int, length: int) -> np.ndarray:
@@ -511,7 +514,8 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     All live walkers move in lock step: each step draws one uniform per
     live walker, in walker order, and inverts the envelope of its state,
     one ``searchsorted`` per distinct envelope (shift x for stationary
-    families, (t, x) otherwise)."""
+    families, (t, x) otherwise).  A nonstationary step builds its new keys'
+    envelopes with one ``_envelopes`` call per anti-diagonal t + x."""
     if samples < 10**4:
         raise ParamError("samples must be >= 10**4")
     if n_max > model.horizon:
@@ -535,14 +539,20 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
         keys = x[live] if stationary else t[live] * over + x[live]
         order = np.argsort(keys, kind="stable")
         uniq, starts = np.unique(keys[order], return_index=True)
+        # each key gets the longest envelope it can need: a walker whose
+        # draw lands past its own room ends beyond n_max either way
+        if not stationary:
+            new = np.array([key for key in uniq.tolist() if key not in env_rev], dtype=np.int64)
+            new_t, new_x = np.divmod(new, over)
+            for sv in np.unique(new_t + new_x).tolist():  # one anti-diagonal t + x = sv
+                on = new_t + new_x == sv
+                envs = model._envelopes(new_t[on], sv, n_max - sv + 1)
+                env_rev.update(zip(new[on].tolist(), envs[:, 1:][:, ::-1]))
         counts = np.empty(live.size, dtype=np.int64)
         for key, a, b in zip(uniq.tolist(), starts.tolist(), [*starts[1:].tolist(), live.size]):
             rev = env_rev.get(key)
             if rev is None:
-                # the longest envelope the key can need: a walker whose
-                # draw lands past its own room ends beyond n_max either way
-                kt, kx = (0, key) if stationary else divmod(key, over)
-                rev = model.conditional_tail(kt, kx, n_max - kt - kx + 1)[1:][::-1]
+                rev = model.conditional_tail(0, key, n_max - key + 1)[1:][::-1]
                 env_rev[key] = rev
             idx = order[a:b]
             counts[idx] = len(rev) - rev.searchsorted(u[idx], side="right")

@@ -140,16 +140,6 @@ def state_interval(params: MapParams) -> tuple[float, float]:
     return (-1.0, 1.0)
 
 
-def branch_of(params: MapParams, x: float) -> Branch:
-    """Branch containing x.  Interior boundary points (1/2, resp. 0) are
-    assigned to the Right branch; x = 0 is singular for Pikovsky/GH."""
-    if params.family in (Family.LSV, Family.CUI):
-        return Branch.LEFT if x < 0.5 else Branch.RIGHT
-    if x == 0.0:
-        raise SingularPoint("x = 0 is a jump discontinuity")
-    return Branch.LEFT if x < 0.0 else Branch.RIGHT
-
-
 def _check_state(params: MapParams, x: float) -> None:
     lo, hi = state_interval(params)
     if not (lo <= x <= hi):
@@ -159,18 +149,32 @@ def _check_state(params: MapParams, x: float) -> None:
 # -- Pikovsky right inverse branch (explicit) and its derivative -------------
 
 
+def _pik_g_neg(t, gamma):
+    return (1.0 + t) ** gamma / (2.0 * gamma)
+
+
+def _pik_g_pos(t, gamma):
+    return t + (1.0 - t) ** gamma / (2.0 * gamma)
+
+
+def _pik_g_neg_deriv(t, gamma):
+    return (1.0 + t) ** (gamma - 1.0) / 2.0
+
+
+def _pik_g_pos_deriv(t, gamma):
+    return 1.0 - (1.0 - t) ** (gamma - 1.0) / 2.0
+
+
 def _pik_g_plus(t, gamma):
     t = np.asarray(t, dtype=float)
-    neg = (1.0 + np.minimum(t, 0.0)) ** gamma / (2.0 * gamma)
-    pos = t + (1.0 - np.maximum(t, 0.0)) ** gamma / (2.0 * gamma)
-    return np.where(t < 0.0, neg, pos)
+    neg = _pik_g_neg(np.minimum(t, 0.0), gamma)
+    return np.where(t < 0.0, neg, _pik_g_pos(np.maximum(t, 0.0), gamma))
 
 
 def _pik_g_plus_deriv(t, gamma):
     t = np.asarray(t, dtype=float)
-    neg = (1.0 + np.minimum(t, 0.0)) ** (gamma - 1.0) / 2.0
-    pos = 1.0 - (1.0 - np.maximum(t, 0.0)) ** (gamma - 1.0) / 2.0
-    return np.where(t < 0.0, neg, pos)
+    neg = _pik_g_neg_deriv(np.minimum(t, 0.0), gamma)
+    return np.where(t < 0.0, neg, _pik_g_pos_deriv(np.maximum(t, 0.0), gamma))
 
 
 def _pik_forward_scalar(x: float, gamma: float) -> float:
@@ -180,12 +184,20 @@ def _pik_forward_scalar(x: float, gamma: float) -> float:
     return bisect_newton(f, df, -1.0, 1.0)
 
 
+def _pik_forward_half(x: np.ndarray, gamma: float, lo: float, g, dg) -> np.ndarray:
+    f = lambda t: g(t, gamma) - x
+    df = lambda t: dg(t, gamma)
+    return vec_bisect_newton(f, df, np.full_like(x, lo), np.full_like(x, lo + 1.0))
+
+
 def _pik_forward_array(x: np.ndarray, gamma: float) -> np.ndarray:
-    f = lambda t: _pik_g_plus(t, gamma) - x
-    df = lambda t: _pik_g_plus_deriv(t, gamma)
-    lo = np.full_like(x, -1.0)
-    hi = np.full_like(x, 1.0)
-    return vec_bisect_newton(f, df, lo, hi)
+    # Solve g_plus(t) = x on the half of [-1, 1] that the first bisection
+    # step picks, f(0) = 1/(2 gamma) - x <= 0, with that half's formula.
+    right = x >= 1.0 / (2.0 * gamma)
+    t = np.empty_like(x)
+    t[right] = _pik_forward_half(x[right], gamma, 0.0, _pik_g_pos, _pik_g_pos_deriv)
+    t[~right] = _pik_forward_half(x[~right], gamma, -1.0, _pik_g_neg, _pik_g_neg_deriv)
+    return t
 
 
 # -- LSV/Cui left inverse branch (root-found) ---------------------------------
@@ -356,22 +368,4 @@ def inverse_branch_derivative(params: MapParams, branch: Branch, y: float) -> fl
         return float(_pik_g_plus_deriv(t, g))
     if y == 1.0:
         raise SingularPoint("T' is infinite at x = 0")
-    return (1.0 - y) / 2.0
-
-
-def inverse_branch_derivative_array(params: MapParams, branch: Branch, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    fam = params.family
-    g = params.gamma
-    if fam in (Family.LSV, Family.CUI):
-        if branch is Branch.LEFT:
-            u = _lsv_left_inverse_array(y, g)
-            return 1.0 / (1.0 + 2.0**g * (1.0 + g) * u**g)
-        if fam is Family.LSV:
-            return np.full_like(y, 0.5)
-        b = params.beta
-        return np.maximum(y, 0.0) ** (1.0 / b - 1.0) / (2.0 * b)
-    if fam is Family.PIKOVSKY:
-        t = y if branch is Branch.RIGHT else -y
-        return _pik_g_plus_deriv(t, g)
     return (1.0 - y) / 2.0

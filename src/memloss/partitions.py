@@ -18,9 +18,15 @@ Tails are evaluated exactly from endpoint lengths (complementing resolved
 mass, so truncation never biases the table); a Monte Carlo orbit sampler
 exists purely as an independent cross-check oracle.
 
-Nonstationary sequences are handled by an anti-diagonal layered fill
-(value at (base j, depth n) pulls back the value at (j+1, n-1)); constant
-and periodic sequences take O(depth) and O(period * depth) fast paths.
+The backward orbits read the sequence once per call: one bulk index
+lookup gives, for every base index of the window, the entry acting there,
+and the fill runs on the gamma array gathered from it.  Nonstationary
+windows are handled by an anti-diagonal layered fill (value at (base j,
+depth n) pulls back the value at (j+1, n-1)), one array step per layer.
+Windows of one map and periodic windows take O(depth) and
+O(period * depth) scalar chains; maps are told apart by value (all
+parameters, not gamma alone), so a support that lists one map twice
+still runs the single chain.
 """
 
 from __future__ import annotations
@@ -32,8 +38,17 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DepthError, NonPositiveValue, ParamError
-from .maps import Branch, Family, MapParams, eval_map_array, inverse_branch_array
-from .sequences import ParamSequence, param_at
+from .maps import (
+    Branch,
+    Family,
+    MapParams,
+    _lsv_left_inverse_array,
+    _lsv_left_inverse_scalar,
+    eval_map_array,
+    inverse_branch_array,
+    state_interval,
+)
+from .sequences import ParamSequence, _entry_indices
 
 _RETURN_LABELS = {"h_k", "lebesgue", "r", "s_tail"}
 
@@ -124,91 +139,65 @@ def default_fit_window(n_available: int) -> tuple[int, int]:
 # -- layered backward recursions ------------------------------------------------
 
 
-def _materialize(seq: ParamSequence, k: int, count: int) -> list[MapParams]:
-    return [param_at(seq, j) for j in range(k, k + count)]
+def _materialize(seq: ParamSequence, k: int, count: int) -> tuple[tuple[MapParams, ...], np.ndarray]:
+    """The entries of seq and, for elements k .. k+count-1, the index of
+    the first entry equal to each, so equal maps share an index."""
+    first = np.array([seq.entries.index(p) for p in seq.entries])
+    return seq.entries, first[_entry_indices(seq, k, count)]
 
 
 def _fill_rows(
-    params: list[MapParams],
+    entries: tuple[MapParams, ...],
+    ids: np.ndarray,
     x0: float,
-    pull_scalar: Callable[[MapParams, float], float],
-    pull_vec: Callable[[list[MapParams], np.ndarray], np.ndarray],
+    pull_scalar: Callable[[float, float], float],
+    pull_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     depth: int,
     n_rows: int,
 ) -> list[np.ndarray]:
-    """Backward-orbit rows: rows[r][n] = value at (base k+r, depth n).
+    """Backward-orbit rows: rows[r][n] = value at (base k+r, depth n), where
+    ``entries[ids[i]]`` acts at base k+i.  The pulls take (values, gammas).
 
-    Row r is filled to depth - r.  Constant windows run a single chain,
+    Row r is filled to depth - r.  Windows of one map run a single chain,
     periodic ones a chain per residue class, everything else the full
-    anti-diagonal triangle (vectorized per layer).
+    anti-diagonal triangle (vectorized per layer).  Maps are told apart by
+    value, through ``ids``.
     """
-    assert len(params) >= depth + 1
-    window = params[: depth + 1]
-    if all(p == window[0] for p in window):
+    assert len(ids) >= depth + 1
+    ids = ids[: depth + 1]
+    gam = np.array([p.gamma for p in entries])[ids]
+    if np.all(ids == ids[0]):
+        g = float(gam[0])
         row = np.empty(depth + 1)
         row[0] = x0
         for n in range(1, depth + 1):
-            row[n] = pull_scalar(window[0], row[n - 1])
+            row[n] = pull_scalar(row[n - 1], g)
         return [row[: depth + 1 - r] for r in range(n_rows)]
-    period = 0
-    for p_try in range(2, min(16, depth)):
-        if all(window[i] == window[i % p_try] for i in range(depth + 1)):
-            period = p_try
-            break
+    period = next((p for p in range(2, min(16, depth)) if np.array_equal(ids[p:], ids[:-p])), 0)
+    rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
+    for r in range(n_rows):
+        rows[r][0] = x0
     if period:
-        cur = np.full(period, x0)
-        rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
-        for r in range(n_rows):
-            rows[r][0] = x0
+        g = gam[:period].tolist()
+        cur = [x0] * period
         for n in range(1, depth + 1):
-            nxt = np.array(
-                [pull_scalar(window[c], float(cur[(c + 1) % period])) for c in range(period)]
-            )
-            cur = nxt
+            cur = [pull_scalar(cur[(c + 1) % period], g[c]) for c in range(period)]
             for r in range(n_rows):
                 if n <= depth - r:
                     rows[r][n] = cur[r % period]
         return rows
     vals = np.full(depth + 1, x0)
-    rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
-    for r in range(n_rows):
-        rows[r][0] = x0
     for n in range(1, depth + 1):
         m = depth + 1 - n
-        vals = pull_vec(window[:m], vals[1 : m + 1])
+        vals = pull_vec(vals[1 : m + 1], gam[:m])
         for r in range(min(n_rows, m)):
             if n <= depth - r:
                 rows[r][n] = vals[r]
     return rows
 
 
-def _lsv_pull_scalar(p: MapParams, t: float) -> float:
-    from .maps import _lsv_left_inverse_scalar
-
-    return _lsv_left_inverse_scalar(t, p.gamma)
-
-
-def _lsv_pull_vec(ps: list[MapParams], t: np.ndarray) -> np.ndarray:
-    from .maps import _lsv_left_inverse_array
-
-    return _lsv_left_inverse_array(t, np.array([p.gamma for p in ps]))
-
-
-def _pik_pull_scalar(p: MapParams, u: float) -> float:
-    return u - u**p.gamma / (2.0 * p.gamma)
-
-
-def _pik_pull_vec(ps: list[MapParams], u: np.ndarray) -> np.ndarray:
-    g = np.array([p.gamma for p in ps])
+def _pik_pull(u, g):
     return u - u**g / (2.0 * g)
-
-
-def _gh_pull_scalar(p: MapParams, w: float) -> float:
-    return w - w * w / 4.0
-
-
-def _gh_pull_vec(ps: list[MapParams], w: np.ndarray) -> np.ndarray:
-    return w - w * w / 4.0
 
 
 # -- endpoint containers ---------------------------------------------------------
@@ -258,24 +247,24 @@ def lsv_preimage_points(seq: ParamSequence, k: int, n_max: int) -> PartitionEndp
     """x_n(k) and y_n(k) for LSV/Cui sequences, n = 0..n_max."""
     if seq.family not in (Family.LSV, Family.CUI):
         raise ParamError("lsv_preimage_points needs an LSV or Cui sequence")
-    params = _materialize(seq, k, n_max + 2)
-    rows = _fill_rows(params, 1.0, _lsv_pull_scalar, _lsv_pull_vec, n_max, 2)
+    entries, ids = _materialize(seq, k, n_max + 2)
+    rows = _fill_rows(entries, ids, 1.0, _lsv_left_inverse_scalar, _lsv_left_inverse_array, n_max, 2)
     x = rows[0]
     # y_n(k) = h_k(x_{n-1}(k+1)); y_0 = 1 by convention.
     y = np.empty(n_max + 1)
     y[0] = 1.0
     if n_max >= 1:
-        y[1:] = inverse_branch_array(params[0], Branch.RIGHT, rows[1][: n_max])
+        y[1:] = inverse_branch_array(entries[ids[0]], Branch.RIGHT, rows[1][: n_max])
     return PartitionEndpoints(seq.family, k, n_max, x=x, y=y)
 
 
 def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
     if seq.family is not Family.PIKOVSKY:
         raise ParamError("pikovsky_endpoints needs a Pikovsky sequence")
-    params = _materialize(seq, k, n_max + 3)
-    rows = _fill_rows(params[1:], 1.0, _pik_pull_scalar, _pik_pull_vec, n_max + 1, 1)
+    entries, ids = _materialize(seq, k, n_max + 3)
+    rows = _fill_rows(entries, ids[1:], 1.0, _pik_pull, _pik_pull, n_max + 1, 1)
     u_next = rows[0]  # chain at base k+1, depth n_max+1
-    g_k = params[0].gamma
+    g_k = entries[ids[0]].gamma
     u = np.empty(n_max + 2)
     u[0] = 1.0
     u[1:] = u_next[: n_max + 1] - u_next[: n_max + 1] ** g_k / (2.0 * g_k)
@@ -478,14 +467,13 @@ def return_time_tail_mc(
         raise ParamError("samples must be >= 1000")
     if base not in ("m_k", "lebesgue"):
         raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
-    params = _materialize(seq, k, n_max + 1)
+    entries, ids = _materialize(seq, k, n_max + 1)
+    params = [entries[i] for i in ids]
     if reference_sets is None:
         sets = [reference_set(p) for p in params]
     else:
         sets = reference_sets
     gen = np.random.default_rng(_rng.child_seed(seed, f"return-mc-{k}-{base}"))
-    from .maps import state_interval
-
     if base == "m_k":
         x = _sample_base(sets[0], samples, gen)
     else:

@@ -11,8 +11,17 @@ Two schemes run in the package:
   for the LSV/Cui left inverse branch on arrays; the scalar left inverse in
   :mod:`memloss.maps` runs the same iteration inline.
 
-The vector variants run one iteration on the whole array, with
-per-element brackets.
+The vector variants run one iteration on the whole array.
+:func:`vec_bisect_newton` keeps each bracket as its lower end ``lo`` plus
+a width ``w`` that halves every step, and moves ``lo`` by ``w`` where f is
+still <= 0 at ``lo + w``: no ``hi`` array and no ``np.where``.  On dyadic
+brackets such as [0, 1] and [-1, 0], ``lo + w`` is exact and equals the
+textbook midpoint ``0.5 * (lo + hi)``, so the brackets are the same to the
+bit.  The Pikovsky forward map solves each half of [-1, 1] on its own,
+with that half's branch formula: the half is the first bisection step on
+[-1, 1], and the Newton phase stops when no element changes, a rule that
+holds for each element separately, so the split solve gives the same
+roots as one solve on [-1, 1].
 """
 
 from __future__ import annotations
@@ -68,18 +77,18 @@ def vec_bisect_newton(
 ) -> np.ndarray:
     """Elementwise version of :func:`bisect_newton`.
 
-    f must be increasing in each component with f(lo) <= 0 <= f(hi).
+    f must be increasing in each component with f(lo) <= 0 <= f(hi).  The
+    bracket is ``lo`` plus a halving width (see the module docstring).
     """
     lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    span = float(np.max(hi - lo, initial=0.0))
+    w = np.asarray(hi, dtype=float) - lo
+    span = float(np.max(w, initial=0.0))
     n_bisect = max(0, int(np.ceil(np.log2(max(span, width) / width))))
     for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) <= 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    x = 0.5 * (lo + hi)
+        w = 0.5 * w
+        lo += (f(lo + w) <= 0.0) * w
+    hi = lo + w
+    x = lo + 0.5 * w
     for _ in range(max_newton):
         d = df(x)
         step = np.where(d != 0.0, f(x) / np.where(d != 0.0, d, 1.0), 0.0)

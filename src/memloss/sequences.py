@@ -142,57 +142,54 @@ def _iid_indices(seq: ParamSequence, ks: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u, side="right"), len(seq.entries) - 1)
 
 
-def _markov_state(seq: ParamSequence, k: int) -> int:
+def _markov_states(seq: ParamSequence, last: int) -> list[int]:
+    """The cached states at base indices 1..last or more, extending the
+    cache under the lock: one ``rng.uniforms`` call for the missing range,
+    then one ``searchsorted`` per step."""
     cache = seq._markov_cache
-    if k <= len(cache):
-        return cache[k - 1]
+    if last <= len(cache):
+        return cache
     with seq._lock:
-        t = np.asarray(seq.transition)
-        cum_rows = np.cumsum(t, axis=1)
-        while len(cache) < k:
-            j = len(cache) + 1
-            u = float(rng.uniforms(seq.seed, "markov", j))
-            if j == 1:
-                cum = np.cumsum(seq.init)
-            else:
-                cum = cum_rows[cache[-1]]
-            state = int(np.minimum(np.searchsorted(cum, u, side="right"), len(seq.entries) - 1))
-            cache.append(state)
-    return cache[k - 1]
+        start = len(cache) + 1
+        us = rng.uniforms(seq.seed, "markov", np.arange(start, last + 1)).tolist()
+        cum_rows = np.cumsum(np.asarray(seq.transition), axis=1)
+        cum_init = np.cumsum(seq.init)
+        top = len(seq.entries) - 1
+        for u in us:
+            cum = cum_rows[cache[-1]] if cache else cum_init
+            cache.append(min(int(np.searchsorted(cum, u, side="right")), top))
+    return cache
+
+
+def _entry_indices(seq: ParamSequence, k: int, length: int) -> np.ndarray:
+    """Indices into ``seq.entries`` of the elements k .. k+length-1."""
+    if k < 1:
+        raise ParamError(f"k must be >= 1, got {k}")
+    if length < 0:
+        raise ParamError("length must be >= 0")
+    start = k + seq.offset  # base index of element k
+    last = start + length - 1
+    n = len(seq.entries)
+    if seq.kind == "explicit":
+        if length and last > n:
+            raise DepthError(f"explicit sequence has {n} entries, asked for {last}")
+        return np.arange(start - 1, last)
+    ks = np.arange(start, last + 1)
+    if seq.kind == "periodic":
+        return (ks - 1) % n
+    if seq.kind == "iid":
+        return _iid_indices(seq, ks)
+    return np.asarray(_markov_states(seq, last)[start - 1 : last], dtype=np.intp)
 
 
 def param_at(seq: ParamSequence, k: int) -> MapParams:
     """The map acting at time k (k >= 1)."""
-    if k < 1:
-        raise ParamError(f"k must be >= 1, got {k}")
-    k = k + seq.offset
-    if seq.kind == "explicit":
-        if k > len(seq.entries):
-            raise DepthError(f"explicit sequence has {len(seq.entries)} entries, asked for {k}")
-        return seq.entries[k - 1]
-    if seq.kind == "periodic":
-        return seq.entries[(k - 1) % len(seq.entries)]
-    if seq.kind == "iid":
-        idx = int(_iid_indices(seq, np.asarray(k)))
-        return seq.entries[idx]
-    return seq.entries[_markov_state(seq, k)]
+    return seq.entries[int(_entry_indices(seq, k, 1)[0])]
 
 
 def gammas(seq: ParamSequence, k: int, length: int) -> np.ndarray:
-    """Bulk gamma_j for j = k .. k+length-1 (vectorized for iid)."""
-    if length < 0:
-        raise ParamError("length must be >= 0")
-    ks = np.arange(k, k + length) + seq.offset
-    if seq.kind == "iid":
-        idx = _iid_indices(seq, ks)
-        gam = np.asarray([p.gamma for p in seq.entries])
-        return gam[idx]
-    return np.asarray([param_at(seq, int(j)) .gamma for j in range(k, k + length)])
-
-
-def period_of(seq: ParamSequence) -> int | None:
-    """Cycle length for periodic sequences (shifts keep the period), else None."""
-    return len(seq.entries) if seq.kind == "periodic" else None
+    """Bulk gamma_j for j = k .. k+length-1."""
+    return np.asarray([p.gamma for p in seq.entries])[_entry_indices(seq, k, length)]
 
 
 # -- frequency statistics ------------------------------------------------------

@@ -466,6 +466,40 @@ class TestSTailMc:
         assert np.max(np.abs(a - b)[gate] / se[gate]) <= 5.0
 
 
+def _bench_nonstationary_model(horizon):
+    """Row j has tail min(1, m**-(2 + 0.25 (j mod 3))), j >= 1, with the
+    default constants: the nonstationary family of the benchmark."""
+    fam = _poly_family([2.0 + 0.25 * (j % 3) for j in range(1, horizon + 11)], 2.0, depth=2 * horizon + 20)
+    return build_model(fam, make_constants(), horizon)
+
+
+class TestEnvelopeTable:
+    def test_batched_rows_equal_one_row_calls(self):
+        model = _bench_nonstationary_model(210)
+        n_max = 200
+        for s in (1, 2, 57, 150, 199, 200):
+            ts = np.arange(s + 1)
+            envs = model._envelopes(ts, s, n_max - s + 1)
+            for t in ts.tolist():
+                assert np.array_equal(envs[t], model.conditional_tail(t, s - t, n_max - s + 1)), (s, t)
+
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_prefix_holds_the_read_columns_only(self, stationary):
+        horizon = 120
+        model = _model(2.0, horizon=horizon) if stationary else _bench_nonstationary_model(horizon)
+        h = model.family.h_rows
+        rows, depth = h.shape[0], h.shape[1] - 1
+        full = np.zeros((rows + 1, rows + depth + 1))
+        for i in range(rows):
+            full[i + 1, i + 1 : i + 1 + depth] = h[i, 1:]
+        assert np.array_equal(model._prefix, np.cumsum(full, axis=0)[:, : horizon + 2])
+        assert len(model.conditional_tail(3, 5, horizon - 7)) == horizon - 6
+        with pytest.raises(errors.HorizonError):
+            model._envelopes([0], 1, horizon + 1)
+        with pytest.raises(errors.HorizonError):
+            model.conditional_tail(3, 5, horizon - 6 if not stationary else 2 * horizon)
+
+
 class TestStailBound:
     def test_exact_power_is_flat(self):
         vals = np.concatenate([[1.0], np.arange(1.0, 101.0) ** -2.0])

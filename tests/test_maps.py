@@ -216,3 +216,43 @@ class TestProperties:
         xs = np.linspace(1e-8, 1.0, 1000)
         t = eval_map_array(p, xs)
         assert np.max(np.abs(_pik_g_plus(t, p.gamma) - xs)) <= 1e-13
+
+
+def _reference_pik_forward(x, gamma):
+    """The two-branch solve: bisection on [-1, 1] with the textbook
+    midpoint and np.where updates, then clamped Newton, on g_plus."""
+    from memloss.maps import _pik_g_plus, _pik_g_plus_deriv
+
+    f = lambda t: _pik_g_plus(t, gamma) - x
+    df = lambda t: _pik_g_plus_deriv(t, gamma)
+    lo, hi = np.full_like(x, -1.0), np.full_like(x, 1.0)
+    for _ in range(int(np.ceil(np.log2(2.0 / 1e-14)))):
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) <= 0.0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    t = 0.5 * (lo + hi)
+    for _ in range(5):
+        d = df(t)
+        t_new = np.clip(t - np.where(d != 0.0, f(t) / np.where(d != 0.0, d, 1.0), 0.0), lo, hi)
+        if np.array_equal(t_new, t):
+            break
+        t = t_new
+    return t
+
+
+class TestPikovskyForwardPerBranch:
+    @pytest.mark.parametrize("gamma", [1.01, 1.5, 2.0, 2.5, 2.99])
+    def test_bit_identical_to_two_branch_solve(self, gamma):
+        from memloss.maps import _pik_forward_array
+
+        a = 1.0 / (2.0 * gamma)  # the branch point: T(a) = 0
+        steps = np.arange(1, 40)
+        near_a = np.concatenate([np.nextafter(a, 0.0) - steps * 2e-17, [np.nextafter(a, 0.0), a,
+                                 np.nextafter(a, 1.0)], np.nextafter(a, 1.0) + steps * 2e-17])
+        tiny = np.concatenate([[0.0, 5e-324, 1e-300, 1e-16, 1e-15], np.geomspace(1e-300, 1e-15, 200)])
+        x = np.concatenate([np.random.default_rng(1).uniform(0.0, 1.0, 100_000), near_a, tiny,
+                            [np.nextafter(1.0, 0.0), 1.0]])
+        new = _pik_forward_array(x, gamma)
+        ref = _reference_pik_forward(x, gamma)
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+        assert np.all(new[x >= a] >= 0.0) and np.all(new[x < a] <= 0.0)

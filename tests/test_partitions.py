@@ -1,9 +1,11 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memloss import errors
 from memloss import sequences as seqs
-from memloss.maps import grossmann_horner, lsv, pikovsky
+from memloss.maps import cui, grossmann_horner, lsv, pikovsky
 from memloss.partitions import (
     TailTable,
     default_fit_window,
@@ -249,3 +251,170 @@ class TestTailTable:
     def test_t1_enforced_for_return_tails(self):
         with pytest.raises(errors.ParamError):
             TailTable(values=np.array([1.0, 0.8, 0.5]), label="h_k")
+
+
+# -- the per-MapParams backward fill, kept as the reference -------------------------
+
+
+def _reference_fill_rows(params, x0, pull_scalar, pull_vec, depth, n_rows):
+    """Backward-orbit rows from a list of MapParams, one map per base index;
+    the pulls take (MapParams or list, values)."""
+    window = params[: depth + 1]
+    if all(p == window[0] for p in window):
+        row = np.empty(depth + 1)
+        row[0] = x0
+        for n in range(1, depth + 1):
+            row[n] = pull_scalar(window[0], row[n - 1])
+        return [row[: depth + 1 - r] for r in range(n_rows)]
+    period = 0
+    for p_try in range(2, min(16, depth)):
+        if all(window[i] == window[i % p_try] for i in range(depth + 1)):
+            period = p_try
+            break
+    rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
+    for r in range(n_rows):
+        rows[r][0] = x0
+    if period:
+        cur = np.full(period, x0)
+        for n in range(1, depth + 1):
+            cur = np.array([pull_scalar(window[c], float(cur[(c + 1) % period])) for c in range(period)])
+            for r in range(n_rows):
+                if n <= depth - r:
+                    rows[r][n] = cur[r % period]
+        return rows
+    vals = np.full(depth + 1, x0)
+    for n in range(1, depth + 1):
+        m = depth + 1 - n
+        vals = pull_vec(window[:m], vals[1 : m + 1])
+        for r in range(min(n_rows, m)):
+            if n <= depth - r:
+                rows[r][n] = vals[r]
+    return rows
+
+
+def _reference_lsv_points(seq, k, n_max):
+    from memloss.maps import Branch, _lsv_left_inverse_array, _lsv_left_inverse_scalar, inverse_branch_array
+    from memloss.partitions import PartitionEndpoints
+
+    params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 2)]
+    rows = _reference_fill_rows(
+        params, 1.0, lambda p, t: _lsv_left_inverse_scalar(t, p.gamma),
+        lambda ps, t: _lsv_left_inverse_array(t, np.array([p.gamma for p in ps])), n_max, 2)
+    y = np.empty(n_max + 1)
+    y[0] = 1.0
+    y[1:] = inverse_branch_array(params[0], Branch.RIGHT, rows[1][:n_max])
+    return PartitionEndpoints(seq.family, k, n_max, x=rows[0], y=y)
+
+
+def _reference_pikovsky_endpoints(seq, k, n_max):
+    from memloss.partitions import PartitionEndpoints
+
+    params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 3)]
+
+    def pull_vec(ps, u):
+        g = np.array([p.gamma for p in ps])
+        return u - u**g / (2.0 * g)
+
+    rows = _reference_fill_rows(params[1:], 1.0, lambda p, u: u - u**p.gamma / (2.0 * p.gamma),
+                                pull_vec, n_max + 1, 1)
+    u_next, g_k = rows[0], params[0].gamma
+    u = np.concatenate([[1.0], u_next[: n_max + 1] - u_next[: n_max + 1] ** g_k / (2.0 * g_k)])
+    delta = np.concatenate([[np.nan], u_next[: n_max + 1] ** g_k / (2.0 * g_k)])
+    return PartitionEndpoints(seq.family, k, n_max, u=u, u_next=u_next, delta_bound=delta, gamma_k=g_k)
+
+
+def _support(family):
+    if family == "lsv":
+        return [lsv(0.35), lsv(0.7), lsv(0.55)]
+    if family == "cui":  # two maps with equal gamma: equal left inverses, distinct maps
+        return [cui(0.5, 2.0), cui(0.5, 1.5), cui(0.7, 1.0)]
+    return [pikovsky(1.5), pikovsky(2.5), pikovsky(2.0)]
+
+
+def _sequence(kind, support, n):
+    if kind == "iid":
+        return seqs.iid(support, [0.3, 0.5, 0.2], seed=29)
+    if kind == "markov":
+        return seqs.markov(support, [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.4, 0.4, 0.2]], seed=31)
+    if kind == "periodic":
+        return seqs.periodic([support[i] for i in (0, 1, 1, 2, 0)])
+    if kind == "repeated":  # a cycle that repeats one map runs the single chain
+        return seqs.periodic([support[0], support[0]])
+    # "equal-gamma": for cui the first two maps share gamma, so only telling
+    # maps apart by value keeps this window off the single-map chain
+    picks = np.random.default_rng(37).integers(0, 2 if kind == "equal-gamma" else 3, n)
+    return seqs.explicit([support[i] for i in picks])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestBackwardFillAgainstReference:
+    N_MAX = 300
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("kind", ["iid", "markov", "periodic", "repeated", "explicit", "equal-gamma"])
+    @pytest.mark.parametrize("family", ["lsv", "cui", "pikovsky"])
+    def test_bit_identical(self, family, kind, k, monkeypatch):
+        from memloss import partitions
+
+        n = self.N_MAX
+        seq = _sequence(kind, _support(family), n + k + 2)
+        if family == "pikovsky":
+            got, ref = pikovsky_endpoints(seq, k, n), _reference_pikovsky_endpoints(seq, k, n)
+            fields, name, reference = ("u", "u_next", "delta_bound"), "pikovsky_endpoints", _reference_pikovsky_endpoints
+            assert got.gamma_k == ref.gamma_k
+        else:
+            got, ref = lsv_preimage_points(seq, k, n), _reference_lsv_points(seq, k, n)
+            fields, name, reference = ("x", "y"), "lsv_preimage_points", _reference_lsv_points
+        for f in fields:
+            assert np.array_equal(_bits(getattr(got, f)), _bits(getattr(ref, f))), f
+        tails = [return_time_tail(seq, k, n, base=b).values for b in ("m_k", "lebesgue")]
+        monkeypatch.setattr(partitions, name, reference)
+        for b, t in zip(("m_k", "lebesgue"), tails):
+            assert np.array_equal(_bits(t), _bits(return_time_tail(seq, k, n, base=b).values)), b
+
+
+@st.composite
+def _random_sequences(draw):
+    family = draw(st.sampled_from(["lsv", "cui", "pikovsky", "gh"]))
+    kind = draw(st.sampled_from(["explicit", "periodic", "iid", "markov"]))
+    size = draw(st.integers(1, 3))
+    if family == "lsv":
+        support = [lsv(draw(st.floats(0.05, 0.95))) for _ in range(size)]
+    elif family == "cui":
+        support = [cui(draw(st.floats(0.05, 0.95)), draw(st.floats(1.0, 3.0))) for _ in range(size)]
+    elif family == "pikovsky":
+        support = [pikovsky(draw(st.floats(1.05, 2.95))) for _ in range(size)]
+    else:
+        support = [grossmann_horner()]
+        size = 1
+    k = draw(st.integers(1, 4))
+    n_max = draw(st.integers(2, 150))
+    weights = st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)
+    if kind == "explicit":
+        picks = draw(st.lists(st.integers(0, size - 1), min_size=k + n_max + 2, max_size=k + n_max + 2))
+        seq = seqs.explicit([support[i] for i in picks])
+    elif kind == "periodic":
+        picks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
+        seq = seqs.periodic([support[i] for i in picks])
+    elif kind == "iid":
+        w = np.array(draw(weights))
+        seq = seqs.iid(support, w / w.sum(), seed=draw(st.integers(0, 2**31)))
+    else:
+        t = np.array([draw(weights) for _ in range(size)])
+        seq = seqs.markov(support, t / t.sum(axis=1, keepdims=True), seed=draw(st.integers(0, 2**31)))
+    return seq, k, n_max
+
+
+class TestReturnTimeTailProperties:
+    @settings(max_examples=80, deadline=2000)
+    @given(case=_random_sequences(), base=st.sampled_from(["m_k", "lebesgue"]))
+    def test_tail_is_a_return_time_tail(self, case, base):
+        seq, k, n_max = case
+        t = return_time_tail(seq, k, n_max, base=base).values
+        assert len(t) == n_max + 1
+        assert t[0] == 1.0 and t[1] == 1.0
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        assert np.all(np.diff(t) <= 0.0)

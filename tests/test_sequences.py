@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from memloss import errors
+from memloss import rng as _rng
 from memloss import sequences as seqs
 from memloss.maps import lsv
 from memloss.partitions import fit_power_law
@@ -69,6 +70,76 @@ class TestParamAt:
         s = alternating()
         assert seqs.param_at(seqs.shifted(s, 1), 1).gamma == 0.8
         assert seqs.param_at(seqs.shifted(s, 2), 1).gamma == 0.5
+
+
+def _reference_index(seq, k, states):
+    """Entry index of element k, one index at a time as the scalar accessor
+    computed it; ``states`` holds the Markov chain's prefix."""
+    k += seq.offset
+    n = len(seq.entries)
+    if seq.kind == "explicit":
+        if k > n:
+            raise errors.DepthError(k)
+        return k - 1
+    if seq.kind == "periodic":
+        return (k - 1) % n
+    if seq.kind == "iid":
+        u = float(_rng.uniforms(seq.seed, "iid", k))
+        return min(int(np.searchsorted(np.cumsum(seq.probs), u, side="right")), n - 1)
+    while len(states) < k:
+        j = len(states) + 1
+        u = float(_rng.uniforms(seq.seed, "markov", j))
+        cum = np.cumsum(seq.init) if j == 1 else np.cumsum(seq.transition, axis=1)[states[-1]]
+        states.append(min(int(np.searchsorted(cum, u, side="right")), n - 1))
+    return states[k - 1]
+
+
+_SUPPORT = [lsv(0.3), lsv(0.5), lsv(0.8)]
+_KINDS = {
+    "explicit": lambda: seqs.explicit([_SUPPORT[i % 3] for i in (0, 2, 2, 1, 0, 1) * 10]),
+    "periodic": lambda: seqs.periodic(_SUPPORT),
+    "iid": lambda: seqs.iid(_SUPPORT, [0.2, 0.5, 0.3], seed=17),
+    "markov": lambda: seqs.markov(_SUPPORT, [[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]], seed=23),
+}
+
+
+class TestEntryIndices:
+    @pytest.mark.parametrize("offset", [0, 7])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_bulk_matches_one_index_at_a_time(self, kind, offset):
+        seq = seqs.shifted(_KINDS[kind](), offset)
+        states = []
+        ref = [_reference_index(seq, j, states) for j in range(1, 54 - offset)]
+        for k, length in [(1, 53 - offset), (5, 20), (30, 1), (9, 0)]:
+            got = seqs._entry_indices(seq, k, length)
+            assert got.tolist() == ref[k - 1 : k - 1 + length]
+        assert [seqs.param_at(seq, j) for j in range(1, 54 - offset)] == [seq.entries[i] for i in ref]
+        assert np.array_equal(seqs.gammas(seq, 3, 40), [seq.entries[i].gamma for i in ref[2:42]])
+
+    def test_past_explicit_end(self):
+        seq = _KINDS["explicit"]()
+        assert len(seqs._entry_indices(seq, 51, 10)) == 10
+        with pytest.raises(errors.DepthError, match="asked for 61"):
+            seqs._entry_indices(seq, 51, 11)
+        with pytest.raises(errors.DepthError):
+            seqs._entry_indices(seqs.shifted(seq, 10), 50, 2)
+        assert len(seqs._entry_indices(seqs.shifted(seq, 60), 1, 0)) == 0
+        with pytest.raises(errors.ParamError):
+            seqs._entry_indices(seq, 0, 3)
+
+    @pytest.mark.parametrize("bulk_first", [True, False])
+    def test_markov_cache_in_either_order(self, bulk_first):
+        seq = _KINDS["markov"]()
+        states = []
+        ref = [_reference_index(seq, j, states) for j in range(1, 601)]
+        if bulk_first:
+            assert seqs._entry_indices(seq, 1, 300).tolist() == ref[:300]
+            assert [seq.entries.index(seqs.param_at(seq, j)) for j in range(250, 601)] == ref[249:]
+        else:
+            assert seq.entries.index(seqs.param_at(seq, 120)) == ref[119]
+            assert seq.entries.index(seqs.param_at(seq, 3)) == ref[2]
+            assert seqs._entry_indices(seqs.shifted(seq, 100), 1, 500).tolist() == ref[100:]
+        assert seq._markov_cache == ref
 
 
 class TestGoodCount:

@@ -293,8 +293,10 @@ class TestOneStepProperties:
     def test_mass_conserved_and_tv_contracts(self, params, a, b):
         assume(np.sum(a) > 0.0 and np.sum(b) > 0.0)
         lo, hi = state_interval(params)
-        f = GridDensity(a / (np.sum(a) * (hi - lo) / N), (lo, hi))
-        g = GridDensity(b / (np.sum(b) * (hi - lo) / N), (lo, hi))
+        # divide by the sum first: sum * (hi - lo) / N underflows to 0 when
+        # the only mass is subnormal, which would make the density inf
+        f = GridDensity(a / np.sum(a) * (N / (hi - lo)), (lo, hi))
+        g = GridDensity(b / np.sum(b) * (N / (hi - lo)), (lo, hi))
         pf, pg = push_density(params, f), push_density(params, g)
         assert abs(pf.mass - f.mass) <= 1e-8
         assert tv_distance(pf, pg) <= tv_distance(f, g) + 1e-12
