@@ -74,7 +74,7 @@ def _sequence_from_args(args) -> seqs.ParamSequence:
 
 def _write_summary(path: str, summary: dict) -> None:
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    csvio._atomic_write(path, text)
+    csvio._atomic_write(path, [text])
 
 
 def _fit_metrics(values: np.ndarray, fit_lo, fit_hi) -> dict:
@@ -93,6 +93,12 @@ def _fit_metrics(values: np.ndarray, fit_lo, fit_hi) -> dict:
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
     }
+
+
+def _mixing_metrics(mass: np.ndarray) -> dict:
+    """Least mass from n = 2 on (NaN for a shorter table) and the largest mass."""
+    floor = float(np.min(mass[2:])) if len(mass) > 2 else float("nan")
+    return {"floor_from_2": floor, "max": float(np.max(mass))}
 
 
 def _gate(summary: dict, name: str, ok: bool, detail: dict) -> None:
@@ -130,8 +136,7 @@ def _cmd_tails(args) -> int:
         path = os.path.join(args.out, f"tails_k{k}_{args.base}.csv")
         csvio.write_tail_csv(path, exact)
         out_paths[k] = path
-        _, cols = csvio.read_csv(path)
-        metrics = _fit_metrics(cols["value"], args.fit_lo, args.fit_hi)
+        metrics = _fit_metrics(exact.values, args.fit_lo, args.fit_hi)
         summary[f"k{k}"] = metrics
         if mc is not None:
             mc_path = os.path.join(args.out, f"tails_k{k}_{args.base}_mc.csv")
@@ -158,7 +163,6 @@ def _cmd_memloss(args) -> int:
     curve = memory_loss_curve(seq, f, g, args.n_max)
     path = os.path.join(args.out, "memloss.csv")
     csvio.write_columns(path, "memloss", [np.arange(len(curve.values), dtype=float), curve.values])
-    _, cols = csvio.read_csv(path)
     summary = {
         "command": "memloss",
         "pair": args.pair,
@@ -166,7 +170,7 @@ def _cmd_memloss(args) -> int:
         "n_max": args.n_max,
         "artifacts": [os.path.basename(path)],
     }
-    summary["metrics"] = _fit_metrics(cols["tv"], args.fit_lo, args.fit_hi)
+    summary["metrics"] = _fit_metrics(curve.values, args.fit_lo, args.fit_hi)
     if args.expect_slope is not None:
         ok = abs(summary["metrics"]["slope"] - args.expect_slope) <= args.tol
         _gate(summary, "slope", ok, {"expected": args.expect_slope, "tol": args.tol, "actual": summary["metrics"]["slope"]})
@@ -180,19 +184,19 @@ def _cmd_mixing(args) -> int:
     table = mixing_mass(seq, args.k, args.n_max, n_cells=args.grid)
     path = os.path.join(args.out, "mixing.csv")
     csvio.write_columns(path, "mixing", [np.arange(len(table.values), dtype=float), table.values])
-    _, cols = csvio.read_csv(path)
-    floor = float(np.min(cols["mass"][2:])) if len(cols["mass"]) > 2 else float("nan")
+    metrics = _mixing_metrics(table.values)
     summary = {
         "command": "mixing",
         "k": args.k,
         "n_max": args.n_max,
         "grid": args.grid,
-        "metrics": {"floor_from_2": floor, "max": float(np.max(cols["mass"])), "worst_snap": table.notes["worst_snap"]},
+        "metrics": {**metrics, "worst_snap": table.notes["worst_snap"]},
         "artifacts": [os.path.basename(path)],
     }
     if args.expect_floor is not None:
+        floor = metrics["floor_from_2"]
         _gate(summary, "floor", floor >= args.expect_floor, {"expected": args.expect_floor, "actual": floor})
-    _gate(summary, "bounded_by_one", bool(np.max(cols["mass"]) <= 1.0 + 1e-8), {"actual": float(np.max(cols["mass"]))})
+    _gate(summary, "bounded_by_one", bool(metrics["max"] <= 1.0 + 1e-8), {"actual": metrics["max"]})
     summary["pass"] = _summary_pass(summary)
     _write_summary(os.path.join(args.out, "mixing_summary.json"), summary)
     return 0 if summary["pass"] else 1
@@ -347,13 +351,10 @@ def _cmd_summarize(args) -> int:
     for path in args.paths:
         kind, cols = csvio.read_csv(path)
         entry = {"kind": kind}
-        if kind == "tails":
-            entry.update(_fit_metrics(cols["value"], args.fit_lo, args.fit_hi))
-        elif kind == "memloss":
-            entry.update(_fit_metrics(cols["tv"], args.fit_lo, args.fit_hi))
+        if kind in ("tails", "memloss"):  # fit the value column
+            entry.update(_fit_metrics(cols[csvio.HEADERS[kind][1]], args.fit_lo, args.fit_hi))
         elif kind == "mixing":
-            entry["floor_from_2"] = float(np.min(cols["mass"][2:]))
-            entry["max"] = float(np.max(cols["mass"]))
+            entry.update(_mixing_metrics(cols["mass"]))
         elif kind == "coupling":
             entry["max_ratio"] = float(np.nanmax(cols["ratio"]))
             entry["argmax_n"] = int(np.nanargmax(cols["ratio"]))
@@ -363,7 +364,7 @@ def _cmd_summarize(args) -> int:
     text = json.dumps(out, sort_keys=True, indent=2)
     print(text)
     if args.out_json:
-        csvio._atomic_write(args.out_json, text + "\n")
+        csvio._atomic_write(args.out_json, [text + "\n"])
     return 0
 
 

@@ -1,4 +1,5 @@
-"""CSV artifacts: fixed headers, 17 significant digits, atomic writes.
+"""CSV artifacts: fixed headers, 17 significant digits, atomic writes,
+rows formatted and parsed in blocks of 2**14.
 
 Formats (one header row, '.' decimal separator, '\\n' line endings):
 
@@ -12,8 +13,10 @@ Formats (one header row, '.' decimal separator, '\\n' line endings):
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .errors import FormatError
 from .partitions import TailTable
 
 _FMT = "%.17g"
+_BLOCK = 2**14
 
 HEADERS = {
     "tails": ["n", "value", "stderr"],
@@ -32,12 +36,12 @@ HEADERS = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, parts: Iterable[str]) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,20 +49,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(v: float) -> str:
-    return _FMT % v
-
-
 def write_columns(path: str, kind: str, columns: list[np.ndarray | None]) -> None:
+    """Write a ``kind`` CSV; a None column is written as empty cells."""
     header = HEADERS[kind]
     if len(columns) != len(header):
         raise ValueError(f"{kind} needs {len(header)} columns")
-    n_rows = len(next(c for c in columns if c is not None))
-    lines = [",".join(header)]
-    for i in range(n_rows):
-        cells = ["" if col is None else _fmt(float(col[i])) for col in columns]
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    data = [np.asarray(c, dtype=float) for c in columns if c is not None]
+    if any(len(c) != len(data[0]) for c in data):
+        raise ValueError("columns differ in length")
+    row = ",".join("" if c is None else _FMT for c in columns) + "\n"
+    blocks = (np.column_stack([c[i : i + _BLOCK] for c in data]) for i in range(0, len(data[0]), _BLOCK))
+    text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], text))
 
 
 def write_tail_csv(path: str, table: TailTable) -> None:
@@ -69,27 +71,32 @@ def write_tail_csv(path: str, table: TailTable) -> None:
 def read_csv(path: str) -> tuple[str, dict[str, np.ndarray]]:
     """Read a CSV produced by this package; returns (kind, columns).
 
-    Raises FormatError for empty files or headers this package never
-    writes."""
+    Blank lines are skipped and an empty cell reads as NaN.  Raises
+    FormatError for empty files, headers this package never writes, ragged
+    rows, cells that are not numbers and files with no data rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as e:
+            lines = (ln.rstrip("\n") for ln in fh)
+            header_line = next((ln for ln in lines if ln), None)
+            if header_line is None:
+                raise FormatError(f"{path}: empty file")
+            header = header_line.split(",")
+            kind = next((k for k, h in HEADERS.items() if h == header), None)
+            if kind is None:
+                raise FormatError(f"{path}: unrecognized header {header_line!r}")
+            blocks = [np.empty((0, len(header)))]
+            while chunk := list(itertools.islice(lines, _BLOCK)):
+                rows = [ln for ln in chunk if ln]
+                ragged = next((ln for ln in rows if ln.count(",") != len(header) - 1), None)
+                if ragged is not None:
+                    raise FormatError(f"{path}: ragged row {ragged!r}")
+                cells = [c or "nan" for c in ",".join(rows).split(",")] if rows else []
+                blocks.append(np.array(cells, dtype=float).reshape(-1, len(header)))
+    except FormatError:
+        raise
+    except (OSError, ValueError) as e:  # ValueError: a cell or byte that does not decode
         raise FormatError(f"{path}: {e}") from None
-    lines = [ln for ln in lines if ln != ""]
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    kind = next((k for k, h in HEADERS.items() if h == header), None)
-    if kind is None:
-        raise FormatError(f"{path}: unrecognized header {lines[0]!r}")
-    cols: dict[str, list[float]] = {name: [] for name in header}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise FormatError(f"{path}: ragged row {ln!r}")
-        for name, cell in zip(header, cells):
-            cols[name].append(np.nan if cell == "" else float(cell))
-    if not lines[1:]:
+    data = np.concatenate(blocks)
+    if not len(data):
         raise FormatError(f"{path}: no data rows")
-    return kind, {name: np.asarray(vals) for name, vals in cols.items()}
+    return kind, dict(zip(header, data.T.copy()))

@@ -20,6 +20,11 @@ distinct map's edge images once per call, dropping them after the map's
 last step; they hold two arrays of N+1 floats per distinct map still
 ahead.  Nothing is cached between calls.
 
+:func:`memory_loss_curve` pushes the signed difference h = f - g (the
+operator is linear), keeping each branch's orientation sign where a density
+step takes absolute values: the TV at step n is half the L1 norm of h_n,
+free of the cancellation of subtracting two evolved O(1) densities.
+
 Total variation here is half the L1 distance of densities, so it lies in
 [0, 1] for probability densities.
 """
@@ -56,7 +61,7 @@ class GridDensity:
         n = len(v)
         if n < _MIN_CELLS or n > _MAX_CELLS or (n & (n - 1)) != 0:
             raise ParamError(f"cell count must be a power of two in [2**10, 2**20], got {n}")
-        if np.any(v < -1e-12):
+        if not isinstance(self, _SignedGrid) and np.any(v < -1e-12):
             raise ParamError("density values must be nonnegative")
         if self.interval[1] <= self.interval[0]:
             raise ParamError("empty interval")
@@ -81,6 +86,10 @@ class GridDensity:
     def midpoints(self) -> np.ndarray:
         e = self.edges()
         return 0.5 * (e[:-1] + e[1:])
+
+
+class _SignedGrid(GridDensity):
+    """Signed cell values on a GridDensity grid (a difference of densities)."""
 
 
 def _require_same_grid(f: GridDensity, g: GridDensity) -> None:
@@ -205,31 +214,32 @@ def cone_membership(f: GridDensity, beta: float, a_beta: float) -> ConeReport:
 # by map; None outside a step, so a direct push_density call computes its own.
 # Passing them this way keeps push_density (params, f) the one step function,
 # so whatever wraps or observes it still sees every step of a run.
-_run_images: ContextVar[dict[MapParams, tuple[np.ndarray, ...]] | None] = ContextVar(
+_run_images: ContextVar[dict[MapParams, tuple] | None] = ContextVar(
     "_run_images", default=None
 )
 
 
-def _edge_images(params: MapParams, f: GridDensity) -> tuple[np.ndarray, ...]:
-    """Inverse-branch images of f's cell edges under one map, clipped to
-    the state interval: one array of N+1 floats per branch."""
+def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray], ...]:
+    """Inverse-branch images of f's cell edges under one map, clipped to the
+    state interval: per (monotone) branch, its orientation sign and N+1 floats."""
     lo, hi = state_interval(params)
     if f.interval != (lo, hi):
         raise ShapeMismatch(f"density lives on {f.interval}, map on {(lo, hi)}")
     edges = f.edges()
-    return tuple(np.clip(inverse_branch_array(params, branch, edges), lo, hi) for branch in Branch)
+    images = (np.clip(inverse_branch_array(params, b, edges), lo, hi) for b in Branch)
+    return tuple((1.0 if u[-1] >= u[0] else -1.0, u) for u in images)
 
 
-def _apply_images(images: tuple[np.ndarray, ...], f: GridDensity) -> GridDensity:
+def _apply_images(images: tuple[tuple[float, np.ndarray], ...], f: GridDensity) -> GridDensity:
     """One transfer step of f, given its map's edge images: output cell
     mass is the input integral between the images of the cell edges."""
     edges = f.edges()
     prefix = np.concatenate([[0.0], np.cumsum(f.values) * f.cell_width])
     out = np.zeros(f.n_cells)
-    for u in images:
-        r = np.interp(u, edges, prefix)
-        out += np.abs(np.diff(r))
-    return GridDensity(out / f.cell_width, f.interval)
+    for sign, u in images:
+        d = np.diff(np.interp(u, edges, prefix))
+        out += sign * d if isinstance(f, _SignedGrid) else np.abs(d)
+    return type(f)(out / f.cell_width, f.interval)
 
 
 def push_density(params: MapParams, f: GridDensity) -> GridDensity:
@@ -255,7 +265,7 @@ def _steps(
     them after each step.  A map's edge images are computed at its first
     step and dropped after its last."""
     last = {p: j for j, p in enumerate(maps)}
-    store: dict[MapParams, tuple[np.ndarray, ...]] = {}
+    store: dict[MapParams, tuple] = {}
     for j, p in enumerate(maps):
         token = _run_images.set(store)
         try:
@@ -281,22 +291,24 @@ def evolve(seq: ParamSequence, f: GridDensity, n: int, start: int = 1) -> GridDe
     return f
 
 
+def _half_l1(h: GridDensity) -> float:
+    return 0.5 * float(np.sum(np.abs(h.values))) * h.cell_width
+
+
 def tv_distance(f: GridDensity, g: GridDensity) -> float:
     """Half the L1 distance; exact for piecewise-constant densities."""
     _require_same_grid(f, g)
-    return 0.5 * float(np.sum(np.abs(f.values - g.values))) * f.cell_width
+    return _half_l1(_SignedGrid(f.values - g.values, f.interval))
 
 
 def memory_loss_curve(
     seq: ParamSequence, f: GridDensity, g: GridDensity, n_max: int, start: int = 1
 ) -> TailTable:
-    """tv_distance between the two evolved densities after n = 0..n_max steps."""
+    """tv_distance between the evolved densities, n = 0..n_max (pushes f - g)."""
     _require_same_grid(f, g)
-    maps = _maps(seq, start, n_max)
-    vals = np.empty(n_max + 1)
-    vals[0] = tv_distance(f, g)
-    for n, (f, g) in enumerate(_steps(maps, (f, g)), 1):
-        vals[n] = tv_distance(f, g)
+    h = _SignedGrid(f.values - g.values, f.interval)
+    evolved = itertools.chain([(h,)], _steps(_maps(seq, start, n_max), (h,)))
+    vals = np.array([_half_l1(h) for (h,) in evolved])
     return TailTable(values=vals, k=start, label="memloss")
 
 

@@ -188,6 +188,43 @@ class TestSummarize:
         for key in ("slope", "intercept", "r_squared", "fit_lo", "fit_hi"):
             assert entry[key] == run_summary["metrics"][key]
 
+    @pytest.mark.parametrize("argv, csv_section", [
+        (["tails", "--family", "lsv", "--gamma", "0.5", "--n-max", "150", "--k", "1,2"],
+         {"tails_k1_mk.csv": "k1", "tails_k2_mk.csv": "k2"}),
+        (["tails", "--family", "pikovsky", "--gamma", "2.0", "--n-max", "120", "--base", "lebesgue",
+          "--fit-lo", "5", "--fit-hi", "100"], {"tails_k1_lebesgue.csv": "k1"}),
+        (["memloss", "--family", "gh", "--n-max", "30", "--grid", "1024"], {"memloss.csv": "metrics"}),
+        (["memloss", "--family", "lsv", "--n-max", "40", "--grid", "1024", "--pair", "holder-cone",
+          "--fit-lo", "5", "--fit-hi", "40"], {"memloss.csv": "metrics"}),
+        (["mixing", "--family", "lsv", "--n-max", "30", "--grid", "1024"], {"mixing.csv": "metrics"}),
+        (["mixing", "--family", "lsv", "--n-max", "1", "--grid", "1024"], {"mixing.csv": "metrics"}),
+    ], ids=["tails-k1-k2", "tails-fit-window", "memloss", "memloss-fit-window", "mixing", "mixing-short"])
+    def test_summarize_equals_the_run_summary(self, tmp_path, capsys, argv, csv_section):
+        assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+        command = argv[0]
+        run_summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+        fit = argv[argv.index("--fit-lo"):argv.index("--fit-lo") + 4] if "--fit-lo" in argv else []
+        paths = [str(tmp_path / name) for name in csv_section]
+        capsys.readouterr()
+        assert run_cli(["summarize", *paths, *fit]) == 0
+        recomputed = json.loads(capsys.readouterr().out)
+        for path, section in zip(paths, csv_section.values()):
+            entry = recomputed[path]
+            assert entry.pop("kind") == command
+            expected = {key: run_summary[section][key] for key in entry}
+            # dumped, so that a NaN floor compares equal to itself
+            assert json.dumps(entry, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_short_mixing_csv_summarizes_to_a_nan_floor(self, tmp_path, capsys):
+        assert run_cli(["mixing", "--family", "lsv", "--n-max", "1", "--grid", "1024",
+                        "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert run_cli(["summarize", str(tmp_path / "mixing.csv")]) == 0
+        captured = capsys.readouterr()
+        entry = json.loads(captured.out)[str(tmp_path / "mixing.csv")]
+        assert np.isnan(entry["floor_from_2"]) and entry["max"] == pytest.approx(1.0)
+        assert captured.err == ""
+
     def test_empty_csv_is_format_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

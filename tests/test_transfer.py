@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from memloss import errors
+from memloss import errors, transfer
 from memloss import sequences as seqs
 from memloss.maps import cui, grossmann_horner, lsv, pikovsky, state_interval
 from memloss.partitions import fit_power_law, reference_set
 from memloss.transfer import (
     GridDensity,
+    _edge_images,
+    _SignedGrid,
     _snap_intervals,
     cone_membership,
     evolve,
@@ -237,6 +239,30 @@ def _pushed(seq, f, n, start=1):
     return out
 
 
+def _holder_pair(family):
+    interval = state_interval(_PAIRS[family][0])
+    return (make_density("holder", N, interval, profile=1),
+            make_density("holder", N, interval, profile=2))
+
+
+def _half_l1(h):
+    return 0.5 * float(np.sum(np.abs(h.values))) * h.cell_width
+
+
+def _pair_curve(seq, f, g, n):
+    """Reference: TV of f and g pushed separately, then subtracted."""
+    return np.array([tv_distance(f, g)] + [
+        tv_distance(a, b) for a, b in zip(_pushed(seq, f, n), _pushed(seq, g, n))])
+
+
+# Each pushed cell mass is a difference of prefix integrals of size <= 1 (the
+# mass): a few roundings of eps per branch, as neighbouring prefix values
+# share their accumulated error.  A step is an L1 contraction, so the L1
+# errors of f, g and h add up over the steps, at most about 4 eps per cell
+# per step each; TV is half of L1.
+_PAIR_BOUND = 0.5 * 3 * 4 * STEPS * N * np.finfo(float).eps
+
+
 def _mixing_reference(seq, k, n_max, n_cells):
     """mixing_mass as a loop of push_density."""
     p0 = seqs.param_at(seq, k)
@@ -268,13 +294,14 @@ class TestSharedSteppingPath:
 
     def test_memory_loss_curve_matches_push_loop(self, family, kind):
         seq = _sequence(family, kind)
-        interval = state_interval(_PAIRS[family][0])
-        f = make_density("holder", N, interval, profile=1)
-        g = make_density("holder", N, interval, profile=2)
-        ref = [tv_distance(f, g)] + [
-            tv_distance(a, b) for a, b in zip(_pushed(seq, f, STEPS), _pushed(seq, g, STEPS))
-        ]
-        assert np.array_equal(memory_loss_curve(seq, f, g, STEPS).values, np.array(ref))
+        f, g = _holder_pair(family)
+        h = _SignedGrid(f.values - g.values, f.interval)
+        ref = [_half_l1(d) for d in [h, *_pushed(seq, h, STEPS)]]
+        curve = memory_loss_curve(seq, f, g, STEPS).values
+        assert np.array_equal(curve, np.array(ref))
+        # pushing f and g apart is the same operator, up to the rounding of
+        # two O(1) densities that the final subtraction exposes
+        assert np.max(np.abs(curve - _pair_curve(seq, f, g, STEPS))) <= _PAIR_BOUND
 
     def test_mixing_mass_matches_push_loop(self, family, kind):
         seq = _sequence(family, kind)
@@ -300,3 +327,85 @@ class TestOneStepProperties:
         pf, pg = push_density(params, f), push_density(params, g)
         assert abs(pf.mass - f.mass) <= 1e-8
         assert tv_distance(pf, pg) <= tv_distance(f, g) + 1e-12
+
+
+_FAMILY_MAPS = [lsv(0.3), lsv(0.9), cui(0.5, 3.0), pikovsky(1.2), pikovsky(2.8), grossmann_horner()]
+
+
+def _unsigned_apply(images, f):
+    """Mutant of transfer._apply_images that drops the branch signs."""
+    edges = f.edges()
+    prefix = np.concatenate([[0.0], np.cumsum(f.values) * f.cell_width])
+    out = sum(np.abs(np.diff(np.interp(u, edges, prefix))) for _, u in images)
+    return type(f)(out / f.cell_width, f.interval)
+
+
+def _longdouble_pair_curve(seq, f, g, n):
+    """TV of f and g pushed separately through the same discrete operator
+    (the float64 edge images), with the prefix integral, the linear
+    interpolation and the differences in np.longdouble."""
+    edges = f.edges()
+    e = edges.astype(np.longdouble)
+    w = np.longdouble(f.cell_width)
+    pair = [f.values.astype(np.longdouble), g.values.astype(np.longdouble)]
+    out = [0.5 * np.sum(np.abs(pair[0] - pair[1])) * w]
+    for j in range(n):
+        images = _edge_images(seqs.param_at(seq, 1 + j), f)
+        for i, v in enumerate(pair):
+            prefix = np.concatenate([[np.longdouble(0)], np.cumsum(v) * w])
+            new = np.zeros(len(v), dtype=np.longdouble)
+            for _, u in images:
+                k = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(v) - 1)
+                r = prefix[k] + (u - e[k]) * (prefix[k + 1] - prefix[k]) / (e[k + 1] - e[k])
+                new += np.abs(np.diff(r))
+            pair[i] = new / w
+        out.append(0.5 * np.sum(np.abs(pair[0] - pair[1])) * w)
+    return np.array(out)
+
+
+class TestSignedDifference:
+    @settings(max_examples=80, deadline=2000)
+    @given(
+        params=st.sampled_from(_FAMILY_MAPS),
+        a=hnp.arrays(np.float64, N, elements=st.floats(-1e6, 1e6)),
+    )
+    def test_signed_push_keeps_mass_and_contracts_l1(self, params, a):
+        assume(np.sum(np.abs(a)) > 0.0)
+        lo, hi = state_interval(params)
+        h = _SignedGrid(a / np.sum(np.abs(a)) * (N / (hi - lo)), (lo, hi))
+        ph = push_density(params, h)
+        assert isinstance(ph, _SignedGrid)
+        l1 = 2.0 * _half_l1(h)
+        assert abs(ph.mass - h.mass) <= 1e-12 * l1
+        assert 2.0 * _half_l1(ph) <= (1.0 + 1e-12) * l1
+
+    @pytest.mark.parametrize("family", sorted(_PAIRS))
+    def test_dropping_the_sign_fails_the_checks(self, family, monkeypatch):
+        seq = seqs.constant(_PAIRS[family][0])
+        f, g = _holder_pair(family)
+        monkeypatch.setattr(transfer, "_apply_images", _unsigned_apply)
+        curve = memory_loss_curve(seq, f, g, STEPS).values
+        assert np.max(np.abs(curve - _pair_curve(seq, f, g, STEPS))) > _PAIR_BOUND
+        h = _SignedGrid(f.values - g.values, f.interval)
+        assert abs(push_density(_PAIRS[family][0], h).mass) > 1e-12 * 2.0 * _half_l1(h)
+
+    def test_signed_differences_are_not_densities(self):
+        with pytest.raises(errors.ParamError, match="nonnegative"):
+            GridDensity(np.full(N, -1.0), (0.0, 1.0))
+        assert _SignedGrid(np.full(N, -1.0), (0.0, 1.0)).mass == pytest.approx(-1.0)
+        with pytest.raises(errors.ParamError, match="power of two"):
+            _SignedGrid(np.ones(1000), (0.0, 1.0))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is not wider than float64 here")
+    @pytest.mark.parametrize("family", ["lsv", "pikovsky", "gh"])
+    def test_signed_curve_is_closer_to_a_longdouble_reference(self, family):
+        seq = seqs.constant(_PAIRS[family][0])
+        f, g = _holder_pair(family)
+        n = 100
+        ref = _longdouble_pair_curve(seq, f, g, n)
+
+        def worst(curve):
+            return float(np.max(np.abs(curve - ref) / ref))
+
+        assert worst(memory_loss_curve(seq, f, g, n).values) < worst(_pair_curve(seq, f, g, n))
