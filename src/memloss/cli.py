@@ -5,7 +5,7 @@ summary out.  Exit codes: 0 success, 1 an expectation gate failed, 2
 usage or configuration error.  All randomness flows from ``--seed``
 (derived streams are keyed by purpose), so a config reruns to
 byte-identical artifacts.  ``MEMLOSS_THREADS`` caps the worker pool used
-for independent per-k jobs.
+for the per-k Monte Carlo jobs of ``tails``.
 
 Expectation gates (``--expect-slope``/``--tol`` and friends) live here,
 not in the library, so library results stay assertion-free.
@@ -53,6 +53,17 @@ def _threads() -> int:
         return max(1, int(os.environ.get("MEMLOSS_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def _k_list(text: str) -> tuple[int, ...]:
+    """``--k``: distinct base indices >= 1, comma separated."""
+    try:
+        ks = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if min(ks) < 1 or len(set(ks)) != len(ks):
+        raise argparse.ArgumentTypeError(f"expected distinct indices >= 1, got {text!r}")
+    return ks
 
 
 def _sequence_from_args(args) -> seqs.ParamSequence:
@@ -115,24 +126,23 @@ def _summary_pass(summary: dict) -> bool:
 def _cmd_tails(args) -> int:
     seq = _sequence_from_args(args)
     base = {"mk": "m_k", "lebesgue": "lebesgue"}[args.base]
-    ks = [int(x) for x in str(args.k).split(",")]
+    ks = args.k
     out_paths = {}
+    exacts = return_time_tail(seq, ks, args.n_max, base=base)
 
-    def job(k: int):
-        exact = return_time_tail(seq, k, args.n_max, base=base)
-        mc = None
-        if args.mc_samples:
-            mc = return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)
-        return k, exact, mc
+    def mc_job(k: int):
+        return return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)
 
-    workers = min(_threads(), len(ks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, ks))
-    else:
-        results = [job(k) for k in ks]
-    summary = {"command": "tails", "base": args.base, "n_max": args.n_max, "k": ks}
-    for k, exact, mc in sorted(results):
+    mcs = [None] * len(ks)
+    if args.mc_samples:
+        workers = min(_threads(), len(ks))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                mcs = list(pool.map(mc_job, ks))
+        else:
+            mcs = [mc_job(k) for k in ks]
+    summary = {"command": "tails", "base": args.base, "n_max": args.n_max, "k": list(ks)}
+    for k, exact, mc in sorted(zip(ks, exacts, mcs), key=lambda job: job[0]):
         path = os.path.join(args.out, f"tails_k{k}_{args.base}.csv")
         csvio.write_tail_csv(path, exact)
         out_paths[k] = path
@@ -392,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tails", help="exact return-time tails (optionally with an MC cross-check)")
     _add_sequence_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--k", default="1", help="base index, or comma list for parallel jobs")
+    p.add_argument("--k", type=_k_list, default="1",
+                   help="base index, or a comma list of distinct base indices >= 1")
     p.add_argument("--n-max", type=int, default=1000)
     p.add_argument("--base", choices=["mk", "lebesgue"], default="mk")
     p.add_argument("--mc-samples", type=int, default=0)

@@ -25,21 +25,21 @@ at -1, infinite derivative at 0.  Left branch increasing, right branch
 decreasing.
 
 All operations are pure functions of immutable parameter records and are
-safe to call concurrently.  Scalars in and out are 64-bit floats; the
-``*_array`` variants operate elementwise on numpy arrays and assume their
-inputs are valid (domain checks live in the scalar wrappers).
+safe to call concurrently.  The ``*_array`` kernels operate elementwise on
+numpy arrays and assume their inputs are valid.  Each scalar entry point is
+a domain check plus its array kernel on a one-element array, so it returns
+the float the kernel returns for that element in any batch.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParamError, SingularPoint
-from .rootfind import bisect_newton, vec_bisect_newton, vec_newton_from_above
+from .rootfind import MAX_ITER, vec_bisect_newton, vec_newton_from_above
 
 
 class Family(enum.Enum):
@@ -177,58 +177,74 @@ def _pik_g_plus_deriv(t, gamma):
     return np.where(t < 0.0, neg, _pik_g_pos_deriv(np.maximum(t, 0.0), gamma))
 
 
-def _pik_forward_scalar(x: float, gamma: float) -> float:
-    # Solve g_plus(t) = x for t in [-1, 1]; g_plus is strictly increasing.
-    f = lambda t: float(_pik_g_plus(t, gamma)) - x
-    df = lambda t: float(_pik_g_plus_deriv(t, gamma))
-    return bisect_newton(f, df, -1.0, 1.0)
-
-
-def _pik_forward_half(x: np.ndarray, gamma: float, lo: float, g, dg) -> np.ndarray:
-    f = lambda t: g(t, gamma) - x
-    df = lambda t: dg(t, gamma)
-    return vec_bisect_newton(f, df, np.full_like(x, lo), np.full_like(x, lo + 1.0))
-
-
 def _pik_forward_array(x: np.ndarray, gamma: float) -> np.ndarray:
-    # Solve g_plus(t) = x on the half of [-1, 1] that the first bisection
-    # step picks, f(0) = 1/(2 gamma) - x <= 0, with that half's formula.
+    # Solve g_plus(t) = x for x in [0, 1].  Below x = 1/(2 gamma) = g_plus(0)
+    # the root is on the negative half, where g_plus is a pure power (and
+    # 2 gamma x rounds to at most 1, so t <= 0).  Above it g_pos is
+    # increasing and convex on [0, 1].
     right = x >= 1.0 / (2.0 * gamma)
     t = np.empty_like(x)
-    t[right] = _pik_forward_half(x[right], gamma, 0.0, _pik_g_pos, _pik_g_pos_deriv)
-    t[~right] = _pik_forward_half(x[~right], gamma, -1.0, _pik_g_neg, _pik_g_neg_deriv)
+    t[~right] = (2.0 * gamma * x[~right]) ** (1.0 / gamma) - 1.0
+    xr = x[right]
+    f = lambda s: _pik_g_pos(s, gamma) - xr
+    df = lambda s: _pik_g_pos_deriv(s, gamma)
+    t[right] = vec_bisect_newton(f, df, np.zeros_like(xr), 1.0)
     return t
 
 
 # -- LSV/Cui left inverse branch (root-found) ---------------------------------
-
-
-def _lsv_left_inverse_scalar(y: float, gamma: float) -> float:
-    # u (1 + 2**g u**g) = y on [0, 1/2]; increasing and convex in u.
-    c = 2.0**gamma
-    f = lambda u: u * (1.0 + c * u**gamma) - y
-    df = lambda u: 1.0 + c * (1.0 + gamma) * u**gamma
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return 0.5
-    x0 = min(y, 0.5)
-    u = x0
-    for _ in range(60):
-        step = f(u) / df(u)
-        u_new = max(u - step, 0.0)
-        if abs(u_new - u) <= 1e-16:
-            return u_new
-        u = u_new
-    return u
+# u (1 + (2u)**g) = y on [0, 1/2], increasing and convex in u; 2u is exact.
+# np.power always gets one exponent per element: with a shared scalar
+# exponent it takes shortcuts (a square root for 0.5) that round
+# differently, and an element's root would depend on whether gamma was
+# shared.
 
 
 def _lsv_left_inverse_array(y: np.ndarray, gamma) -> np.ndarray:
-    c = 2.0**gamma
-    f = lambda u: u * (1.0 + c * u**gamma) - y
-    df = lambda u: 1.0 + c * (1.0 + gamma) * u**gamma
+    g = np.full_like(y, gamma)
+    g1 = 1.0 + g
+    f = lambda u: u * (1.0 + (2.0 * u) ** g) - y
+    df = lambda u: 1.0 + g1 * (2.0 * u) ** g
     x0 = np.minimum(np.maximum(y, 0.0), 0.5)
     return vec_newton_from_above(f, df, x0, 0.0)
+
+
+def _lsv_left_chain(y: float, gamma: float, n: int) -> list[float]:
+    """y and n successive left-inverse pulls of it for one map, in scalar
+    arithmetic: the iteration of :func:`_lsv_left_inverse_array` (same
+    operations, start, stop rule and cap), so the same floats, at a
+    fraction of a one-element array call.  A pull starts at the last root,
+    so it reuses the power computed there; single-map tail chains make
+    10^4 pulls."""
+    g = np.array([gamma], dtype=float)
+    g1 = 1.0 + g.item()
+    y = float(y)
+    out = [y]
+    u = min(max(y, 0.0), 0.5)
+    p = np.power(2.0 * u, g).item()
+    for _ in range(n):
+        for _ in range(MAX_ITER):
+            u_new = max(u - (u * (1.0 + p) - y) / (1.0 + g1 * p), 0.0)
+            if not u_new < u:
+                break
+            u = u_new
+            p = np.power(2.0 * u, g).item()
+        out.append(u)
+        y = u
+    return out
+
+
+def _lsv_left_inverse_scalar(y: float, gamma: float) -> float:
+    return _lsv_left_chain(y, gamma, 1)[1]
+
+
+def _lsv_slope(x, gamma):
+    return 1.0 + 2.0**gamma * (1.0 + gamma) * x**gamma
+
+
+def _at(kernel, *args) -> float:
+    # A scalar entry's value: the array kernel on a one-element array.
+    return float(kernel(*args[:-1], np.array([args[-1]], dtype=float))[0])
 
 
 # -- forward evaluation --------------------------------------------------------
@@ -238,20 +254,9 @@ def eval_map(params: MapParams, x: float) -> float:
     """T(x).  Raises DomainError outside the state interval and
     SingularPoint at the jump point x = 0 of Pikovsky/GH maps."""
     _check_state(params, x)
-    fam = params.family
-    if fam is Family.LSV:
-        return x * (1.0 + 2.0**params.gamma * x**params.gamma) if x < 0.5 else 2.0 * (x - 0.5)
-    if fam is Family.CUI:
-        if x < 0.5:
-            return x * (1.0 + 2.0**params.gamma * x**params.gamma)
-        return 2.0**params.beta * (x - 0.5) ** params.beta
-    if x == 0.0:
+    if x == 0.0 and params.family in (Family.PIKOVSKY, Family.GROSSMANN_HORNER):
         raise SingularPoint("x = 0 is a jump discontinuity")
-    if fam is Family.PIKOVSKY:
-        t = _pik_forward_scalar(abs(x), params.gamma)
-        return t if x > 0.0 else -t
-    # GrossmannHorner concrete instance, mirror-symmetric branches.
-    return 1.0 - 2.0 * math.sqrt(abs(x))
+    return _at(eval_map_array, params, x)
 
 
 def eval_map_array(params: MapParams, x: np.ndarray) -> np.ndarray:
@@ -268,7 +273,7 @@ def eval_map_array(params: MapParams, x: np.ndarray) -> np.ndarray:
         return np.where(x < 0.5, left, right)
     if fam is Family.PIKOVSKY:
         t = _pik_forward_array(np.abs(x), params.gamma)
-        return np.where(x > 0.0, t, -t)
+        return np.negative(t, out=t, where=x <= 0.0)
     return 1.0 - 2.0 * np.sqrt(np.abs(x))
 
 
@@ -277,54 +282,46 @@ def derivative(params: MapParams, x: float) -> float:
     and at the interior branch boundary 1/2 for LSV/Cui (one-sided
     derivatives differ)."""
     _check_state(params, x)
+    if params.family in (Family.LSV, Family.CUI):
+        if x == 0.5:
+            raise SingularPoint("one-sided derivatives differ at x = 1/2")
+    elif x == 0.0:
+        raise SingularPoint("derivative is infinite at x = 0")
+    return _at(_derivative_array, params, x)
+
+
+def _derivative_array(params: MapParams, x: np.ndarray) -> np.ndarray:
     fam = params.family
     g = params.gamma
     if fam in (Family.LSV, Family.CUI):
-        if x == 0.5:
-            raise SingularPoint("one-sided derivatives differ at x = 1/2")
-        if x < 0.5:
-            return 1.0 + 2.0**g * (1.0 + g) * x**g
         if fam is Family.LSV:
-            return 2.0
-        b = params.beta
-        return b * 2.0**b * (x - 0.5) ** (b - 1.0)
-    if x == 0.0:
-        raise SingularPoint("derivative is infinite at x = 0")
+            right = np.full_like(x, 2.0)
+        else:
+            b = params.beta
+            right = b * 2.0**b * np.maximum(x - 0.5, 0.0) ** (b - 1.0)
+        return np.where(x < 0.5, _lsv_slope(x, g), right)
     if fam is Family.PIKOVSKY:
-        t = _pik_forward_scalar(abs(x), g)
-        return 1.0 / float(_pik_g_plus_deriv(t, g))
+        return 1.0 / _pik_g_plus_deriv(_pik_forward_array(np.abs(x), g), g)
     # d/dx [1 - 2 sqrt(|x|)] = -sign(x) / sqrt(|x|)
-    return -math.copysign(1.0 / math.sqrt(abs(x)), x)
+    return -np.copysign(1.0 / np.sqrt(np.abs(x)), x)
 
 
 # -- inverse branches ----------------------------------------------------------
 
 
-def _branch_image(params: MapParams) -> tuple[float, float]:
-    return state_interval(params)
+def _check_image(params: MapParams, y: float) -> None:
+    lo, hi = state_interval(params)
+    if not (lo <= y <= hi):
+        raise DomainError(f"y = {y} outside branch image [{lo}, {hi}]")
 
 
 def inverse_branch(params: MapParams, branch: Branch, y: float) -> float:
     """The preimage of y under the selected branch.
 
     Closed form everywhere except the LSV/Cui left branch, which is
-    root-found (monotone, bracketed)."""
-    lo, hi = _branch_image(params)
-    if not (lo <= y <= hi):
-        raise DomainError(f"y = {y} outside branch image [{lo}, {hi}]")
-    fam = params.family
-    if fam in (Family.LSV, Family.CUI):
-        if branch is Branch.LEFT:
-            return _lsv_left_inverse_scalar(y, params.gamma)
-        if fam is Family.LSV:
-            return 0.5 * (y + 1.0)
-        return 0.5 + 0.5 * y ** (1.0 / params.beta)
-    if fam is Family.PIKOVSKY:
-        if branch is Branch.RIGHT:
-            return float(_pik_g_plus(y, params.gamma))
-        return -float(_pik_g_plus(-y, params.gamma))
-    gp = (1.0 - y) ** 2 / 4.0
-    return gp if branch is Branch.RIGHT else -gp
+    root-found (Newton from above)."""
+    _check_image(params, y)
+    return _at(inverse_branch_array, params, branch, y)
 
 
 def inverse_branch_array(params: MapParams, branch: Branch, y: np.ndarray) -> np.ndarray:
@@ -346,26 +343,27 @@ def inverse_branch_array(params: MapParams, branch: Branch, y: np.ndarray) -> np
 
 def inverse_branch_derivative(params: MapParams, branch: Branch, y: float) -> float:
     """|d/dy inverse_branch(y)| = 1 / |T'(inverse_branch(y))|."""
-    lo, hi = _branch_image(params)
-    if not (lo <= y <= hi):
-        raise DomainError(f"y = {y} outside branch image [{lo}, {hi}]")
+    _check_image(params, y)
+    fam = params.family
+    if fam is Family.CUI and branch is Branch.RIGHT and y == 0.0 and params.beta > 1.0:
+        raise SingularPoint("T' vanishes at the critical point for beta > 1")
+    if fam is Family.PIKOVSKY and (y if branch is Branch.RIGHT else -y) == -1.0:
+        raise SingularPoint("T' is infinite at the branch preimage of -1")
+    if fam is Family.GROSSMANN_HORNER and y == 1.0:
+        raise SingularPoint("T' is infinite at x = 0")
+    return _at(_inverse_derivative_array, params, branch, y)
+
+
+def _inverse_derivative_array(params: MapParams, branch: Branch, y: np.ndarray) -> np.ndarray:
     fam = params.family
     g = params.gamma
     if fam in (Family.LSV, Family.CUI):
         if branch is Branch.LEFT:
-            u = _lsv_left_inverse_scalar(y, g)
-            return 1.0 / (1.0 + 2.0**g * (1.0 + g) * u**g)
+            return 1.0 / _lsv_slope(_lsv_left_inverse_array(y, g), g)
         if fam is Family.LSV:
-            return 0.5
+            return np.full_like(y, 0.5)
         b = params.beta
-        if y == 0.0 and b > 1.0:
-            raise SingularPoint("T' vanishes at the critical point for beta > 1")
         return y ** (1.0 / b - 1.0) / (2.0 * b)
     if fam is Family.PIKOVSKY:
-        t = y if branch is Branch.RIGHT else -y
-        if t == -1.0:
-            raise SingularPoint("T' is infinite at the branch preimage of -1")
-        return float(_pik_g_plus_deriv(t, g))
-    if y == 1.0:
-        raise SingularPoint("T' is infinite at x = 0")
+        return _pik_g_plus_deriv(y if branch is Branch.RIGHT else -y, g)
     return (1.0 - y) / 2.0

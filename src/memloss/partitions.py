@@ -26,7 +26,10 @@ depth n) pulls back the value at (j+1, n-1)), one array step per layer.
 Windows of one map and periodic windows take O(depth) and
 O(period * depth) scalar chains; maps are told apart by value (all
 parameters, not gamma alone), so a support that lists one map twice
-still runs the single chain.
+still runs the single chain.  The LSV/Cui chain pull returns the same
+float as the triangle's array pull, so those values do not depend on the
+fill chosen, and LSV/Cui tails for several base indices k share one fill
+from min(k), of depth n_max + max(k) - min(k).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .maps import (
     Branch,
     Family,
     MapParams,
+    _lsv_left_chain,
     _lsv_left_inverse_array,
-    _lsv_left_inverse_scalar,
     eval_map_array,
     inverse_branch_array,
     state_interval,
@@ -150,13 +153,14 @@ def _fill_rows(
     entries: tuple[MapParams, ...],
     ids: np.ndarray,
     x0: float,
-    pull_scalar: Callable[[float, float], float],
+    chain: Callable[[float, float, int], list[float]],
     pull_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     depth: int,
     n_rows: int,
 ) -> list[np.ndarray]:
     """Backward-orbit rows: rows[r][n] = value at (base k+r, depth n), where
-    ``entries[ids[i]]`` acts at base k+i.  The pulls take (values, gammas).
+    ``entries[ids[i]]`` acts at base k+i.  ``pull_vec`` takes (values,
+    gammas); ``chain(x, gamma, n)`` returns x and its first n pulls.
 
     Row r is filled to depth - r.  Windows of one map run a single chain,
     periodic ones a chain per residue class, everything else the full
@@ -167,11 +171,7 @@ def _fill_rows(
     ids = ids[: depth + 1]
     gam = np.array([p.gamma for p in entries])[ids]
     if np.all(ids == ids[0]):
-        g = float(gam[0])
-        row = np.empty(depth + 1)
-        row[0] = x0
-        for n in range(1, depth + 1):
-            row[n] = pull_scalar(row[n - 1], g)
+        row = np.array(chain(x0, float(gam[0]), depth))
         return [row[: depth + 1 - r] for r in range(n_rows)]
     period = next((p for p in range(2, min(16, depth)) if np.array_equal(ids[p:], ids[:-p])), 0)
     rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
@@ -181,7 +181,7 @@ def _fill_rows(
         g = gam[:period].tolist()
         cur = [x0] * period
         for n in range(1, depth + 1):
-            cur = [pull_scalar(cur[(c + 1) % period], g[c]) for c in range(period)]
+            cur = [chain(cur[(c + 1) % period], g[c], 1)[1] for c in range(period)]
             for r in range(n_rows):
                 if n <= depth - r:
                     rows[r][n] = cur[r % period]
@@ -198,6 +198,14 @@ def _fill_rows(
 
 def _pik_pull(u, g):
     return u - u**g / (2.0 * g)
+
+
+def _pik_chain(u, g, n):
+    out = [u]
+    for _ in range(n):
+        u = _pik_pull(u, g)
+        out.append(u)
+    return out
 
 
 # -- endpoint containers ---------------------------------------------------------
@@ -243,26 +251,37 @@ class PartitionEndpoints:
         return 1.0 - self.u
 
 
+def _lsv_points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
+    # One fill from base min(ks), deep enough for every k's rows k and k+1.
+    k0 = min(ks)
+    span = max(ks) - k0
+    entries, ids = _materialize(seq, k0, n_max + span + 2)
+    rows = _fill_rows(entries, ids, 1.0, _lsv_left_chain, _lsv_left_inverse_array,
+                      n_max + span, span + 2)
+    out = []
+    for k in ks:
+        r = k - k0
+        # y_n(k) = h_k(x_{n-1}(k+1)); y_0 = 1 by convention.
+        y = np.empty(n_max + 1)
+        y[0] = 1.0
+        if n_max >= 1:
+            y[1:] = inverse_branch_array(entries[ids[r]], Branch.RIGHT, rows[r + 1][:n_max])
+        out.append(PartitionEndpoints(seq.family, k, n_max, x=rows[r][: n_max + 1], y=y))
+    return out
+
+
 def lsv_preimage_points(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
     """x_n(k) and y_n(k) for LSV/Cui sequences, n = 0..n_max."""
     if seq.family not in (Family.LSV, Family.CUI):
         raise ParamError("lsv_preimage_points needs an LSV or Cui sequence")
-    entries, ids = _materialize(seq, k, n_max + 2)
-    rows = _fill_rows(entries, ids, 1.0, _lsv_left_inverse_scalar, _lsv_left_inverse_array, n_max, 2)
-    x = rows[0]
-    # y_n(k) = h_k(x_{n-1}(k+1)); y_0 = 1 by convention.
-    y = np.empty(n_max + 1)
-    y[0] = 1.0
-    if n_max >= 1:
-        y[1:] = inverse_branch_array(entries[ids[0]], Branch.RIGHT, rows[1][: n_max])
-    return PartitionEndpoints(seq.family, k, n_max, x=x, y=y)
+    return _lsv_points(seq, [k], n_max)[0]
 
 
 def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
     if seq.family is not Family.PIKOVSKY:
         raise ParamError("pikovsky_endpoints needs a Pikovsky sequence")
     entries, ids = _materialize(seq, k, n_max + 3)
-    rows = _fill_rows(entries, ids[1:], 1.0, _pik_pull, _pik_pull, n_max + 1, 1)
+    rows = _fill_rows(entries, ids[1:], 1.0, _pik_chain, _pik_pull, n_max + 1, 1)
     u_next = rows[0]  # chain at base k+1, depth n_max+1
     g_k = entries[ids[0]].gamma
     u = np.empty(n_max + 2)
@@ -367,28 +386,45 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
     state interval.  Values are exact from endpoint lengths; the unresolved
     remainder beyond n_max is handled by complementing resolved mass, so
     no truncation bias enters.
+
+    ``k`` may also be a sequence of base indices; then a list of tables
+    comes back, in the order of ``k``.  LSV/Cui tables are all read from one
+    backward fill of depth n_max + max(k) - min(k), and each equals its
+    one-index table bit for bit: the left inverse's root for an element
+    does not depend on its batch, and its scalar chain returns the array
+    kernel's float.
     """
     if base not in ("m_k", "lebesgue"):
         raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
-    label = "h_k" if base == "m_k" else "lebesgue"
+    single = isinstance(k, (int, np.integer))
+    ks = [k] if single else list(k)
     fam = seq.family
+    if fam in (Family.LSV, Family.CUI):
+        eps = _lsv_points(seq, ks, n_max)
+    elif fam is Family.PIKOVSKY:
+        eps = [pikovsky_endpoints(seq, j, n_max) for j in ks]
+    else:
+        eps = [gh_endpoints(seq, j, n_max) for j in ks]
+    tables = [_tail_table(ep, base) for ep in eps]
+    return tables[0] if single else tables
+
+
+def _tail_table(ep: PartitionEndpoints, base: str) -> TailTable:
+    n_max = ep.n_max
     t = np.empty(n_max + 1)
     t[0] = 1.0
-    if fam in (Family.LSV, Family.CUI):
-        ep = lsv_preimage_points(seq, k, n_max)
+    if ep.family in (Family.LSV, Family.CUI):
         if base == "m_k":
             t[1:] = 2.0 * (ep.y[1:] - 0.5)
         else:
             t[1:] = ep.x[1:] + ep.y[1:] - 0.5
-    elif fam is Family.PIKOVSKY:
-        ep = pikovsky_endpoints(seq, k, n_max)
+    elif ep.family is Family.PIKOVSKY:
         g = ep.gamma_k
         if base == "m_k":
             t[1:] = ep.u_next[: n_max] ** g
         else:
             t[1:] = ep.u[1 : n_max + 1] + ep.u_next[: n_max] ** g / (2.0 * g)
     else:
-        ep = gh_endpoints(seq, k, n_max)
         len_sm = _cell_len(ep.small_minus[1:])  # |delta_n^-|, n = 1..n_max
         len_s1m = _cell_len(ep.small1_minus[1:])  # |delta_{1,n}^-|, n = 1..n_max
         if base == "m_k":
@@ -418,7 +454,7 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
             t[1:] = 1.0 - resolved[: n_max] / 2.0
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     t = np.minimum.accumulate(t)  # wash out 1-ulp wobble
-    return TailTable(values=t, k=k, label=label)
+    return TailTable(values=t, k=ep.k, label="h_k" if base == "m_k" else "lebesgue")
 
 
 # -- Monte Carlo oracle ---------------------------------------------------------------

@@ -52,6 +52,22 @@ class TestTails:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["1,1", "a", "", "0", "2,-1", "1,,2"])
+    def test_bad_k_list_exits_2(self, tmp_path, capsys, k):
+        out = tmp_path / "out"
+        code = run_cli(["tails", "--family", "lsv", "--n-max", "20", "--k", k, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "argument --k" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_k_list_keeps_its_order_in_the_summary(self, tmp_path):
+        code = run_cli(["tails", "--family", "lsv", "--n-max", "20", "--k", "3,1", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "tails_summary.json").read_text())
+        assert summary["k"] == [3, 1]
+        assert summary["artifacts"] == ["tails_k3_mk.csv", "tails_k1_mk.csv"]
+
 
 class TestMemloss:
     def test_small_run(self, tmp_path):
@@ -173,6 +189,20 @@ class TestDeterminism:
         monkeypatch.setenv("MEMLOSS_THREADS", "3")
         assert run_cli(argv + ["--out", str(b)]) == 0
         assert _hash_dir(a) == _hash_dir(b)
+
+    def test_thread_count_invariant_with_mc_jobs(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "iid.json"
+        cfg.write_text(json.dumps({"kind": "iid", "family": "lsv", "support": [0.5, 0.8],
+                                   "probs": [0.3, 0.7], "seed": 5}))
+        argv = ["tails", "--config", str(cfg), "--k", "1,2,3,4", "--n-max", "60",
+                "--mc-samples", "2000", "--seed", "9"]
+        hashes = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("MEMLOSS_THREADS", threads)
+            out = tmp_path / threads
+            assert run_cli(argv + ["--out", str(out)]) == 0
+            hashes.append(_hash_dir(out))
+        assert len(hashes[0]) == 9 and hashes[0] == hashes[1]
 
 
 class TestSummarize:
