@@ -36,10 +36,10 @@ from .errors import ConfigError, MemlossError
 from .maps import cui, grossmann_horner, lsv, pikovsky, state_interval
 from .partitions import (
     TailTable,
+    _return_time_tails,
     default_fit_window,
     fit_power_law,
     mc_zscores,
-    return_time_tail,
     return_time_tail_mc,
 )
 from .sequences import check_frequency, load_sequence, param_at, theta_profile
@@ -128,7 +128,7 @@ def _cmd_tails(args) -> int:
     base = {"mk": "m_k", "lebesgue": "lebesgue"}[args.base]
     ks = args.k
     out_paths = {}
-    exacts = return_time_tail(seq, ks, args.n_max, base=base)
+    exacts = _return_time_tails(seq, ks, args.n_max, base=base)
 
     def mc_job(k: int):
         return return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)

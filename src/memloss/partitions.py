@@ -28,8 +28,8 @@ O(period * depth) scalar chains; maps are told apart by value (all
 parameters, not gamma alone), so a support that lists one map twice
 still runs the single chain.  The LSV/Cui chain pull returns the same
 float as the triangle's array pull, so those values do not depend on the
-fill chosen, and LSV/Cui tails for several base indices k share one fill
-from min(k), of depth n_max + max(k) - min(k).
+fill chosen, and LSV/Cui tails for nearby base indices share one fill from
+the least of them, of depth n_max plus their spread.
 """
 
 from __future__ import annotations
@@ -156,44 +156,44 @@ def _fill_rows(
     chain: Callable[[float, float, int], list[float]],
     pull_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     depth: int,
-    n_rows: int,
+    want: list[int],
 ) -> list[np.ndarray]:
-    """Backward-orbit rows: rows[r][n] = value at (base k+r, depth n), where
-    ``entries[ids[i]]`` acts at base k+i.  ``pull_vec`` takes (values,
-    gammas); ``chain(x, gamma, n)`` returns x and its first n pulls.
+    """Backward-orbit rows: the i-th row holds the values at (base k+r,
+    depth n) for r = want[i] and n = 0..depth-r, where ``entries[ids[j]]``
+    acts at base k+j.  ``want`` is increasing, with entries <= depth + 1.
+    ``pull_vec`` takes (values, gammas); ``chain(x, gamma, n)`` returns x
+    and its first n pulls.
 
-    Row r is filled to depth - r.  Windows of one map run a single chain,
-    periodic ones a chain per residue class, everything else the full
-    anti-diagonal triangle (vectorized per layer).  Maps are told apart by
-    value, through ``ids``.
+    Windows of one map run a single chain, periodic ones a chain per
+    residue class, everything else the full anti-diagonal triangle
+    (vectorized per layer).  Maps are told apart by value, through ``ids``.
     """
     assert len(ids) >= depth + 1
     ids = ids[: depth + 1]
     gam = np.array([p.gamma for p in entries])[ids]
+    want = np.asarray(want, dtype=np.int64)
     if np.all(ids == ids[0]):
         row = np.array(chain(x0, float(gam[0]), depth))
-        return [row[: depth + 1 - r] for r in range(n_rows)]
+        return [row[: depth + 1 - r] for r in want]
     period = next((p for p in range(2, min(16, depth)) if np.array_equal(ids[p:], ids[:-p])), 0)
-    rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
-    for r in range(n_rows):
-        rows[r][0] = x0
+    # Row i is read to depth - want[i]; what a layer writes past that is cut off.
+    table = np.empty((len(want), depth + 1))
+    table[:, 0] = x0
     if period:
         g = gam[:period].tolist()
+        residue = want % period
         cur = [x0] * period
         for n in range(1, depth + 1):
             cur = [chain(cur[(c + 1) % period], g[c], 1)[1] for c in range(period)]
-            for r in range(n_rows):
-                if n <= depth - r:
-                    rows[r][n] = cur[r % period]
-        return rows
-    vals = np.full(depth + 1, x0)
-    for n in range(1, depth + 1):
-        m = depth + 1 - n
-        vals = pull_vec(vals[1 : m + 1], gam[:m])
-        for r in range(min(n_rows, m)):
-            if n <= depth - r:
-                rows[r][n] = vals[r]
-    return rows
+            table[:, n] = np.array(cur)[residue]
+    else:
+        vals = np.full(depth + 1, x0)
+        for n in range(1, depth + 1):
+            m = depth + 1 - n
+            vals = pull_vec(vals[1 : m + 1], gam[:m])
+            reach = np.searchsorted(want, m)  # rows r < m reach depth n
+            table[:reach, n] = vals[want[:reach]]
+    return [table[i, : depth + 1 - r] for i, r in enumerate(want)]
 
 
 def _pik_pull(u, g):
@@ -203,8 +203,7 @@ def _pik_pull(u, g):
 def _pik_chain(u, g, n):
     out = [u]
     for _ in range(n):
-        u = _pik_pull(u, g)
-        out.append(u)
+        out.append(_pik_pull(out[-1], g))
     return out
 
 
@@ -251,23 +250,35 @@ class PartitionEndpoints:
         return 1.0 - self.u
 
 
-def _lsv_points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
-    # One fill from base min(ks), deep enough for every k's rows k and k+1.
-    k0 = min(ks)
-    span = max(ks) - k0
-    entries, ids = _materialize(seq, k0, n_max + span + 2)
-    rows = _fill_rows(entries, ids, 1.0, _lsv_left_chain, _lsv_left_inverse_array,
-                      n_max + span, span + 2)
-    out = []
+def _fill_groups(ks: list[int], n_max: int) -> list[list[int]]:
+    """Increasing base indices split into runs that share one backward fill.
+    A run grows while its fill, of depth n_max + span, costs no more than a
+    fill per index: (n_max + span)^2 <= count * n_max^2."""
+    groups: list[list[int]] = []
     for k in ks:
-        r = k - k0
-        # y_n(k) = h_k(x_{n-1}(k+1)); y_0 = 1 by convention.
-        y = np.empty(n_max + 1)
-        y[0] = 1.0
-        if n_max >= 1:
-            y[1:] = inverse_branch_array(entries[ids[r]], Branch.RIGHT, rows[r + 1][:n_max])
-        out.append(PartitionEndpoints(seq.family, k, n_max, x=rows[r][: n_max + 1], y=y))
-    return out
+        if groups and (n_max + k - groups[-1][0]) ** 2 <= (len(groups[-1]) + 1) * n_max**2:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+def _lsv_points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
+    points = {}
+    for group in _fill_groups(sorted(set(ks)), n_max):
+        # One fill from base k0, deep enough for every k's rows k and k+1.
+        k0 = group[0]
+        span = group[-1] - k0
+        want = sorted({r for k in group for r in (k - k0, k - k0 + 1)})
+        entries, ids = _materialize(seq, k0, n_max + span + 2)
+        rows = dict(zip(want, _fill_rows(entries, ids, 1.0, _lsv_left_chain,
+                                         _lsv_left_inverse_array, n_max + span, want)))
+        for k in group:
+            r = k - k0
+            # y_n(k) = h_k(x_{n-1}(k+1)); y_0 = 1 by convention.
+            y = np.concatenate([[1.0], inverse_branch_array(entries[ids[r]], Branch.RIGHT, rows[r + 1][:n_max])])
+            points[k] = PartitionEndpoints(seq.family, k, n_max, x=rows[r][: n_max + 1], y=y)
+    return [points[k] for k in ks]
 
 
 def lsv_preimage_points(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
@@ -281,18 +292,13 @@ def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpo
     if seq.family is not Family.PIKOVSKY:
         raise ParamError("pikovsky_endpoints needs a Pikovsky sequence")
     entries, ids = _materialize(seq, k, n_max + 3)
-    rows = _fill_rows(entries, ids[1:], 1.0, _pik_chain, _pik_pull, n_max + 1, 1)
+    rows = _fill_rows(entries, ids[1:], 1.0, _pik_chain, _pik_pull, n_max + 1, [0])
     u_next = rows[0]  # chain at base k+1, depth n_max+1
     g_k = entries[ids[0]].gamma
-    u = np.empty(n_max + 2)
-    u[0] = 1.0
-    u[1:] = u_next[: n_max + 1] - u_next[: n_max + 1] ** g_k / (2.0 * g_k)
-    delta_bound = np.empty(n_max + 2)
-    delta_bound[0] = np.nan
-    delta_bound[1:] = u_next[: n_max + 1] ** g_k / (2.0 * g_k)
-    return PartitionEndpoints(
-        seq.family, k, n_max, u=u, u_next=u_next, delta_bound=delta_bound, gamma_k=g_k
-    )
+    step = u_next[: n_max + 1] ** g_k / (2.0 * g_k)
+    u = np.concatenate([[1.0], u_next[: n_max + 1] - step])
+    delta_bound = np.concatenate([[np.nan], step])
+    return PartitionEndpoints(seq.family, k, n_max, u=u, u_next=u_next, delta_bound=delta_bound, gamma_k=g_k)
 
 
 def gh_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
@@ -312,11 +318,8 @@ def gh_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
     b = w - 1.0  # right endpoints of the minus cells, b_0 = 0
     q = (2.0 - w) ** 2 / 4.0  # increasing boundaries of the plus cells, q_0 = 1/4
 
-    def g_minus(t):
-        return -((1.0 - t) ** 2) / 4.0
-
-    def g_plus(t):
-        return (1.0 - t) ** 2 / 4.0
+    g_minus = lambda t: -((1.0 - t) ** 2) / 4.0
+    g_plus = lambda t: (1.0 - t) ** 2 / 4.0
 
     n = n_max
     big_minus = np.stack([b[1 : n + 2], b[: n + 1]], axis=1)
@@ -378,6 +381,11 @@ def _cell_len(iv: np.ndarray) -> np.ndarray:
     return np.maximum(iv[:, 1] - iv[:, 0], 0.0)
 
 
+def _check_base(base: str) -> None:
+    if base not in ("m_k", "lebesgue"):
+        raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
+
+
 def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") -> TailTable:
     """Exact tail of the first return/entry time to the reference sets.
 
@@ -386,27 +394,26 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
     state interval.  Values are exact from endpoint lengths; the unresolved
     remainder beyond n_max is handled by complementing resolved mass, so
     no truncation bias enters.
-
-    ``k`` may also be a sequence of base indices; then a list of tables
-    comes back, in the order of ``k``.  LSV/Cui tables are all read from one
-    backward fill of depth n_max + max(k) - min(k), and each equals its
-    one-index table bit for bit: the left inverse's root for an element
-    does not depend on its batch, and its scalar chain returns the array
-    kernel's float.
     """
-    if base not in ("m_k", "lebesgue"):
-        raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
-    single = isinstance(k, (int, np.integer))
-    ks = [k] if single else list(k)
+    _check_base(base)
     fam = seq.family
     if fam in (Family.LSV, Family.CUI):
-        eps = _lsv_points(seq, ks, n_max)
+        ep = lsv_preimage_points(seq, k, n_max)
     elif fam is Family.PIKOVSKY:
-        eps = [pikovsky_endpoints(seq, j, n_max) for j in ks]
+        ep = pikovsky_endpoints(seq, k, n_max)
     else:
-        eps = [gh_endpoints(seq, j, n_max) for j in ks]
-    tables = [_tail_table(ep, base) for ep in eps]
-    return tables[0] if single else tables
+        ep = gh_endpoints(seq, k, n_max)
+    return _tail_table(ep, base)
+
+
+def _return_time_tails(seq: ParamSequence, ks, n_max: int, base: str = "m_k") -> list[TailTable]:
+    """:func:`return_time_tail` for each base index in ``ks``, in order.  Several
+    LSV/Cui indices read backward fills shared by nearby indices
+    (:func:`_fill_groups`); each table equals its one-index table bit for bit."""
+    _check_base(base)
+    if seq.family not in (Family.LSV, Family.CUI) or len(ks) == 1:
+        return [return_time_tail(seq, k, n_max, base) for k in ks]
+    return [_tail_table(ep, base) for ep in _lsv_points(seq, ks, n_max)]
 
 
 def _tail_table(ep: PartitionEndpoints, base: str) -> TailTable:
@@ -425,33 +432,22 @@ def _tail_table(ep: PartitionEndpoints, base: str) -> TailTable:
         else:
             t[1:] = ep.u[1 : n_max + 1] + ep.u_next[: n_max] ** g / (2.0 * g)
     else:
-        len_sm = _cell_len(ep.small_minus[1:])  # |delta_n^-|, n = 1..n_max
-        len_s1m = _cell_len(ep.small1_minus[1:])  # |delta_{1,n}^-|, n = 1..n_max
+        # Mass with tau = n, from |delta_n^-| (n >= 2) and |delta_{1,n}^-|
+        # (tau = n+1) inside Y, plus every other cell for Lebesgue.
+        tau_mass = np.zeros(n_max + 2)
+        len_sm = _cell_len(ep.small_minus[2:])
+        len_s1m = _cell_len(ep.small1_minus[1:])
         if base == "m_k":
-            # cells inside Y: delta_n^- (tau = n, n >= 2), delta_{1,n}^- (tau = n+1)
-            tau_mass = np.zeros(n_max + 2)
-            for i, ln in enumerate(len_sm[1:], start=2):  # delta_n^-, tau = n
-                if i <= n_max:
-                    tau_mass[i] += ln
-            for i, ln in enumerate(len_s1m, start=1):  # delta_{1,n}^-, tau = n+1
-                if i + 1 <= n_max + 1:
-                    tau_mass[min(i + 1, n_max + 1)] += ln
-            resolved = np.cumsum(tau_mass)[:-1]  # mass with tau <= n
-            t[1:] = 1.0 - resolved[: n_max] / 0.25
+            tau_mass[2 : n_max + 1] += len_sm
+            tau_mass[2:] += len_s1m
+            total = 0.25
         else:
-            len_bm = _cell_len(ep.big_minus)
-            len_bp = _cell_len(ep.big_plus)
-            len_sp = _cell_len(ep.small_plus[1:])
-            len_s1p = _cell_len(ep.small1_plus[1:])
-            tau_mass = np.zeros(n_max + 2)
-            for i in range(1, n_max + 1):  # Delta_n^{+-}, tau = n
-                tau_mass[i] += len_bm[i] + len_bp[i]
-            for i in range(2, n_max + 1):  # delta_n^{+-}, tau = n
-                tau_mass[i] += len_sm[i - 1] + len_sp[i - 1]
-            for i in range(1, n_max + 1):  # delta_{1,n}^{+-}, tau = n+1
-                tau_mass[min(i + 1, n_max + 1)] += len_s1m[i - 1] + len_s1p[i - 1]
-            resolved = np.cumsum(tau_mass)[:-1]
-            t[1:] = 1.0 - resolved[: n_max] / 2.0
+            tau_mass[1 : n_max + 1] += _cell_len(ep.big_minus[1:]) + _cell_len(ep.big_plus[1:])
+            tau_mass[2 : n_max + 1] += len_sm + _cell_len(ep.small_plus[2:])
+            tau_mass[2:] += len_s1m + _cell_len(ep.small1_plus[1:])
+            total = 2.0
+        resolved = np.cumsum(tau_mass)[:-1]  # mass with tau <= n
+        t[1:] = 1.0 - resolved[:n_max] / total
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     t = np.minimum.accumulate(t)  # wash out 1-ulp wobble
     return TailTable(values=t, k=ep.k, label="h_k" if base == "m_k" else "lebesgue")
@@ -501,8 +497,7 @@ def return_time_tail_mc(
     """
     if samples < 1000:
         raise ParamError("samples must be >= 1000")
-    if base not in ("m_k", "lebesgue"):
-        raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
+    _check_base(base)
     entries, ids = _materialize(seq, k, n_max + 1)
     params = [entries[i] for i in ids]
     if reference_sets is None:

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from memloss import maps
 from memloss import sequences as seqs
 from memloss.maps import _lsv_left_inverse_array, _pik_forward_array, cui, lsv
-from memloss.partitions import _lsv_points, lsv_preimage_points, return_time_tail
+from memloss.partitions import (
+    _fill_groups,
+    _lsv_points,
+    _return_time_tails,
+    lsv_preimage_points,
+    return_time_tail,
+)
 from memloss.rootfind import MAX_ITER, vec_newton_from_above
 
 
@@ -154,7 +160,7 @@ class TestSharedFill:
         else:  # the first two share gamma, so only their value tells them apart
             support = [cui(0.5, 2.0), cui(0.5, 1.5), cui(0.7, 1.0)]
         seq = _tail_sequence(kind, support, self.N_MAX + 8)
-        shared = return_time_tail(seq, ks, self.N_MAX, base=base)
+        shared = _return_time_tails(seq, ks, self.N_MAX, base=base)
         assert [t.k for t in shared] == list(ks)
         for k, table in zip(ks, shared):
             alone = return_time_tail(seq, k, self.N_MAX, base=base)
@@ -171,3 +177,27 @@ class TestSharedFill:
         for k, ep in zip(ks, _lsv_points(seq, ks, self.N_MAX)):
             alone = lsv_preimage_points(seq, k, self.N_MAX)
             assert np.array_equal(_bits(ep.x), _bits(alone.x)) and np.array_equal(_bits(ep.y), _bits(alone.y))
+
+    def test_only_nearby_indices_share_a_fill(self):
+        # A shared fill of depth n_max + span must cost no more than one
+        # fill per index.
+        assert _fill_groups([1, 2, 3, 4], 2000) == [[1, 2, 3, 4]]
+        assert _fill_groups([1, 3], self.N_MAX) == [[1, 3]]
+        assert _fill_groups([1, 500], 50) == [[1], [500]]
+        assert _fill_groups([1, 2, 40, 41], 50) == [[1, 2], [40, 41]]
+        assert _fill_groups([1, 2, 3], 0) == [[1], [2], [3]]
+
+    @pytest.mark.parametrize("n_max, ks", [(50, (500, 1, 2)), (0, (1, 2, 4)), (1, (1, 2, 3))])
+    @pytest.mark.parametrize("kind", ["iid", "markov", "periodic", "explicit-periodic", "explicit-constant"])
+    def test_spread_or_shallow_indices_equal_per_k(self, kind, n_max, ks):
+        support = [lsv(0.35), lsv(0.7), lsv(0.5)]
+        seq = _tail_sequence(kind, support, 600)
+        for k, ep in zip(ks, _lsv_points(seq, ks, n_max)):
+            alone = lsv_preimage_points(seq, k, n_max)
+            assert ep.k == k and len(ep.x) == len(ep.y) == n_max + 1
+            assert np.array_equal(_bits(ep.x), _bits(alone.x)) and np.array_equal(_bits(ep.y), _bits(alone.y))
+        if n_max >= 1:  # a tail table needs t(0) and t(1)
+            for k, table in zip(ks, _return_time_tails(seq, ks, n_max)):
+                assert table.k == k
+                assert np.array_equal(_bits(table.values), _bits(return_time_tail(seq, k, n_max).values))
+
