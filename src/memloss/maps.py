@@ -202,15 +202,24 @@ def _pik_forward_array(x: np.ndarray, gamma: float) -> np.ndarray:
 
 def _lsv_left_inverse_array(y: np.ndarray, gamma) -> np.ndarray:
     g = np.full_like(y, gamma)
-    g1 = 1.0 + g
-    # Newton calls df and then f at the same point; f reuses df's (2u)**g.
+    g1 = 1.0 + np.asarray(gamma, dtype=float)
+    # Newton calls df and then f at the same point; f takes over df's
+    # (2u)**g and turns it into its own value in place.
     last = [None, None]
 
     def df(u):
         last[:] = u, (2.0 * u) ** g
-        return 1.0 + g1 * last[1]
+        d = g1 * last[1]
+        d += 1.0
+        return d
 
-    f = lambda u: u * (1.0 + (last[1] if u is last[0] else (2.0 * u) ** g)) - y
+    def f(u):
+        p = last[1] if u is last[0] else (2.0 * u) ** g
+        last[:] = None, None
+        p += 1.0
+        p *= u
+        p -= y
+        return p
     x0 = np.minimum(np.maximum(y, 0.0), 0.5)
     return vec_newton_from_above(f, df, x0, 0.0)
 

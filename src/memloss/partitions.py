@@ -181,11 +181,10 @@ def _fill_rows(
     table[:, 0] = x0
     if period:
         g = gam[:period].tolist()
-        residue = want % period
         cur = [x0] * period
         for n in range(1, depth + 1):
             cur = [chain(cur[(c + 1) % period], g[c], 1)[1] for c in range(period)]
-            table[:, n] = np.array(cur)[residue]
+            table[:, n] = np.array(cur)[want % period]
     else:
         vals = np.full(depth + 1, x0)
         for n in range(1, depth + 1):
@@ -292,8 +291,8 @@ def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpo
     if seq.family is not Family.PIKOVSKY:
         raise ParamError("pikovsky_endpoints needs a Pikovsky sequence")
     entries, ids = _materialize(seq, k, n_max + 3)
-    rows = _fill_rows(entries, ids[1:], 1.0, _pik_chain, _pik_pull, n_max + 1, [0])
-    u_next = rows[0]  # chain at base k+1, depth n_max+1
+    # chain at base k+1, depth n_max+1
+    u_next = _fill_rows(entries, ids[1:], 1.0, _pik_chain, _pik_pull, n_max + 1, [0])[0]
     g_k = entries[ids[0]].gamma
     step = u_next[: n_max + 1] ** g_k / (2.0 * g_k)
     u = np.concatenate([[1.0], u_next[: n_max + 1] - step])
@@ -325,24 +324,17 @@ def gh_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
     big_minus = np.stack([b[1 : n + 2], b[: n + 1]], axis=1)
     q_prev = np.concatenate([[0.0], q[:n]])  # q_{-1} := 0
     big_plus = np.stack([q_prev, q[: n + 1]], axis=1)
+
+    def cells(lo, hi):  # rows n = 1..n_max are (lo, hi); row 0 is unused
+        return np.concatenate([[[np.nan, np.nan]], np.stack([lo, hi], axis=1)])
+
+    qp, qn = q_prev[:n], q[:n]
     # little cells: delta_m^- = g_minus(big_plus[m-1]), delta_m^+ its mirror
-    lo_s = g_minus(q_prev[: n + 1])
-    hi_s = g_minus(q[: n + 1])
-    small_minus = np.full((n + 1, 2), np.nan)
-    small_minus[1:] = np.stack([lo_s[: n], hi_s[: n]], axis=1)
-    small_plus = np.full((n + 1, 2), np.nan)
-    small_plus[1:] = np.stack([g_plus(q[: n]), g_plus(q_prev[: n])], axis=1)
+    small_minus = cells(g_minus(qp), g_minus(qn))
+    small_plus = cells(g_plus(qn), g_plus(qp))
     # delta_{1,m}^- = g_minus(delta_m^+ one base up) -- same intervals here
-    s_plus_lo = g_plus(q[: n + 1])
-    s_plus_hi = g_plus(q_prev[: n + 1])
-    small1_minus = np.full((n + 1, 2), np.nan)
-    small1_minus[1:] = np.stack(
-        [g_minus(s_plus_lo[: n]), g_minus(s_plus_hi[: n])], axis=1
-    )
-    small1_plus = np.full((n + 1, 2), np.nan)
-    small1_plus[1:] = np.stack(
-        [g_plus(s_plus_hi[: n]), g_plus(s_plus_lo[: n])], axis=1
-    )
+    small1_minus = cells(g_minus(g_plus(qn)), g_minus(g_plus(qp)))
+    small1_plus = cells(g_plus(g_plus(qp)), g_plus(g_plus(qn)))
     lengths = np.concatenate(
         [arr[1:, 1] - arr[1:, 0] for arr in (small_minus, small_plus, small1_minus, small1_plus)]
     )
