@@ -4,21 +4,24 @@ Densities are piecewise constant on N equal cells (N a power of two).  One
 step of evolution replaces a density by the cell averages of its exact
 pushforward: for each output cell [a, b] and each inverse branch g, the
 transported mass is the exact integral of the density over [g(a), g(b)],
-evaluated through the prefix integral (piecewise linear, so ``np.interp``
-is exact).  The discrete one-step operator is therefore a composition of
-two Markov operators (pushforward, then conditional expectation onto the
-grid): it conserves mass to rounding and contracts total variation
-exactly, for arbitrarily rough cell data.  The inverse branches are
-closed-form except the LSV/Cui left branch, which is root-found at cell
-edges only.
+evaluated through the prefix integral (piecewise linear, so interpolating
+it linearly is exact).  The discrete one-step operator is therefore a
+composition of two Markov operators (pushforward, then conditional
+expectation onto the grid): it conserves mass to rounding and contracts
+total variation exactly, for arbitrarily rough cell data.  The inverse
+branches are closed-form except the LSV/Cui left branch, which is
+root-found at cell edges only.
 
-A step has two parts: the clipped inverse-branch images of the cell edges,
-which depend only on the map and the grid, and their application to a
-density.  :func:`evolve`, :func:`memory_loss_curve` and :func:`mixing_mass`
-list the maps of their horizon before the first step and compute each
-distinct map's edge images once per call, dropping them after the map's
-last step; they hold two arrays of N+1 floats per distinct map still
-ahead.  Nothing is cached between calls.
+A step has two parts: the map's interpolation plan, which depends only on
+the map and the grid, and its application to a density.  Per branch, the
+plan holds each clipped edge image u's cell j (edges[j] <= u < edges[j+1]),
+found arithmetically because every allowed grid's edges are exactly lo + i w
+with w a power of two, and the fraction (u - edges[j]) / w.  Applied in
+blocks of 2**14 edges, it reproduces ``np.interp``'s arithmetic on the
+prefix integral float for float.  :func:`evolve`, :func:`memory_loss_curve`
+and :func:`mixing_mass` compute each distinct map's plan at its first step
+and drop it after its last, holding four arrays of N+1 per distinct map
+still ahead.  Nothing is cached between calls.
 
 :func:`memory_loss_curve` pushes the signed difference h = f - g (the
 operator is linear), keeping each branch's orientation sign where a density
@@ -210,13 +213,13 @@ def cone_membership(f: GridDensity, beta: float, a_beta: float) -> ConeReport:
 # -- transfer steps --------------------------------------------------------------
 
 
-# Edge images of the maps of the stepping run in progress (see _steps), keyed
-# by map; None outside a step, so a direct push_density call computes its own.
-# Passing them this way keeps push_density (params, f) the one step function,
-# so whatever wraps or observes it still sees every step of a run.
-_run_images: ContextVar[dict[MapParams, tuple] | None] = ContextVar(
-    "_run_images", default=None
-)
+# Interpolation plans of the maps of the stepping run in progress (see _steps),
+# keyed by map; None outside a step, so a direct push_density call computes
+# its own.  Passing them this way keeps push_density (params, f) the one step
+# function, so whatever wraps or observes it still sees every step of a run.
+_run_plans: ContextVar[dict[MapParams, tuple] | None] = ContextVar("_run_plans", default=None)
+
+_BLOCK = 2**14  # edges per block of _apply_images, so its temporaries stay small
 
 
 def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray], ...]:
@@ -230,16 +233,47 @@ def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.nda
     return tuple((1.0 if u[-1] >= u[0] else -1.0, u) for u in images)
 
 
-def _apply_images(images: tuple[tuple[float, np.ndarray], ...], f: GridDensity) -> GridDensity:
-    """One transfer step of f, given its map's edge images: output cell
-    mass is the input integral between the images of the cell edges."""
-    edges = f.edges()
-    prefix = np.concatenate([[0.0], np.cumsum(f.values) * f.cell_width])
-    out = np.zeros(f.n_cells)
+def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+    """Per branch: its sign, the cell j of each edge image u (N for u = hi)
+    and the fraction (u - edges[j]) / w, over u.  The edges are exactly
+    lo + i w, so the rounded (u - lo) / w is u's cell or the next one."""
+    images = _edge_images(params, f)  # first, so its root-find runs without a second edges array
+    lo, w, edges = f.interval[0], f.cell_width, f.edges()
+    plan = []
     for sign, u in images:
-        d = np.diff(np.interp(u, edges, prefix))
-        out += sign * d if isinstance(f, _SignedGrid) else np.abs(d)
-    return type(f)(out / f.cell_width, f.interval)
+        j = np.clip(np.floor((u - lo) / w), 0, f.n_cells).astype(np.intp)
+        j -= edges[j] > u
+        u -= edges[j]
+        u /= w
+        plan.append((sign, j, u))
+    return tuple(plan)
+
+
+def _apply_images(plan: tuple[tuple[float, np.ndarray, np.ndarray], ...], f: GridDensity) -> GridDensity:
+    """One transfer step of f, given its map's plan: output cell mass is the
+    prefix integral P's increment between the images of the cell edges.
+    (P[j+1] - P[j]) * t + P[j] is np.interp's slope * (u - edges[j]) + P[j]:
+    t is exact, so the product has the same real value and rounding."""
+    n, w = f.n_cells, f.cell_width
+    pre = np.empty(n + 2)
+    pre[0] = 0.0
+    np.multiply(np.cumsum(f.values), w, out=pre[1:-1])
+    pre[-1] = pre[-2]  # an image at hi has j = N and t = 0
+    rise = pre[1:] - pre[:-1]  # once per cell, not per edge image
+    out = np.zeros(n)
+    signed = isinstance(f, _SignedGrid)
+    for sign, j, t in plan:
+        for s in range(0, n, _BLOCK):
+            js = j[s : s + _BLOCK + 1]
+            p = rise[js]
+            p *= t[s : s + _BLOCK + 1]
+            p += pre[js]
+            d = p[1:] - p[:-1]
+            if signed and sign < 0:
+                np.negative(d, out=d)
+            out[s : s + _BLOCK] += d if signed else np.abs(d, out=d)
+    out /= w
+    return type(f)(out, f.interval)
 
 
 def push_density(params: MapParams, f: GridDensity) -> GridDensity:
@@ -247,14 +281,14 @@ def push_density(params: MapParams, f: GridDensity) -> GridDensity:
 
     Exact branchwise preimage integration: output cell mass is the input
     integral between inverse-branch images of the cell edges.  A direct
-    call computes the images and applies them once; within a step of
+    call computes the map's plan and applies it once; within a step of
     :func:`evolve`, :func:`memory_loss_curve` or :func:`mixing_mass` the
-    images come from that call's store."""
-    store = _run_images.get()
+    plan comes from that call's store."""
+    store = _run_plans.get()
     if store is None:
-        return _apply_images(_edge_images(params, f), f)
+        return _apply_images(_edge_plan(params, f), f)
     if params not in store:
-        store[params] = _edge_images(params, f)
+        store[params] = _edge_plan(params, f)
     return _apply_images(store[params], f)
 
 
@@ -262,16 +296,16 @@ def _steps(
     maps: list[MapParams], densities: tuple[GridDensity, ...]
 ) -> Iterator[tuple[GridDensity, ...]]:
     """Push all densities (one grid) through the maps in order, yielding
-    them after each step.  A map's edge images are computed at its first
-    step and dropped after its last."""
+    them after each step.  A map's plan is computed at its first step and
+    dropped after its last."""
     last = {p: j for j, p in enumerate(maps)}
     store: dict[MapParams, tuple] = {}
     for j, p in enumerate(maps):
-        token = _run_images.set(store)
+        token = _run_plans.set(store)
         try:
             densities = tuple(push_density(p, d) for d in densities)
         finally:
-            _run_images.reset(token)
+            _run_plans.reset(token)
         if last[p] == j:
             del store[p]
         yield densities

@@ -2,7 +2,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from memloss import errors, transfer
 from memloss import sequences as seqs
@@ -10,7 +10,9 @@ from memloss.maps import cui, grossmann_horner, lsv, pikovsky, state_interval
 from memloss.partitions import fit_power_law, reference_set
 from memloss.transfer import (
     GridDensity,
+    _apply_images,
     _edge_images,
+    _edge_plan,
     _SignedGrid,
     _snap_intervals,
     cone_membership,
@@ -330,14 +332,16 @@ class TestOneStepProperties:
 
 
 _FAMILY_MAPS = [lsv(0.3), lsv(0.9), cui(0.5, 3.0), pikovsky(1.2), pikovsky(2.8), grossmann_horner()]
+_MAP_IDS = ["lsv0.3", "lsv0.9", "cui0.5", "pik1.2", "pik2.8", "gh"]
 
 
-def _unsigned_apply(images, f):
+def _unsigned_apply(plan, f):
     """Mutant of transfer._apply_images that drops the branch signs."""
-    edges = f.edges()
-    prefix = np.concatenate([[0.0], np.cumsum(f.values) * f.cell_width])
-    out = sum(np.abs(np.diff(np.interp(u, edges, prefix))) for _, u in images)
-    return type(f)(out / f.cell_width, f.interval)
+    w = f.cell_width
+    pre = np.concatenate([[0.0], np.cumsum(f.values) * w])
+    pre = np.append(pre, pre[-1])
+    out = sum(np.abs(np.diff((pre[j + 1] - pre[j]) * t + pre[j])) for _, j, t in plan)
+    return type(f)(out / w, f.interval)
 
 
 def _longdouble_pair_curve(seq, f, g, n):
@@ -409,3 +413,112 @@ class TestSignedDifference:
             return float(np.max(np.abs(curve - ref) / ref))
 
         assert worst(memory_loss_curve(seq, f, g, n).values) < worst(_pair_curve(seq, f, g, n))
+
+
+# -- the interpolation plan against np.interp -----------------------------------------
+
+
+def _reference_apply(images, f):
+    """transfer._apply_images before the interpolation plan: np.interp on the
+    edge images."""
+    edges = f.edges()
+    prefix = np.concatenate([[0.0], np.cumsum(f.values) * f.cell_width])
+    out = np.zeros(f.n_cells)
+    for sign, u in images:
+        d = np.diff(np.interp(u, edges, prefix))
+        out += sign * d if isinstance(f, _SignedGrid) else np.abs(d)
+    return type(f)(out / f.cell_width, f.interval)
+
+
+def _assert_same_floats(got, ref):
+    assert type(got) is type(ref)
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(np.signbit(got.values), np.signbit(ref.values))
+
+
+_INTERVALS = [(0.0, 1.0), (-1.0, 1.0)]
+_SPECIAL_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.finfo(float).tiny]
+
+
+class TestInterpolationPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.sampled_from(_FAMILY_MAPS),
+        n=st.sampled_from([2**10, 2**14, 2**15, 2**16]),  # one block, its edge, two and four blocks
+        signed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.sampled_from(_SPECIAL_CELLS),
+        share=st.floats(0.0, 1.0),
+        run=st.floats(0.0, 1.0),
+    )
+    # all cells -0.0: at images on exact edges np.interp returns the prefix
+    # entry -0.0 where the plan gives -0.0 + 0 * slope = +0.0; the signs of
+    # these zeros cancel in the cell differences and never reach the step
+    @example(params=lsv(0.3), n=2**10, signed=False, seed=0, special=-0.0, share=0.0, run=1.0)
+    @example(params=grossmann_horner(), n=2**15, signed=True, seed=0, special=-0.0, share=0.0, run=1.0)
+    def test_plan_push_equals_np_interp(self, params, n, signed, seed, special, share, run):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-1.0 if signed else 0.0, 1.0, n)
+        v[rng.random(n) < share] = special
+        v[: int(run * n)] = special  # a prefix integral that is zero, -0.0 or subnormal
+        f = (_SignedGrid if signed else GridDensity)(v, state_interval(params))
+        _assert_same_floats(_apply_images(_edge_plan(params, f), f),
+                            _reference_apply(_edge_images(params, f), f))
+
+    @pytest.mark.parametrize("interval", _INTERVALS)
+    def test_grid_edges_are_exact_multiples_of_the_cell_width(self, interval):
+        for k in range(10, 21):
+            f = GridDensity(np.ones(2**k), interval)
+            e = f.edges()
+            assert np.all(np.diff(e) == f.cell_width)
+            assert np.array_equal(e, interval[0] + np.arange(2**k + 1) * f.cell_width)
+
+    @pytest.mark.parametrize("k", [10, 15, 20])
+    @pytest.mark.parametrize("interval", _INTERVALS)
+    def test_cell_index_is_the_search_index(self, interval, k, monkeypatch):
+        f = GridDensity(np.ones(2**k), interval)
+        e = f.edges()
+        lo, hi = interval
+        inside = np.random.default_rng(k).uniform(lo, hi, 2**k)
+        u = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), inside,
+                            np.full(3, lo), np.full(3, hi)])
+        u = np.clip(u, lo, hi)
+        monkeypatch.setattr(transfer, "_edge_images", lambda params, f: ((1.0, u.copy()),))
+        ((_, j, t),) = _edge_plan(None, f)
+        assert j.dtype == np.intp
+        assert np.array_equal(j, np.searchsorted(e, u, side="right") - 1)
+        assert np.array_equal(t, (u - e[j]) / f.cell_width)
+        assert np.all(j[u == hi] == f.n_cells) and np.all(t[u == hi] == 0.0)
+        # u - edges[j] may round up to w on (-1, 1), as it does in np.interp
+        assert np.all((t >= 0.0) & (t <= 1.0))
+
+    @pytest.mark.parametrize("params", _FAMILY_MAPS, ids=_MAP_IDS)
+    def test_cell_index_of_every_branch_image(self, params):
+        f = make_density("uniform", 2**12, state_interval(params))
+        images, plan = _edge_images(params, f), _edge_plan(params, f)
+        for (sign, u), (plan_sign, j, _) in zip(images, plan):
+            assert sign == plan_sign
+            assert np.array_equal(j, np.searchsorted(f.edges(), u, side="right") - 1)
+        # the GH right branch is decreasing
+        assert [s for s, _ in images] == ([1.0, -1.0] if params == grossmann_horner() else [1.0, 1.0])
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("params", _FAMILY_MAPS, ids=_MAP_IDS)
+    def test_the_step_reads_no_scratch_it_did_not_write(self, params, signed, monkeypatch):
+        # every float np.empty hands out during the step is NaN, so a read of
+        # an unwritten entry (say the prefix past hi) shows up in the output
+        n = 2**15
+        v = np.random.default_rng(5).uniform(-1.0 if signed else 0.0, 1.0, n)
+        f = (_SignedGrid if signed else GridDensity)(v, state_interval(params))
+        plan, ref = _edge_plan(params, f), _reference_apply(_edge_images(params, f), f)
+        assert any(np.any(j == n) for _, j, _ in plan)  # some image sits at hi
+        empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        _assert_same_floats(_apply_images(plan, f), ref)
