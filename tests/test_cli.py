@@ -339,3 +339,40 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "density.csv").exists()
+
+
+_FINISH_RUNS = {
+    "tails": ["tails", "--family", "lsv", "--gamma", "0.5", "--n-max", "60"],
+    "memloss": ["memloss", "--family", "lsv", "--gamma", "0.5", "--n-max", "30", "--grid", "1024"],
+    "mixing": ["mixing", "--family", "lsv", "--gamma", "0.5", "--n-max", "20", "--grid", "1024"],
+    "evolve": ["evolve", "--family", "lsv", "--gamma", "0.5", "--steps", "2", "--grid", "1024"],
+    "frequency": ["frequency", "--family", "lsv", "--gamma", "0.5", "--threshold", "0.6",
+                  "--n-max", "200"],
+    "coupling": ["coupling", "--n-max", "40", "--samples", "10000", "--seed", "3"],
+}
+_FAILING_GATES = {
+    "tails": ["--expect-slope", "99"],
+    "memloss": ["--expect-slope", "99"],
+    "mixing": ["--expect-floor", "2"],
+    "frequency": ["--expect-a", "0.99", "--tol", "0"],
+}
+
+
+class TestFinishPath:
+    """Every computing subcommand ends the same way: one summary file whose
+    ``pass`` is the conjunction of its gates, and exit 0 exactly when it passes."""
+
+    @pytest.mark.parametrize("argv, failing", [
+        *[(argv, False) for argv in _FINISH_RUNS.values()],
+        *[(_FINISH_RUNS[cmd] + extra, True) for cmd, extra in _FAILING_GATES.items()],
+    ], ids=[*_FINISH_RUNS, *(f"{cmd}-failing-gate" for cmd in _FAILING_GATES)])
+    def test_one_summary_whose_pass_sets_the_exit_code(self, tmp_path, argv, failing):
+        code = run_cli([*argv, "--out", str(tmp_path)])
+        command = argv[0]
+        assert sorted(p.name for p in tmp_path.glob("*summary*")) == [f"{command}_summary.json"]
+        summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+        assert summary["command"] == command
+        assert summary["pass"] is all(g["pass"] for g in summary.get("gates", []))
+        assert code == (0 if summary["pass"] else 1)
+        if failing:
+            assert summary["pass"] is False
