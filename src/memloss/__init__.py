@@ -7,6 +7,8 @@ Subpackage map:
 * :mod:`memloss.sequences` -- time-dependent parameter sequences
   (explicit / periodic / i.i.d. / Markov) and good-map frequency
   statistics.
+* :mod:`memloss.tables` -- the tail table every layer returns, and the
+  empirical tail of sampled first-passage times.
 * :mod:`memloss.partitions` -- return-time partitions, exact tail tables,
   a Monte Carlo orbit oracle, and log-log power-law fits.
 * :mod:`memloss.transfer` -- grid densities, the transfer-operator step,
@@ -56,7 +58,6 @@ from .maps import (
 from .partitions import (
     PartitionEndpoints,
     PowerLawFit,
-    TailTable,
     default_fit_window,
     fit_power_law,
     gh_endpoints,
@@ -83,6 +84,7 @@ from .sequences import (
     shifted,
     theta_profile,
 )
+from .tables import TailTable
 from .transfer import (
     ConeReport,
     GridDensity,

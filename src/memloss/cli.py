@@ -1,11 +1,14 @@
 """Reproducible command-line front end.
 
 One subcommand per experiment; JSON config in, CSV artifacts plus a JSON
-summary out.  Exit codes: 0 success, 1 an expectation gate failed, 2
-usage or configuration error.  All randomness flows from ``--seed``
-(derived streams are keyed by purpose), so a config reruns to
-byte-identical artifacts.  ``MEMLOSS_THREADS`` caps the worker pool used
-for the per-k Monte Carlo jobs of ``tails``.
+summary out.  A computing subcommand writes its CSVs and returns its
+summary; :func:`run_cli` alone adds ``command`` and ``pass`` (every gate
+passed), writes ``<command>_summary.json`` and returns the exit code: 0
+success, 1 an expectation gate failed, 2 usage or configuration error.
+All randomness flows from ``--seed`` (derived streams are keyed by
+purpose), so a config reruns to byte-identical artifacts.
+``MEMLOSS_THREADS`` caps the worker pool used for the per-k Monte Carlo
+jobs of ``tails``.
 
 Expectation gates (``--expect-slope``/``--tol`` and friends) live here,
 not in the library, so library results stay assertion-free.
@@ -33,9 +36,8 @@ from .coupling import (
     synthetic_poly_family,
 )
 from .errors import ConfigError, MemlossError
-from .maps import cui, grossmann_horner, lsv, pikovsky, state_interval
+from .maps import state_interval
 from .partitions import (
-    TailTable,
     _return_time_tails,
     default_fit_window,
     fit_power_law,
@@ -43,9 +45,8 @@ from .partitions import (
     return_time_tail_mc,
 )
 from .sequences import check_frequency, load_sequence, param_at, theta_profile
+from .tables import TailTable
 from .transfer import make_density, memory_loss_curve, mixing_mass, evolve
-
-_FAMILIES = {"lsv": lsv, "cui": cui, "pikovsky": pikovsky, "gh": grossmann_horner}
 
 
 def _threads() -> int:
@@ -71,21 +72,8 @@ def _sequence_from_args(args) -> seqs.ParamSequence:
         return load_sequence(args.config)
     if not getattr(args, "family", None):
         raise ConfigError("either --config or --family is required")
-    fam = args.family
-    if fam == "lsv":
-        return seqs.constant(lsv(args.gamma))
-    if fam == "cui":
-        if args.beta is None:
-            raise ConfigError("--beta is required for the cui family")
-        return seqs.constant(cui(args.gamma, args.beta))
-    if fam == "pikovsky":
-        return seqs.constant(pikovsky(args.gamma))
-    return seqs.constant(grossmann_horner())
-
-
-def _write_summary(path: str, summary: dict) -> None:
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    csvio._atomic_write(path, [text])
+    entry = {"gamma": args.gamma} if args.beta is None else {"gamma": args.gamma, "beta": args.beta}
+    return seqs.sequence_from_config({"kind": "periodic", "family": args.family, "cycle": [entry]})
 
 
 def _fit_metrics(values: np.ndarray, fit_lo, fit_hi) -> dict:
@@ -116,14 +104,16 @@ def _gate(summary: dict, name: str, ok: bool, detail: dict) -> None:
     summary.setdefault("gates", []).append({"name": name, "pass": bool(ok), **detail})
 
 
-def _summary_pass(summary: dict) -> bool:
-    return all(g["pass"] for g in summary.get("gates", []))
+def _slope_gate(summary: dict, name: str, slope: float, args) -> None:
+    if args.expect_slope is not None:
+        ok = abs(slope - args.expect_slope) <= args.tol
+        _gate(summary, name, ok, {"expected": args.expect_slope, "tol": args.tol, "actual": slope})
 
 
 # -- subcommand implementations -------------------------------------------------------
 
 
-def _cmd_tails(args) -> int:
+def _cmd_tails(args) -> dict:
     seq = _sequence_from_args(args)
     base = {"mk": "m_k", "lebesgue": "lebesgue"}[args.base]
     ks = args.k
@@ -141,7 +131,7 @@ def _cmd_tails(args) -> int:
                 mcs = list(pool.map(mc_job, ks))
         else:
             mcs = [mc_job(k) for k in ks]
-    summary = {"command": "tails", "base": args.base, "n_max": args.n_max, "k": list(ks)}
+    summary = {"base": args.base, "n_max": args.n_max, "k": list(ks)}
     for k, exact, mc in sorted(zip(ks, exacts, mcs), key=lambda job: job[0]):
         path = os.path.join(args.out, f"tails_k{k}_{args.base}.csv")
         csvio.write_tail_csv(path, exact)
@@ -153,16 +143,12 @@ def _cmd_tails(args) -> int:
             csvio.write_tail_csv(mc_path, mc)
             z = mc_zscores(exact, mc)
             summary[f"k{k}"]["max_mc_z"] = float(np.nanmax(np.abs(z)))
-        if args.expect_slope is not None:
-            ok = abs(metrics["slope"] - args.expect_slope) <= args.tol
-            _gate(summary, f"slope_k{k}", ok, {"expected": args.expect_slope, "tol": args.tol, "actual": metrics["slope"]})
+        _slope_gate(summary, f"slope_k{k}", metrics["slope"], args)
     summary["artifacts"] = [os.path.basename(out_paths[k]) for k in ks]
-    summary["pass"] = _summary_pass(summary)
-    _write_summary(os.path.join(args.out, "tails_summary.json"), summary)
-    return 0 if summary["pass"] else 1
+    return summary
 
 
-def _cmd_memloss(args) -> int:
+def _cmd_memloss(args) -> dict:
     seq = _sequence_from_args(args)
     lo, hi = state_interval(param_at(seq, 1))
     f = make_density("holder", args.grid, (lo, hi), profile=1)
@@ -174,29 +160,23 @@ def _cmd_memloss(args) -> int:
     path = os.path.join(args.out, "memloss.csv")
     csvio.write_columns(path, "memloss", [np.arange(len(curve.values), dtype=float), curve.values])
     summary = {
-        "command": "memloss",
         "pair": args.pair,
         "grid": args.grid,
         "n_max": args.n_max,
         "artifacts": [os.path.basename(path)],
     }
     summary["metrics"] = _fit_metrics(curve.values, args.fit_lo, args.fit_hi)
-    if args.expect_slope is not None:
-        ok = abs(summary["metrics"]["slope"] - args.expect_slope) <= args.tol
-        _gate(summary, "slope", ok, {"expected": args.expect_slope, "tol": args.tol, "actual": summary["metrics"]["slope"]})
-    summary["pass"] = _summary_pass(summary)
-    _write_summary(os.path.join(args.out, "memloss_summary.json"), summary)
-    return 0 if summary["pass"] else 1
+    _slope_gate(summary, "slope", summary["metrics"]["slope"], args)
+    return summary
 
 
-def _cmd_mixing(args) -> int:
+def _cmd_mixing(args) -> dict:
     seq = _sequence_from_args(args)
     table = mixing_mass(seq, args.k, args.n_max, n_cells=args.grid)
     path = os.path.join(args.out, "mixing.csv")
     csvio.write_columns(path, "mixing", [np.arange(len(table.values), dtype=float), table.values])
     metrics = _mixing_metrics(table.values)
     summary = {
-        "command": "mixing",
         "k": args.k,
         "n_max": args.n_max,
         "grid": args.grid,
@@ -207,12 +187,10 @@ def _cmd_mixing(args) -> int:
         floor = metrics["floor_from_2"]
         _gate(summary, "floor", floor >= args.expect_floor, {"expected": args.expect_floor, "actual": floor})
     _gate(summary, "bounded_by_one", bool(metrics["max"] <= 1.0 + 1e-8), {"actual": metrics["max"]})
-    summary["pass"] = _summary_pass(summary)
-    _write_summary(os.path.join(args.out, "mixing_summary.json"), summary)
-    return 0 if summary["pass"] else 1
+    return summary
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> dict:
     seq = _sequence_from_args(args)
     lo, hi = state_interval(param_at(seq, 1))
     f = make_density(args.density, args.grid, (lo, hi), profile=args.profile, beta=args.cone_beta)
@@ -220,27 +198,23 @@ def _cmd_evolve(args) -> int:
     path = os.path.join(args.out, "density.csv")
     csvio.write_columns(path, "density", [out.midpoints(), out.values])
     summary = {
-        "command": "evolve",
         "steps": args.steps,
         "grid": args.grid,
         "metrics": {"mass": out.mass, "sup": float(np.max(out.values))},
         "artifacts": [os.path.basename(path)],
     }
     _gate(summary, "mass_conserved", abs(out.mass - 1.0) <= 1e-8, {"actual": out.mass})
-    summary["pass"] = _summary_pass(summary)
-    _write_summary(os.path.join(args.out, "evolve_summary.json"), summary)
-    return 0 if summary["pass"] else 1
+    return summary
 
 
-def _cmd_frequency(args) -> int:
+def _cmd_frequency(args) -> dict:
     seq = _sequence_from_args(args)
     window = check_frequency(seq, args.threshold, args.n_max)
     prof = theta_profile(seq, args.threshold, window.a, args.n_max)
-    good = np.cumsum(seqs.gammas(seq, 1, args.n_max) <= args.threshold) / np.arange(1, args.n_max + 1)
+    good = seqs._running_frequency(seq, args.threshold, args.n_max)
     path = os.path.join(args.out, "frequency.csv")
     csvio.write_columns(path, "frequency", [np.arange(1, args.n_max + 1, dtype=float), good])
     summary = {
-        "command": "frequency",
         "threshold": args.threshold,
         "n_max": args.n_max,
         "metrics": {
@@ -254,9 +228,7 @@ def _cmd_frequency(args) -> int:
     if args.expect_a is not None:
         ok = abs(window.a - args.expect_a) <= args.tol
         _gate(summary, "a", ok, {"expected": args.expect_a, "tol": args.tol, "actual": window.a})
-    summary["pass"] = _summary_pass(summary)
-    _write_summary(os.path.join(args.out, "frequency_summary.json"), summary)
-    return 0 if summary["pass"] else 1
+    return summary
 
 
 _MODEL_KEYS = {
@@ -266,13 +238,7 @@ _MODEL_KEYS = {
 
 
 def _load_model_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
-    except OSError as e:
-        raise ConfigError(str(e)) from None
+    cfg = seqs._load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError("model config must be a JSON object")
     unknown = set(cfg) - _MODEL_KEYS
@@ -316,7 +282,7 @@ def _model_from_config(cfg: dict, horizon: int):
     return build_model(fam, constants, horizon), beta_prime
 
 
-def _cmd_coupling(args) -> int:
+def _cmd_coupling(args) -> dict:
     cfg = _load_model_config(args.model) if args.model else {}
     if args.theta is not None:
         cfg["theta"] = args.theta
@@ -336,7 +302,6 @@ def _cmd_coupling(args) -> int:
     csvio.write_columns(path, "coupling", [n, dp.values, mc.values, mc.stderr, ratios])
     z = mc_zscores(dp, mc)
     summary = {
-        "command": "coupling",
         "n_max": args.n_max,
         "samples": args.samples,
         "metrics": {
@@ -351,12 +316,10 @@ def _cmd_coupling(args) -> int:
     _gate(summary, "dp_mc_agree", summary["metrics"]["max_mc_z"] <= 4.0, {"actual": summary["metrics"]["max_mc_z"]})
     if args.check_plateau:
         _gate(summary, "plateau", report.plateau(), {"argmax_n": report.argmax_n, "n_max": args.n_max})
-    summary["pass"] = _summary_pass(summary)
-    _write_summary(os.path.join(args.out, "coupling_summary.json"), summary)
-    return 0 if summary["pass"] else 1
+    return summary
 
 
-def _cmd_summarize(args) -> int:
+def _cmd_summarize(args) -> None:
     out = {}
     for path in args.paths:
         kind, cols = csvio.read_csv(path)
@@ -375,14 +338,13 @@ def _cmd_summarize(args) -> int:
     print(text)
     if args.out_json:
         csvio._atomic_write(args.out_json, [text + "\n"])
-    return 0
 
 
 # -- parser ------------------------------------------------------------------------------
 
 
 def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=sorted(_FAMILIES), help="stationary family")
+    p.add_argument("--family", choices=sorted(seqs._FAMILY_NAMES), help="stationary family")
     p.add_argument("--gamma", type=float, default=0.5, help="intermittency parameter")
     p.add_argument("--beta", type=float, default=None, help="cui right-branch exponent")
     p.add_argument("--config", help="sequence config JSON (overrides --family)")
@@ -408,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=["mk", "lebesgue"], default="mk")
     p.add_argument("--mc-samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_tails)
 
     p = sub.add_parser("memloss", help="total-variation memory loss between two seed densities")
@@ -418,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2**15)
     p.add_argument("--pair", choices=["holder-holder", "holder-cone"], default="holder-holder")
     p.add_argument("--cone-beta", type=float, default=0.5)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_memloss)
 
     p = sub.add_parser("mixing", help="pushforward mass on the moving reference set")
@@ -427,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--grid", type=int, default=2**12)
     p.add_argument("--expect-floor", type=float, default=None)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_mixing)
 
     p = sub.add_parser("evolve", help="evolve a seed density and dump it")
@@ -437,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", choices=["uniform", "holder", "cone"], default="holder")
     p.add_argument("--profile", type=int, default=1)
     p.add_argument("--cone-beta", type=float, default=0.5)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("frequency", help="good-map frequency window and deviation profile")
@@ -446,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10_000)
     p.add_argument("--expect-a", type=float, default=None)
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_frequency)
 
     p = sub.add_parser("coupling", help="exact and Monte Carlo tails of the coupled random sum")
@@ -457,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-plateau", action="store_true")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_coupling)
 
     p = sub.add_parser("summarize", help="recompute metrics from CSV artifacts alone")
@@ -466,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-hi", type=int, default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(func=_cmd_summarize)
+    for name, p in sub.choices.items():
+        if name != "summarize":  # it prints, or writes --out-json
+            p.add_argument("--out", default=".")
     return parser
 
 
@@ -482,10 +441,17 @@ def run_cli(argv=None) -> int:
         print(f"error: cannot create --out directory: {e}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        summary = args.func(args)
     except MemlossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if summary is None:  # summarize prints its own output
+        return 0
+    summary["command"] = args.command
+    summary["pass"] = all(g["pass"] for g in summary.get("gates", []))
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    csvio._atomic_write(os.path.join(args.out, f"{args.command}_summary.json"), [text])
+    return 0 if summary["pass"] else 1
 
 
 def main(argv=None) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DepthError, HorizonError, NotNormalized, ParamError
-from .partitions import TailTable
+from .tables import TailTable, empirical_tail
 
 
 # -- constants -------------------------------------------------------------------
@@ -193,6 +193,22 @@ class TailFamily:
         return self.h_rows.shape[1] - 1
 
 
+def _stationary_family(k: int, h: np.ndarray, rvals: np.ndarray, n_rows: int,
+                       beta: float, beta_prime: float) -> TailFamily:
+    """Every row h, measure tail rvals, C_beta = C'_beta = 1 and Theta = 0."""
+    return TailFamily(
+        k=k,
+        r=TailTable(values=rvals, k=k, label="r"),
+        h_rows=np.tile(h, (n_rows, 1)),
+        beta=beta,
+        beta_prime=beta_prime,
+        c_beta=1.0,
+        c_beta_prime=1.0,
+        theta_seq=np.zeros(n_rows),
+        stationary=True,
+    )
+
+
 def synthetic_poly_family(
     beta: float,
     beta_prime: float | None = None,
@@ -205,40 +221,15 @@ def synthetic_poly_family(
         beta_prime = beta
     m = np.arange(depth + 1, dtype=float)
     h = np.concatenate([[1.0], np.minimum(1.0, m[1:] ** (-beta))])
-    rows = np.tile(h, (n_rows, 1))
     rvals = np.concatenate([[1.0], np.minimum(1.0, m[1:] ** (-beta_prime))])
-    r = TailTable(values=rvals, k=k, label="r")
-    return TailFamily(
-        k=k,
-        r=r,
-        h_rows=rows,
-        beta=beta,
-        beta_prime=beta_prime,
-        c_beta=1.0,
-        c_beta_prime=1.0,
-        theta_seq=np.zeros(n_rows),
-        stationary=True,
-    )
+    return _stationary_family(k, h, rvals, n_rows, beta, beta_prime)
 
 
 def degenerate_family(k: int = 1, n_rows: int = 64, depth: int = 256) -> TailFamily:
     """All tails vanish beyond 0: every increment equals n0 exactly."""
-    rows = np.zeros((n_rows, depth + 1))
-    rows[:, 0] = 1.0
-    rvals = np.zeros(depth + 1)
-    rvals[0] = 1.0
-    r = TailTable(values=rvals, k=k, label="r")
-    return TailFamily(
-        k=k,
-        r=r,
-        h_rows=rows,
-        beta=2.0,
-        beta_prime=2.0,
-        c_beta=1.0,
-        c_beta_prime=1.0,
-        theta_seq=np.zeros(n_rows),
-        stationary=True,
-    )
+    unit = np.zeros(depth + 1)
+    unit[0] = 1.0
+    return _stationary_family(k, unit, unit, n_rows, 2.0, 2.0)
 
 
 def family_from_tables(
@@ -565,17 +556,7 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
         s[live] += x[live]
         step += 1
         live = live[(taus[live] > step) & (s[live] <= n_max)]
-    counts = np.bincount(np.minimum(s, over), minlength=over + 1)
-    survivors = samples - np.concatenate([[0], np.cumsum(counts[:-1])])
-    tail = survivors[: n_max + 1] / samples
-    stderr = np.sqrt(np.maximum(tail * (1.0 - tail), 0.0) / samples)
-    return TailTable(
-        values=tail,
-        k=model.family.k,
-        label="mc",
-        stderr=stderr,
-        notes={"samples": samples},
-    )
+    return empirical_tail(s, n_max, model.family.k)
 
 
 # -- polynomial bound check ---------------------------------------------------------------

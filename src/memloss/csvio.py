@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FormatError
-from .partitions import TailTable
+from .tables import TailTable
 
 _FMT = "%.17g"
 _BLOCK = 2**14

@@ -76,14 +76,6 @@ class MapParams:
         return self.gamma * self.beta < 1.0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    family: Family
-    ok: bool
-    has_acip: bool | None
-    messages: tuple[str, ...] = ()
-
-
 def lsv(gamma: float) -> MapParams:
     p = MapParams(Family.LSV, float(gamma))
     validate_params(p)
@@ -109,7 +101,7 @@ def grossmann_horner() -> MapParams:
     return p
 
 
-def validate_params(params: MapParams) -> ValidationReport:
+def validate_params(params: MapParams) -> None:
     """Check parameter ranges; raise ParamError naming the violated constraint."""
     fam = params.family
     g = params.gamma
@@ -119,19 +111,16 @@ def validate_params(params: MapParams) -> ValidationReport:
         if fam is Family.CUI:
             if params.beta is None or not (params.beta >= 1.0):
                 raise ParamError(f"beta must be >= 1, got {params.beta}")
-            return ValidationReport(fam, True, params.has_acip)
-        return ValidationReport(fam, True, None)
-    if fam is Family.PIKOVSKY:
+    elif fam is Family.PIKOVSKY:
         if not (1.0 < g < 3.0):
             raise ParamError(f"gamma must lie in (1,3), got {g}")
-        return ValidationReport(fam, True, None)
-    if fam is Family.GROSSMANN_HORNER:
+    elif fam is Family.GROSSMANN_HORNER:
         if g != 2.0:
             raise ParamError(f"gamma must equal 2 for the concrete instance, got {g}")
         if params.eta != 0.5:
             raise ParamError(f"eta must equal 1/2 for the concrete instance, got {params.eta}")
-        return ValidationReport(fam, True, None)
-    raise ParamError(f"unknown family {fam!r}")
+    else:
+        raise ParamError(f"unknown family {fam!r}")
 
 
 def state_interval(params: MapParams) -> tuple[float, float]:
@@ -247,10 +236,6 @@ def _lsv_left_chain(y: float, gamma: float, n: int) -> list[float]:
         out.append(u)
         y = u
     return out
-
-
-def _lsv_left_inverse_scalar(y: float, gamma: float) -> float:
-    return _lsv_left_chain(y, gamma, 1)[1]
 
 
 def _lsv_slope(x, gamma):

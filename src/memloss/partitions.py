@@ -34,13 +34,13 @@ the least of them, of depth n_max plus their spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import rng as _rng
-from .errors import DepthError, NonPositiveValue, ParamError
+from .errors import NonPositiveValue, ParamError
 from .maps import (
     Branch,
     Family,
@@ -52,57 +52,7 @@ from .maps import (
     state_interval,
 )
 from .sequences import ParamSequence, _entry_indices
-
-_RETURN_LABELS = {"h_k", "lebesgue", "r", "s_tail"}
-
-
-@dataclass(frozen=True)
-class TailTable:
-    """Tabulated nonincreasing tail, values[n] = t(n) for n = 0..n_max.
-
-    Labels: "h_k" (reference-measure return tail), "lebesgue", "r"
-    (measure tail), "s_tail" (tail of the coupled random sum), "theta"
-    (deviation supremum), "mc" (Monte Carlo estimate, carries stderr),
-    "memloss", "mixing".
-    """
-
-    values: np.ndarray
-    k: int = 1
-    label: str = "h_k"
-    stderr: np.ndarray | None = None
-    notes: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or len(v) < 2:
-            raise ParamError("tail table needs a 1-D value array with >= 2 entries")
-        if self.label in _RETURN_LABELS | {"theta", "memloss", "mixing"}:
-            if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
-                raise ParamError(f"{self.label} values must lie in [0, 1]")
-        if self.label in _RETURN_LABELS | {"theta"}:
-            if np.any(np.diff(v) > 1e-12):
-                raise ParamError(f"{self.label} table must be nonincreasing")
-        if self.label in ("h_k", "lebesgue") and not (
-            abs(v[0] - 1.0) <= 1e-12 and abs(v[1] - 1.0) <= 1e-9
-        ):
-            raise ParamError("return-time tails must have t(0) = t(1) = 1")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def value(self, n: int) -> float:
-        if not (0 <= n <= self.n_max):
-            raise DepthError(f"tail tabulated to n = {self.n_max}, asked for {n}")
-        return float(self.values[n])
-
-    def __getitem__(self, n: int) -> float:
-        return self.value(n)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
+from .tables import TailTable, empirical_tail
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -373,7 +323,9 @@ def _cell_len(iv: np.ndarray) -> np.ndarray:
     return np.maximum(iv[:, 1] - iv[:, 0], 0.0)
 
 
-def _check_base(base: str) -> None:
+def _check_tail_args(n_max: int, base: str) -> None:
+    if n_max < 1:
+        raise ParamError(f"n_max must be >= 1, got {n_max}")
     if base not in ("m_k", "lebesgue"):
         raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
 
@@ -387,7 +339,7 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
     remainder beyond n_max is handled by complementing resolved mass, so
     no truncation bias enters.
     """
-    _check_base(base)
+    _check_tail_args(n_max, base)
     fam = seq.family
     if fam in (Family.LSV, Family.CUI):
         ep = lsv_preimage_points(seq, k, n_max)
@@ -402,7 +354,7 @@ def _return_time_tails(seq: ParamSequence, ks, n_max: int, base: str = "m_k") ->
     """:func:`return_time_tail` for each base index in ``ks``, in order.  Several
     LSV/Cui indices read backward fills shared by nearby indices
     (:func:`_fill_groups`); each table equals its one-index table bit for bit."""
-    _check_base(base)
+    _check_tail_args(n_max, base)
     if seq.family not in (Family.LSV, Family.CUI) or len(ks) == 1:
         return [return_time_tail(seq, k, n_max, base) for k in ks]
     return [_tail_table(ep, base) for ep in _lsv_points(seq, ks, n_max)]
@@ -489,7 +441,7 @@ def return_time_tail_mc(
     """
     if samples < 1000:
         raise ParamError("samples must be >= 1000")
-    _check_base(base)
+    _check_tail_args(n_max, base)
     entries, ids = _materialize(seq, k, n_max + 1)
     params = [entries[i] for i in ids]
     if reference_sets is None:
@@ -512,11 +464,7 @@ def return_time_tail_mc(
         tau[alive[hit]] = n
         alive = alive[~hit]
         x = x[~hit]
-    counts = np.bincount(tau, minlength=n_max + 2)
-    survivors = samples - np.concatenate([[0], np.cumsum(counts[:-1])])
-    t = survivors[: n_max + 1] / samples
-    stderr = np.sqrt(np.maximum(t * (1.0 - t), 0.0) / samples)
-    return TailTable(values=t, k=k, label="mc", stderr=stderr, notes={"samples": samples})
+    return empirical_tail(tau, n_max, k)
 
 
 def mc_zscores(exact: TailTable, mc: TailTable, min_tail: float | None = None) -> np.ndarray:

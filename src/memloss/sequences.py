@@ -28,6 +28,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, DepthError, NoGoodMaps, ParamError
 from .maps import Family, MapParams, cui, grossmann_horner, lsv, pikovsky, validate_params
+from .tables import TailTable
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,11 @@ def good_count(seq: ParamSequence, k: int, length: int, threshold: float) -> int
     return int(np.count_nonzero(gammas(seq, k, length) <= threshold))
 
 
+def _running_frequency(seq: ParamSequence, threshold: float, n_max: int) -> np.ndarray:
+    """count(1..n) / n for n = 1..n_max: exact integer counts over exact integers."""
+    return np.cumsum(gammas(seq, 1, n_max) <= threshold) / np.arange(1, n_max + 1)
+
+
 @dataclass(frozen=True)
 class FrequencyWindow:
     a: float
@@ -219,12 +225,9 @@ def check_frequency(seq: ParamSequence, threshold: float, n_max: int) -> Frequen
     """
     if n_max < 10:
         raise ParamError("n_max must be >= 10")
-    good = (gammas(seq, 1, n_max) <= threshold).astype(float)
-    counts = np.cumsum(good)
-    if counts[-1] == 0:
+    ratios = _running_frequency(seq, threshold, n_max)
+    if ratios[-1] == 0:
         raise NoGoodMaps(f"no entry with gamma <= {threshold} in the first {n_max}")
-    ns = np.arange(1, n_max + 1, dtype=float)
-    ratios = counts / ns
     n_half = n_max // 2
     # suffix extrema of ratios over [N, n_max] for N = 1 .. n_half
     suf_min = np.minimum.accumulate(ratios[::-1])[::-1][:n_half]
@@ -246,13 +249,9 @@ def theta_profile(seq: ParamSequence, threshold: float, b: float, n_max: int):
     the tabulated range only, as flagged in the notes); the raw deviation
     profile theta[n-1] = |count(1..n)/n - b| rides along in the notes.
     """
-    from .partitions import TailTable
-
     if not (0.0 < b <= 1.0):
         raise ParamError("b must lie in (0, 1]")
-    good = (gammas(seq, 1, n_max) <= threshold).astype(float)
-    ratios = np.cumsum(good) / np.arange(1, n_max + 1)
-    theta = np.abs(ratios - b)
+    theta = np.abs(_running_frequency(seq, threshold, n_max) - b)
     sup_tail = np.maximum.accumulate(theta[::-1])[::-1]
     return TailTable(
         values=np.concatenate([[sup_tail[0]], sup_tail]),
@@ -331,12 +330,16 @@ def sequence_from_config(config: dict) -> ParamSequence:
     raise ConfigError(f"unknown sequence kind {kind!r}")
 
 
-def load_sequence(path: str) -> ParamSequence:
+def _load_json(path: str):
+    """The parsed JSON file; an unreadable or malformed file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
     except OSError as e:
         raise ConfigError(str(e)) from None
-    return sequence_from_config(config)
+
+
+def load_sequence(path: str) -> ParamSequence:
+    return sequence_from_config(_load_json(path))

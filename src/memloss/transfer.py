@@ -44,11 +44,17 @@ import numpy as np
 
 from .errors import ParamError, ShapeMismatch
 from .maps import Branch, MapParams, inverse_branch_array, state_interval
-from .partitions import TailTable, reference_set
+from .partitions import reference_set
 from .sequences import ParamSequence, param_at
+from .tables import TailTable
 
 _MIN_CELLS = 2**10
 _MAX_CELLS = 2**20
+
+
+def _check_cells(n: int) -> None:
+    if n < _MIN_CELLS or n > _MAX_CELLS or (n & (n - 1)) != 0:
+        raise ParamError(f"cell count must be a power of two in [2**10, 2**20], got {n}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,7 @@ class GridDensity:
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        n = len(v)
-        if n < _MIN_CELLS or n > _MAX_CELLS or (n & (n - 1)) != 0:
-            raise ParamError(f"cell count must be a power of two in [2**10, 2**20], got {n}")
+        _check_cells(len(v))
         if not isinstance(self, _SignedGrid) and np.any(v < -1e-12):
             raise ParamError("density values must be nonnegative")
         if self.interval[1] <= self.interval[0]:
@@ -123,6 +127,7 @@ def make_density(
     kind = "cone": exact cell averages of c * x**(-beta) on (0, 1], the
     extremal member of the decreasing-density cone with that exponent.
     """
+    _check_cells(n_cells)
     lo, hi = interval
     if kind == "uniform":
         vals = np.full(n_cells, 1.0 / (hi - lo))
@@ -373,9 +378,11 @@ def mixing_mass(seq: ParamSequence, k: int, n_max: int, n_cells: int = 2**12) ->
 
     Reference-set boundaries snap to the nearest cell edge; the worst snap
     distance is reported in the table notes."""
+    if n_max < 1:
+        raise ParamError(f"n_max must be >= 1, got {n_max}")
     maps = _maps(seq, k, n_max + 1)
     lo, hi = state_interval(maps[0])
-    proto = GridDensity(np.full(n_cells, 1.0 / (hi - lo)), (lo, hi))
+    proto = make_density("uniform", n_cells, (lo, hi))
     cells0, snap0 = _snap_intervals(reference_set(maps[0]), proto)
     vals = np.zeros(n_cells)
     for ia, ib in cells0:

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import memloss
 from memloss import csvio
@@ -300,6 +305,20 @@ class TestInputErrors:
         assert err.startswith("error: explicit sequence has 3 entries") and err.count("\n") == 1
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("family", [
+        ["--family", "lsv"], ["--family", "cui", "--beta", "2"],
+        ["--family", "pikovsky", "--gamma", "2"], ["--family", "gh"],
+    ], ids=lambda argv: argv[1])
+    @pytest.mark.parametrize("command", ["tails", "mixing"])
+    @pytest.mark.parametrize("n_max", ["-5", "-1", "0"])
+    def test_n_max_below_one_exits_2_with_one_line(self, tmp_path, capsys, family, command, n_max):
+        out = tmp_path / "out"
+        grid = ["--grid", "1024"] if command == "mixing" else []
+        assert run_cli([command, *family, "--n-max", n_max, *grid, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n_max must be >= 1, got {n_max}\n"
+        assert os.listdir(out) == []
+
     def test_missing_out_directory_is_created(self, tmp_path):
         out = tmp_path / "results" / "run1"
         code = run_cli(["evolve", "--family", "lsv", "--steps", "2", "--grid", "1024",
@@ -376,3 +395,81 @@ class TestFinishPath:
         assert code == (0 if summary["pass"] else 1)
         if failing:
             assert summary["pass"] is False
+
+
+_FAMILY_ARGS = [["--family", "lsv"], ["--family", "cui", "--beta", "2"],
+                ["--family", "pikovsky", "--gamma", "2"], ["--family", "gh"]]
+_GAMMAS = {"lsv": st.floats(0.2, 0.9), "pikovsky": st.floats(1.2, 2.8)}
+
+
+@st.composite
+def _fitted_runs(draw):
+    """(argv, fit window flags, CSV name, summary section) of a small tails or memloss run."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(sorted(_GAMMAS)))
+        base = draw(st.sampled_from(["mk", "lebesgue"]))
+        n_max = draw(st.integers(30, 200))
+        argv = ["tails", "--family", family, "--gamma", repr(draw(_GAMMAS[family])),
+                "--base", base, "--n-max", str(n_max)]
+        csv, section = f"tails_k1_{base}.csv", "k1"
+    else:
+        n_max = draw(st.integers(20, 60))
+        argv = ["memloss", "--family", "lsv", "--gamma", repr(draw(_GAMMAS["lsv"])),
+                "--pair", draw(st.sampled_from(["holder-holder", "holder-cone"])),
+                "--n-max", str(n_max), "--grid", "1024"]
+        csv, section = "memloss.csv", "metrics"
+    fit = []
+    if draw(st.booleans()):
+        lo = draw(st.integers(2, n_max // 2))
+        fit = ["--fit-lo", str(lo), "--fit-hi", str(draw(st.integers(lo + 1, n_max)))]
+    return argv, fit, csv, section
+
+
+_SIZE_FLAGS = {
+    "tails": ["--n-max", "--k", "--mc-samples"],
+    "memloss": ["--n-max", "--grid"],
+    "mixing": ["--n-max", "--grid", "--k"],
+    "evolve": ["--steps", "--grid"],
+    "frequency": ["--n-max"],
+    "coupling": ["--n-max"],
+}
+
+
+@st.composite
+def _tiny_size_runs(draw):
+    """argv of a computing subcommand with every size flag drawn from [-3, 3]."""
+    command = draw(st.sampled_from(sorted(_SIZE_FLAGS)))
+    argv = [command] if command == "coupling" else [command, *draw(st.sampled_from(_FAMILY_ARGS))]
+    argv += {
+        "memloss": ["--pair", draw(st.sampled_from(["holder-holder", "holder-cone"]))],
+        "evolve": ["--density", draw(st.sampled_from(["uniform", "holder", "cone"]))],
+        "frequency": ["--threshold", "0.6"],
+        "coupling": ["--samples", "10000"],
+    }.get(command, [])
+    for flag in _SIZE_FLAGS[command]:
+        argv += [flag, str(draw(st.integers(-3, 3)))]
+    return argv
+
+
+class TestCliProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(run=_fitted_runs())
+    def test_summarize_reproduces_the_run_summary_fit(self, run):
+        argv, fit, csv, section = run
+        with tempfile.TemporaryDirectory() as out:
+            assert run_cli([*argv, *fit, "--out", out]) == 0
+            with open(os.path.join(out, f"{argv[0]}_summary.json")) as fh:
+                run_fit = json.load(fh)[section]
+            path = os.path.join(out, csv)
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                assert run_cli(["summarize", path, *fit]) == 0
+        entry = json.loads(printed.getvalue())[path]
+        for key in ("fit_lo", "fit_hi", "slope", "intercept", "r_squared"):
+            assert entry[key] == run_fit[key], key
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_tiny_size_runs())
+    def test_tiny_and_negative_sizes_exit_0_1_or_2(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert run_cli([*argv, "--out", out]) in (0, 1, 2)

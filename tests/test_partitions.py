@@ -8,6 +8,7 @@ from memloss import sequences as seqs
 from memloss.maps import cui, grossmann_horner, lsv, pikovsky
 from memloss.partitions import (
     TailTable,
+    _return_time_tails,
     default_fit_window,
     fit_power_law,
     gh_endpoints,
@@ -198,6 +199,18 @@ class TestReturnTimeTail:
         with pytest.raises(errors.ParamError):
             return_time_tail(seqs.constant(lsv(0.5)), 1, 10, base="nope")
 
+    @pytest.mark.parametrize("params", [lsv(0.5), cui(0.5, 2.0), pikovsky(2.0), grossmann_horner()],
+                             ids=lambda p: p.family.value)
+    @pytest.mark.parametrize("n_max", [-5, -1, 0])
+    def test_n_max_below_one_is_a_param_error(self, params, n_max):
+        seq = seqs.constant(params)
+        with pytest.raises(errors.ParamError):
+            return_time_tail(seq, 1, n_max)
+        with pytest.raises(errors.ParamError):
+            _return_time_tails(seq, [1, 2], n_max)
+        with pytest.raises(errors.ParamError):
+            return_time_tail_mc(seq, 1, n_max, 1000, 0)
+
 
 class TestReturnTimeTailMc:
     def test_full_return_toy(self):
@@ -293,12 +306,12 @@ def _reference_fill_rows(params, x0, pull_scalar, pull_vec, depth, n_rows):
 
 
 def _reference_lsv_points(seq, k, n_max):
-    from memloss.maps import Branch, _lsv_left_inverse_array, _lsv_left_inverse_scalar, inverse_branch_array
+    from memloss.maps import Branch, _lsv_left_chain, _lsv_left_inverse_array, inverse_branch_array
     from memloss.partitions import PartitionEndpoints
 
     params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 2)]
     rows = _reference_fill_rows(
-        params, 1.0, lambda p, t: _lsv_left_inverse_scalar(t, p.gamma),
+        params, 1.0, lambda p, t: _lsv_left_chain(t, p.gamma, 1)[1],
         lambda ps, t: _lsv_left_inverse_array(t, np.array([p.gamma for p in ps])), n_max, 2)
     y = np.empty(n_max + 1)
     y[0] = 1.0

@@ -205,6 +205,13 @@ class TestMixingMass:
         mm = mixing_mass(seqs.constant(lsv(0.5)), 1, 100, n_cells=2**12)
         assert np.min(mm.values[2:]) >= 0.05
 
+    @pytest.mark.parametrize("params", [lsv(0.5), cui(0.5, 2.0), pikovsky(2.0), grossmann_horner()],
+                             ids=lambda p: p.family.value)
+    @pytest.mark.parametrize("n_max", [-5, -1, 0])
+    def test_n_max_below_one_is_a_param_error(self, params, n_max):
+        with pytest.raises(errors.ParamError):
+            mixing_mass(seqs.constant(params), 1, n_max, n_cells=N)
+
     def test_pikovsky_snap_reported(self):
         mm = mixing_mass(seqs.constant(pikovsky(1.7)), 1, 10, n_cells=N)
         assert mm.notes["worst_snap"] <= mm.values.size and mm.notes["worst_snap"] >= 0.0
