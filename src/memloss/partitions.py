@@ -54,6 +54,7 @@ from .maps import (
 from .sequences import ParamSequence, _entry_indices
 from .tables import TailTable, empirical_tail
 
+
 @dataclass(frozen=True)
 class PowerLawFit:
     slope: float

@@ -25,6 +25,10 @@ def _hash_dir(path):
     return out
 
 
+_FAMILY_ARGS = [["--family", "lsv"], ["--family", "cui", "--beta", "2"],
+                ["--family", "pikovsky", "--gamma", "2"], ["--family", "gh"]]
+
+
 class TestTails:
     def test_pikovsky_lebesgue(self, tmp_path):
         code = run_cli(
@@ -305,10 +309,7 @@ class TestInputErrors:
         assert err.startswith("error: explicit sequence has 3 entries") and err.count("\n") == 1
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("family", [
-        ["--family", "lsv"], ["--family", "cui", "--beta", "2"],
-        ["--family", "pikovsky", "--gamma", "2"], ["--family", "gh"],
-    ], ids=lambda argv: argv[1])
+    @pytest.mark.parametrize("family", _FAMILY_ARGS, ids=lambda argv: argv[1])
     @pytest.mark.parametrize("command", ["tails", "mixing"])
     @pytest.mark.parametrize("n_max", ["-5", "-1", "0"])
     def test_n_max_below_one_exits_2_with_one_line(self, tmp_path, capsys, family, command, n_max):
@@ -397,8 +398,6 @@ class TestFinishPath:
             assert summary["pass"] is False
 
 
-_FAMILY_ARGS = [["--family", "lsv"], ["--family", "cui", "--beta", "2"],
-                ["--family", "pikovsky", "--gamma", "2"], ["--family", "gh"]]
 _GAMMAS = {"lsv": st.floats(0.2, 0.9), "pikovsky": st.floats(1.2, 2.8)}
 
 
