@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from memloss import errors
 from memloss import sequences as seqs
-from memloss.maps import cui, grossmann_horner, lsv, pikovsky
+from memloss.maps import Branch, cui, grossmann_horner, inverse_branch_array, lsv, pikovsky, state_interval
 from memloss.partitions import (
     TailTable,
     _return_time_tails,
@@ -15,9 +15,31 @@ from memloss.partitions import (
     lsv_preimage_points,
     mc_zscores,
     pikovsky_endpoints,
+    reference_set,
     return_time_tail,
     return_time_tail_mc,
 )
+
+
+def _pullback_tail(seq, k, n, base):
+    """t(n) = P(tau >= n) from one backward pass over a union of intervals,
+    any family: start from the state interval, and for i = n-1 .. 1 remove
+    the reference set Y_{k+i} and pull the rest back through both inverse
+    branches of T_{k+i-1}.  What is left is {tau >= n}; measure it on the base."""
+    params = [seqs.param_at(seq, j) for j in range(k, k + n)]
+    lo, hi = (np.array([v]) for v in state_interval(params[0]))
+    for i in range(n - 1, 0, -1):
+        for c, d in reference_set(params[i]):
+            lo, hi = np.concatenate([lo, np.maximum(lo, d)]), np.concatenate([np.minimum(hi, c), hi])
+            keep = hi > lo
+            lo, hi = lo[keep], hi[keep]
+        ends = [(inverse_branch_array(params[i - 1], b, lo), inverse_branch_array(params[i - 1], b, hi))
+                for b in Branch]  # a decreasing branch swaps an interval's ends
+        lo = np.concatenate([np.minimum(a, b) for a, b in ends])
+        hi = np.concatenate([np.maximum(a, b) for a, b in ends])
+    sets = reference_set(params[0]) if base == "m_k" else [state_interval(params[0])]
+    inside = sum(np.sum(np.maximum(np.minimum(hi, d) - np.maximum(lo, c), 0.0)) for c, d in sets)
+    return inside / sum(d - c for c, d in sets)
 
 
 class TestFitPowerLaw:
@@ -172,6 +194,19 @@ class TestReturnTimeTail:
         assert fit_power_law(return_time_tail(s, 1, 1500, "m_k"), 100, 1500).slope == pytest.approx(-2.0, abs=0.2)
         assert fit_power_law(return_time_tail(s, 1, 1500, "lebesgue"), 100, 1500).slope == pytest.approx(-1.0, abs=0.15)
 
+    @pytest.mark.parametrize("base", ["m_k", "lebesgue"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 300, 2000])
+    def test_gh_against_pullback(self, n, base):
+        s = seqs.constant(grossmann_horner())
+        t = return_time_tail(s, 1, n, base=base).values
+        assert abs(t[n] - _pullback_tail(s, 1, n, base)) <= 1e-14
+
+    def test_gh_two_step_return_by_hand(self):
+        # tau = 2 on Y = (-1/4, 0): T(x) lands in g_R(Y) = [1/4, 25/64], so
+        # x in g_L of it, of length ((3/4)^2 - (39/64)^2) / 4
+        t = return_time_tail(seqs.constant(grossmann_horner()), 1, 3, base="m_k").values
+        assert t[3] == pytest.approx(1.0 - (3 / 4) ** 2 + (39 / 64) ** 2, abs=1e-15)
+
     def test_lsv_tail_two_ways(self):
         # cell-sum recomputation: t(n) = 1 - sum of resolved cell masses
         s = seqs.periodic([lsv(0.5), lsv(0.7)])
@@ -222,6 +257,13 @@ class TestReturnTimeTailMc:
 
     def test_lsv_against_exact(self):
         s = seqs.constant(lsv(0.5))
+        exact = return_time_tail(s, 1, 200, "m_k")
+        mc = return_time_tail_mc(s, 1, 200, 20_000, seed=3, base="m_k")
+        z = mc_zscores(exact, mc)
+        assert np.nanmax(np.abs(z)) <= 4.0
+
+    def test_gh_against_exact(self):
+        s = seqs.constant(grossmann_horner())
         exact = return_time_tail(s, 1, 200, "m_k")
         mc = return_time_tail_mc(s, 1, 200, 20_000, seed=3, base="m_k")
         z = mc_zscores(exact, mc)
@@ -423,11 +465,13 @@ def _random_sequences(draw):
 
 class TestReturnTimeTailProperties:
     @settings(max_examples=80, deadline=2000)
-    @given(case=_random_sequences(), base=st.sampled_from(["m_k", "lebesgue"]))
-    def test_tail_is_a_return_time_tail(self, case, base):
+    @given(case=_random_sequences(), base=st.sampled_from(["m_k", "lebesgue"]), data=st.data())
+    def test_tail_is_a_return_time_tail(self, case, base, data):
         seq, k, n_max = case
         t = return_time_tail(seq, k, n_max, base=base).values
         assert len(t) == n_max + 1
         assert t[0] == 1.0 and t[1] == 1.0
         assert np.all((t >= 0.0) & (t <= 1.0))
         assert np.all(np.diff(t) <= 0.0)
+        n = data.draw(st.integers(1, n_max), label="depth")
+        assert abs(t[n] - _pullback_tail(seq, k, n, base)) <= 1e-14
