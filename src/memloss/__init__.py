@@ -60,7 +60,6 @@ from .partitions import (
     PowerLawFit,
     default_fit_window,
     fit_power_law,
-    gh_endpoints,
     lsv_preimage_points,
     mc_zscores,
     pikovsky_endpoints,

@@ -10,9 +10,11 @@ reference set Y_k is encoded by backward orbits of inverse branches:
   coordinates u_n = 1 - x_n^+, which obey u -> u - u**g / (2g) exactly.
   Y_k = (-1/(2 g_k), 1/(2 g_k)) minus the origin.
 * GrossmannHorner (concrete instance): the left-branch pullbacks of 0 form
-  a single nested chain b_n approaching -1; in shifted coordinates
-  w_n = 1 + b_n they obey w -> w - w**2 / 4 exactly.  All partition cells
-  are closed-form algebra on this chain.  Y_k = (-1/4, 0).
+  a single nested chain e_m approaching -1; in shifted coordinates
+  w_m = 1 + e_m they obey w -> w - w**2 / 4 exactly.  They bound the creep
+  cells C_m = [e_{m+1}, e_m], which enter Y_k = (-1/4, 0) = C_0 after m
+  steps, and the tail is a level sum over them: level j pulls every cell
+  back through j right-branch steps.
 
 Tails are evaluated exactly from endpoint lengths (complementing resolved
 mass, so truncation never biases the table); a Monte Carlo orbit sampler
@@ -164,18 +166,14 @@ def _pik_chain(u, g, n):
 class PartitionEndpoints:
     """Endpoint arrays of the return-time partition at base index k.
 
-    Field population depends on the family:
+    Field population depends on the family (GrossmannHorner tails come
+    from its creep cells and need none):
 
     * LSV/Cui: ``x[n]``, ``y[n]`` for n = 0..n_max.
     * Pikovsky: ``u[n] = 1 - x_plus[n]`` for n = 0..n_max+1 at base k,
       ``u_next`` the same chain at base k+1 (to depth n_max), and
       ``delta_bound[n] = |g_minus(x_plus[n-1] at k+1)|``, the outer
       boundary of the union of little cells with return time >= n.
-    * GrossmannHorner: interval arrays (rows are (lo, hi)) ``big_minus``,
-      ``big_plus`` (n = 0..n_max), ``small_minus``, ``small_plus``
-      (n = 1..n_max, row 0 unused), ``small1_minus``, ``small1_plus``
-      (n = 1..n_max, row 0 unused); ``truncated_mass`` reports cell
-      lengths clipped at the floating-point floor.
     """
 
     family: Family
@@ -187,13 +185,6 @@ class PartitionEndpoints:
     u_next: np.ndarray | None = None
     delta_bound: np.ndarray | None = None
     gamma_k: float | None = None
-    big_minus: np.ndarray | None = None
-    big_plus: np.ndarray | None = None
-    small_minus: np.ndarray | None = None
-    small_plus: np.ndarray | None = None
-    small1_minus: np.ndarray | None = None
-    small1_plus: np.ndarray | None = None
-    truncated_mass: float = 0.0
 
     @property
     def x_plus(self) -> np.ndarray:
@@ -251,59 +242,6 @@ def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpo
     return PartitionEndpoints(seq.family, k, n_max, u=u, u_next=u_next, delta_bound=delta_bound, gamma_k=g_k)
 
 
-def gh_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
-    """Cell intervals for the concrete Grossmann-Horner instance.
-
-    The single map makes every base index share one chain
-    w_{n+1} = w_n - w_n**2 / 4 (w = distance of the left-branch backward
-    orbit of 0 from the neutral point -1).
-    """
-    if seq.family is not Family.GROSSMANN_HORNER:
-        raise ParamError("gh_endpoints needs a GrossmannHorner sequence")
-    depth = n_max + 3
-    w = np.empty(depth + 1)
-    w[0] = 1.0
-    for n in range(1, depth + 1):
-        w[n] = w[n - 1] - w[n - 1] * w[n - 1] / 4.0
-    b = w - 1.0  # right endpoints of the minus cells, b_0 = 0
-    q = (2.0 - w) ** 2 / 4.0  # increasing boundaries of the plus cells, q_0 = 1/4
-
-    g_minus = lambda t: -((1.0 - t) ** 2) / 4.0
-    g_plus = lambda t: (1.0 - t) ** 2 / 4.0
-
-    n = n_max
-    big_minus = np.stack([b[1 : n + 2], b[: n + 1]], axis=1)
-    q_prev = np.concatenate([[0.0], q[:n]])  # q_{-1} := 0
-    big_plus = np.stack([q_prev, q[: n + 1]], axis=1)
-
-    def cells(lo, hi):  # rows n = 1..n_max are (lo, hi); row 0 is unused
-        return np.concatenate([[[np.nan, np.nan]], np.stack([lo, hi], axis=1)])
-
-    qp, qn = q_prev[:n], q[:n]
-    # little cells: delta_m^- = g_minus(big_plus[m-1]), delta_m^+ its mirror
-    small_minus = cells(g_minus(qp), g_minus(qn))
-    small_plus = cells(g_plus(qn), g_plus(qp))
-    # delta_{1,m}^- = g_minus(delta_m^+ one base up) -- same intervals here
-    small1_minus = cells(g_minus(g_plus(qn)), g_minus(g_plus(qp)))
-    small1_plus = cells(g_plus(g_plus(qp)), g_plus(g_plus(qn)))
-    lengths = np.concatenate(
-        [arr[1:, 1] - arr[1:, 0] for arr in (small_minus, small_plus, small1_minus, small1_plus)]
-    )
-    truncated = float(-np.sum(np.minimum(lengths, 0.0)))
-    return PartitionEndpoints(
-        seq.family,
-        k,
-        n_max,
-        big_minus=big_minus,
-        big_plus=big_plus,
-        small_minus=small_minus,
-        small_plus=small_plus,
-        small1_minus=small1_minus,
-        small1_plus=small1_plus,
-        truncated_mass=truncated,
-    )
-
-
 # -- reference sets ----------------------------------------------------------------
 
 
@@ -318,10 +256,6 @@ def reference_set(params: MapParams) -> list[tuple[float, float]]:
 
 
 # -- exact tails --------------------------------------------------------------------
-
-
-def _cell_len(iv: np.ndarray) -> np.ndarray:
-    return np.maximum(iv[:, 1] - iv[:, 0], 0.0)
 
 
 def _check_tail_args(n_max: int, base: str) -> None:
@@ -343,12 +277,10 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
     _check_tail_args(n_max, base)
     fam = seq.family
     if fam in (Family.LSV, Family.CUI):
-        ep = lsv_preimage_points(seq, k, n_max)
-    elif fam is Family.PIKOVSKY:
-        ep = pikovsky_endpoints(seq, k, n_max)
-    else:
-        ep = gh_endpoints(seq, k, n_max)
-    return _tail_table(ep, base)
+        return _tail_table(lsv_preimage_points(seq, k, n_max), base)
+    if fam is Family.PIKOVSKY:
+        return _tail_table(pikovsky_endpoints(seq, k, n_max), base)
+    return _tail(_gh_tail(seq.entries[0], n_max, base), k, base)
 
 
 def _return_time_tails(seq: ParamSequence, ks, n_max: int, base: str = "m_k") -> list[TailTable]:
@@ -370,32 +302,50 @@ def _tail_table(ep: PartitionEndpoints, base: str) -> TailTable:
             t[1:] = 2.0 * (ep.y[1:] - 0.5)
         else:
             t[1:] = ep.x[1:] + ep.y[1:] - 0.5
-    elif ep.family is Family.PIKOVSKY:
+    else:
         g = ep.gamma_k
         if base == "m_k":
             t[1:] = ep.u_next[: n_max] ** g
         else:
             t[1:] = ep.u[1 : n_max + 1] + ep.u_next[: n_max] ** g / (2.0 * g)
-    else:
-        # Mass with tau = n, from |delta_n^-| (n >= 2) and |delta_{1,n}^-|
-        # (tau = n+1) inside Y, plus every other cell for Lebesgue.
-        tau_mass = np.zeros(n_max + 2)
-        len_sm = _cell_len(ep.small_minus[2:])
-        len_s1m = _cell_len(ep.small1_minus[1:])
-        if base == "m_k":
-            tau_mass[2 : n_max + 1] += len_sm
-            tau_mass[2:] += len_s1m
-            total = 0.25
-        else:
-            tau_mass[1 : n_max + 1] += _cell_len(ep.big_minus[1:]) + _cell_len(ep.big_plus[1:])
-            tau_mass[2 : n_max + 1] += len_sm + _cell_len(ep.small_plus[2:])
-            tau_mass[2:] += len_s1m + _cell_len(ep.small1_plus[1:])
-            total = 2.0
-        resolved = np.cumsum(tau_mass)[:-1]  # mass with tau <= n
-        t[1:] = 1.0 - resolved[:n_max] / total
+    return _tail(t, ep.k, base)
+
+
+def _gh_tail(gh: MapParams, n_max: int, base: str) -> np.ndarray:
+    """t(0..n_max) for the concrete Grossmann-Horner map, as a level sum
+    over its creep cells C_m = [e_{m+1}, e_m] (tau = m from C_m).
+
+    A point of Y = C_0 returns at tau = 1 + j + m: one left step into
+    (0, 1), j right-branch steps and m creep steps, so it lies in
+    g_L g_R^j (C_m).  T is even, so g_L = -g_R and that cell mirrors the
+    positive cell g_R^(j+1) (C_m), which has the same return time.  Level j
+    pulls every endpoint once more through g_R; its cells count for Y from
+    j = 2 on, and for the Lebesgue base also once as positive cells, with
+    the creep cells as level 0.  g_R contracts toward 3 - 2 sqrt(2), so the
+    cells of a level round to one point (level 43 for n_max <= 2000) and
+    every later level adds exactly 0.0; no level past n_max - 1 reaches
+    tau < n_max.
+    """
+    w = [1.0]  # w_m = 1 + e_m
+    for _ in range(n_max):
+        w.append(w[-1] - w[-1] * w[-1] / 4.0)
+    p = np.array(w) - 1.0
+    mass = np.zeros(n_max)  # mass[tau] for tau < n_max
+    if base == "lebesgue":
+        mass[1:] = -np.diff(p)[1:]
+    for j in range(1, n_max):
+        p = inverse_branch_array(gh, Branch.RIGHT, p[: n_max - j + 1])
+        cells = np.abs(np.diff(p))  # g_R^j (C_m) for tau = j + m < n_max
+        if not cells.any():
+            break
+        mass[j:] += ((j > 1) + (base == "lebesgue")) * cells
+    return np.concatenate([[1.0], 1.0 - np.cumsum(mass) / (0.25 if base == "m_k" else 2.0)])
+
+
+def _tail(t: np.ndarray, k: int, base: str) -> TailTable:
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     t = np.minimum.accumulate(t)  # wash out 1-ulp wobble
-    return TailTable(values=t, k=ep.k, label="h_k" if base == "m_k" else "lebesgue")
+    return TailTable(values=t, k=k, label="h_k" if base == "m_k" else "lebesgue")
 
 
 # -- Monte Carlo oracle ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from memloss.partitions import (
     _return_time_tails,
     default_fit_window,
     fit_power_law,
-    gh_endpoints,
     lsv_preimage_points,
     mc_zscores,
     pikovsky_endpoints,
@@ -131,34 +130,6 @@ class TestPikovskyEndpoints:
         t = TailTable(values=np.minimum.accumulate(np.minimum(ep.u[:1001], 1.0)), label="r")
         fit = fit_power_law(t, 50, 1000)
         assert fit.slope == pytest.approx(-1.0, abs=0.1)
-
-
-class TestGhEndpoints:
-    def test_reference_cell(self):
-        ep = gh_endpoints(seqs.constant(grossmann_horner()), 1, 10)
-        # g_minus(0) = -1/4: solve 1 - 2 sqrt(x) = 0, mirror to the left
-        assert tuple(ep.big_minus[0]) == (-0.25, 0.0)
-
-    def test_nesting_toward_neutral_point(self):
-        ep = gh_endpoints(seqs.constant(grossmann_horner()), 1, 300)
-        sup = ep.big_minus[:, 1]
-        assert np.all(np.diff(sup) < 0)
-        assert sup[-1] == pytest.approx(-1.0, abs=0.02)
-
-    def test_partition_complement_is_exact(self):
-        n_max = 400
-        ep = gh_endpoints(seqs.constant(grossmann_horner()), 1, n_max)
-        total = float(
-            np.sum(ep.big_minus[:, 1] - ep.big_minus[:, 0])
-            + np.sum(ep.big_plus[:, 1] - ep.big_plus[:, 0])
-        )
-        unresolved_minus = 1.0 + ep.big_minus[n_max, 0]
-        unresolved_plus = 1.0 - ep.big_plus[n_max, 1]
-        assert total + unresolved_minus + unresolved_plus == pytest.approx(2.0, abs=1e-12)
-
-    def test_truncation_report(self):
-        ep = gh_endpoints(seqs.constant(grossmann_horner()), 1, 100)
-        assert ep.truncated_mass <= 1e-15
 
 
 class TestReturnTimeTail:
