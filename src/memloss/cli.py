@@ -94,6 +94,14 @@ def _fit_metrics(values: np.ndarray, fit_lo, fit_hi) -> dict:
     }
 
 
+def _max_mc_z(exact: TailTable, mc: TailTable) -> float | None:
+    """Largest |z| of an MC tail against an exact one; None (JSON null) when
+    no row is comparable (see :func:`mc_zscores`)."""
+    z = np.abs(mc_zscores(exact, mc))
+    z = z[~np.isnan(z)]
+    return float(np.max(z)) if z.size else None
+
+
 def _mixing_metrics(mass: np.ndarray) -> dict:
     """Least mass from n = 2 on (NaN for a shorter table) and the largest mass."""
     floor = float(np.min(mass[2:])) if len(mass) > 2 else float("nan")
@@ -132,18 +140,17 @@ def _cmd_tails(args) -> dict:
         else:
             mcs = [mc_job(k) for k in ks]
     summary = {"base": args.base, "n_max": args.n_max, "k": list(ks)}
+    for k, exact, mc in zip(ks, exacts, mcs):  # every fit before any CSV
+        summary[f"k{k}"] = _fit_metrics(exact.values, args.fit_lo, args.fit_hi)
+        if mc is not None:
+            summary[f"k{k}"]["max_mc_z"] = _max_mc_z(exact, mc)
     for k, exact, mc in sorted(zip(ks, exacts, mcs), key=lambda job: job[0]):
         path = os.path.join(args.out, f"tails_k{k}_{args.base}.csv")
         csvio.write_tail_csv(path, exact)
         out_paths[k] = path
-        metrics = _fit_metrics(exact.values, args.fit_lo, args.fit_hi)
-        summary[f"k{k}"] = metrics
         if mc is not None:
-            mc_path = os.path.join(args.out, f"tails_k{k}_{args.base}_mc.csv")
-            csvio.write_tail_csv(mc_path, mc)
-            z = mc_zscores(exact, mc)
-            summary[f"k{k}"]["max_mc_z"] = float(np.nanmax(np.abs(z)))
-        _slope_gate(summary, f"slope_k{k}", metrics["slope"], args)
+            csvio.write_tail_csv(os.path.join(args.out, f"tails_k{k}_{args.base}_mc.csv"), mc)
+        _slope_gate(summary, f"slope_k{k}", summary[f"k{k}"]["slope"], args)
     summary["artifacts"] = [os.path.basename(out_paths[k]) for k in ks]
     return summary
 
@@ -157,6 +164,7 @@ def _cmd_memloss(args) -> dict:
     else:
         g = make_density("cone", args.grid, (lo, hi), beta=args.cone_beta)
     curve = memory_loss_curve(seq, f, g, args.n_max)
+    metrics = _fit_metrics(curve.values, args.fit_lo, args.fit_hi)  # before the CSV
     path = os.path.join(args.out, "memloss.csv")
     csvio.write_columns(path, "memloss", [np.arange(len(curve.values), dtype=float), curve.values])
     summary = {
@@ -164,8 +172,8 @@ def _cmd_memloss(args) -> dict:
         "grid": args.grid,
         "n_max": args.n_max,
         "artifacts": [os.path.basename(path)],
+        "metrics": metrics,
     }
-    summary["metrics"] = _fit_metrics(curve.values, args.fit_lo, args.fit_hi)
     _slope_gate(summary, "slope", summary["metrics"]["slope"], args)
     return summary
 
@@ -300,7 +308,7 @@ def _cmd_coupling(args) -> dict:
     path = os.path.join(args.out, "coupling.csv")
     n = np.arange(len(dp.values), dtype=float)
     csvio.write_columns(path, "coupling", [n, dp.values, mc.values, mc.stderr, ratios])
-    z = mc_zscores(dp, mc)
+    max_z = _max_mc_z(dp, mc)
     summary = {
         "n_max": args.n_max,
         "samples": args.samples,
@@ -308,12 +316,12 @@ def _cmd_coupling(args) -> dict:
             "sup_ratio": report.sup_ratio,
             "argmax_n": report.argmax_n,
             "beta_prime": beta_prime,
-            "max_mc_z": float(np.nanmax(np.abs(z))),
+            "max_mc_z": max_z,
             "dp_remainder": dp.notes["remainder"],
         },
         "artifacts": [os.path.basename(path)],
     }
-    _gate(summary, "dp_mc_agree", summary["metrics"]["max_mc_z"] <= 4.0, {"actual": summary["metrics"]["max_mc_z"]})
+    _gate(summary, "dp_mc_agree", max_z is not None and max_z <= 4.0, {"actual": max_z})
     if args.check_plateau:
         _gate(summary, "plateau", report.plateau(), {"argmax_n": report.argmax_n, "n_max": args.n_max})
     return summary

@@ -174,6 +174,29 @@ class TestCoupling:
         assert run_cli(["coupling", "--model", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+class TestNoComparableMcRow:
+    """When every exact value lies outside mc_zscores' band, max_mc_z is
+    null in strict JSON, with no warning, and a z gate fails on it."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,code,section", [
+        (["coupling", "--n-max", "1", "--samples", "10000"], 1, "metrics"),
+        (["tails", "--family", "gh", "--n-max", "2", "--fit-lo", "1", "--fit-hi", "2",
+          "--mc-samples", "1000"], 0, "k1"),
+    ], ids=["coupling", "tails"])
+    def test_max_mc_z_is_null(self, tmp_path, argv, code, section):
+        assert run_cli([*argv, "--out", str(tmp_path)]) == code
+        text = (tmp_path / f"{argv[0]}_summary.json").read_text()
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        summary = json.loads(text, parse_constant=reject)
+        assert summary[section]["max_mc_z"] is None
+        if argv[0] == "coupling":
+            assert summary["gates"] == [{"name": "dp_mc_agree", "pass": False, "actual": None}]
+
+
 class TestDeterminism:
     def test_rerun_hash_equal(self, tmp_path):
         a = tmp_path / "a"
@@ -307,6 +330,19 @@ class TestInputErrors:
         assert run_cli([*argv, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: explicit sequence has 3 entries") and err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("argv,n_max", [
+        (["tails", "--family", "lsv", "--n-max", "2"], 2),
+        (["tails", "--family", "lsv", "--n-max", "50", "--fit-lo", "10", "--fit-hi", "60"], 50),
+        (["tails", "--family", "lsv", "--n-max", "50", "--k", "1,2", "--mc-samples", "1000",
+          "--fit-hi", "51"], 50),
+        (["memloss", "--family", "lsv", "--n-max", "10", "--grid", "1024", "--fit-lo", "0"], 10),
+    ], ids=["tails-short", "tails-fit-hi", "tails-k-mc", "memloss-fit-lo"])
+    def test_fit_window_outside_the_table_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, n_max):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: need 1 <= n_min < n_max <= {n_max}\n"
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("family", _FAMILY_ARGS, ids=lambda argv: argv[1])
