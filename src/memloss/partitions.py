@@ -313,18 +313,18 @@ def _tail_table(ep: PartitionEndpoints, base: str) -> TailTable:
 
 def _gh_tail(gh: MapParams, n_max: int, base: str) -> np.ndarray:
     """t(0..n_max) for the concrete Grossmann-Horner map, as a level sum
-    over its creep cells C_m = [e_{m+1}, e_m] (tau = m from C_m).
+    over its creep cells C_m = [e_{m+1}, e_m], which reach Y = C_0 after m
+    steps.
 
-    A point of Y = C_0 returns at tau = 1 + j + m: one left step into
-    (0, 1), j right-branch steps and m creep steps, so it lies in
-    g_L g_R^j (C_m).  T is even, so g_L = -g_R and that cell mirrors the
-    positive cell g_R^(j+1) (C_m), which has the same return time.  Level j
-    pulls every endpoint once more through g_R; its cells count for Y from
-    j = 2 on, and for the Lebesgue base also once as positive cells, with
-    the creep cells as level 0.  g_R contracts toward 3 - 2 sqrt(2), so the
-    cells of a level round to one point (level 43 for n_max <= 2000) and
-    every later level adds exactly 0.0; no level past n_max - 1 reaches
-    tau < n_max.
+    A point of Y returns at tau = 1 + j + m after one left step into (0, 1),
+    j right-branch steps and m creep steps: it lies in g_L g_R^j (C_m).  T is
+    even, so g_L = -g_R, and that cell mirrors the positive cell
+    g_R^(j+1) (C_m), which has the same return time.  Level j pulls every
+    endpoint once more through g_R.  The Lebesgue base also counts the
+    positive cells and the creep cells (tau = m).  g_R contracts toward
+    3 - 2 sqrt(2), so the cells of a level round to one point (after 43
+    levels at n_max = 2000) and the first level that adds exactly 0.0 ends
+    the loop; no level past n_max - 1 reaches tau < n_max.
     """
     w = [1.0]  # w_m = 1 + e_m
     for _ in range(n_max):
@@ -338,7 +338,8 @@ def _gh_tail(gh: MapParams, n_max: int, base: str) -> np.ndarray:
         cells = np.abs(np.diff(p))  # g_R^j (C_m) for tau = j + m < n_max
         if not cells.any():
             break
-        mass[j:] += ((j > 1) + (base == "lebesgue")) * cells
+        # each cell is positive, and mirrored in Y from level 2 on
+        mass[j:] += ((base == "lebesgue") + (j >= 2)) * cells
     return np.concatenate([[1.0], 1.0 - np.cumsum(mass) / (0.25 if base == "m_k" else 2.0)])
 
 
