@@ -270,9 +270,9 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
 
     ``base="m_k"`` conditions on the reference set (normalized Lebesgue on
     Y_k), ``base="lebesgue"`` starts from normalized Lebesgue on the whole
-    state interval.  Values are exact from endpoint lengths; the unresolved
-    remainder beyond n_max is handled by complementing resolved mass, so
-    no truncation bias enters.
+    state interval.  Values are exact from endpoint (GH: creep-cell)
+    lengths; the unresolved remainder beyond n_max is handled by
+    complementing resolved mass, so no truncation bias enters.
     """
     _check_tail_args(n_max, base)
     fam = seq.family
