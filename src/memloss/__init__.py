@@ -20,7 +20,6 @@ Subpackage map:
 
 from . import errors
 from .coupling import (
-    ComposedTail,
     CouplingConstants,
     CouplingModel,
     StailBoundReport,
@@ -29,7 +28,6 @@ from .coupling import (
     alpha_weights,
     build_model,
     check_stail_bound,
-    compose_tail,
     degenerate_family,
     derive_k_constants,
     family_from_tables,

@@ -103,8 +103,9 @@ def _max_mc_z(exact: TailTable, mc: TailTable) -> float | None:
 
 
 def _mixing_metrics(mass: np.ndarray) -> dict:
-    """Least mass from n = 2 on (NaN for a shorter table) and the largest mass."""
-    floor = float(np.min(mass[2:])) if len(mass) > 2 else float("nan")
+    """Least mass from n = 2 on (None, JSON null, for a shorter table) and
+    the largest mass."""
+    floor = float(np.min(mass[2:])) if len(mass) > 2 else None
     return {"floor_from_2": floor, "max": float(np.max(mass))}
 
 
@@ -193,7 +194,8 @@ def _cmd_mixing(args) -> dict:
     }
     if args.expect_floor is not None:
         floor = metrics["floor_from_2"]
-        _gate(summary, "floor", floor >= args.expect_floor, {"expected": args.expect_floor, "actual": floor})
+        ok = floor is not None and floor >= args.expect_floor
+        _gate(summary, "floor", ok, {"expected": args.expect_floor, "actual": floor})
     _gate(summary, "bounded_by_one", bool(metrics["max"] <= 1.0 + 1e-8), {"actual": metrics["max"]})
     return summary
 

@@ -23,9 +23,12 @@ arrival masses W(t, x) carry a factor (1 - theta) per step) removes the
 truncation over tau entirely: the only cap is the tabulated n_max, and
 trajectories whose partial sum exceeds it are absorbed into a "beyond"
 bucket that is exact for every tabulated n.  The reported remainder is
-therefore 0.  The DP sweeps the anti-diagonals t + x = s, one array step
-each.  A Monte Carlo sampler that moves all its walkers in lock step
-provides the independent cross-check.
+therefore 0.  The DP sweeps the anti-diagonals t + x = s.  Each one is a
+single weighted sum of push-law rows (for stationary families one block of
+a table built once), added in row order without BLAS, so the law is the
+same to the bit as a per-state loop's whatever the thread count.  A Monte
+Carlo sampler that moves all its walkers in lock step provides the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ class TailFamily:
     """Per-index return tails h^j (rows j = k .. k + n_rows - 1), a measure
     tail r, and the declared polynomial bounds they satisfy.
 
-    ``h_rows[i, m]`` is h^{k+i}(m) with column 0 fixed at 1.  The declared
+    ``h_rows[i, m]`` is h^{k+i}(m) with column 0 fixed at 1; the stationary
+    builders store one read-only row shared by every index.  The declared
     bounds h^j(n) <= C_beta (1 v (n - Theta_j j))**(-beta) and
     r(n) <= C'_beta (1 v (n - Theta_k k))**(-beta') are verified on the
     tabulated range at construction.
@@ -199,7 +203,7 @@ def _stationary_family(k: int, h: np.ndarray, rvals: np.ndarray, n_rows: int,
     return TailFamily(
         k=k,
         r=TailTable(values=rvals, k=k, label="r"),
-        h_rows=np.tile(h, (n_rows, 1)),
+        h_rows=np.broadcast_to(h, (n_rows, len(h))),
         beta=beta,
         beta_prime=beta_prime,
         c_beta=1.0,
@@ -245,12 +249,13 @@ def family_from_tables(
 ) -> TailFamily:
     """Assemble a family from tabulated tails.
 
-    ``h_tables`` is either a single TailTable (replicated: a stationary
-    family) or a list of TailTables for consecutive base indices starting
+    ``h_tables`` is either a single TailTable (one row shared by every
+    index: a stationary family) or a list of TailTables for consecutive base indices starting
     at k.  ``theta`` is a scalar or one value per row.
     """
     if isinstance(h_tables, TailTable):
-        rows = np.tile(h_tables.values, (max(len(r.values), 2), 1))
+        row = np.array(h_tables.values, dtype=float)
+        rows = np.broadcast_to(row, (max(len(r.values), 2), len(row)))
         if stationary is None:
             stationary = True
     else:
@@ -270,40 +275,6 @@ def family_from_tables(
         theta_seq=th,
         stationary=stationary,
     )
-
-
-# -- composed tails ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComposedTail:
-    """Raw composed tail (may exceed 1) and its clamped envelope."""
-
-    base: int
-    shift: int
-    raw: np.ndarray  # raw[l] for l = 0..horizon; raw[0] uses the zero convention
-    envelope: TailTable
-
-
-def compose_tail(
-    family: TailFamily, k: int, n: int, horizon: int, constants: CouplingConstants
-) -> ComposedTail:
-    """h_n^k(l) = C_h sum_i h^{k+i}(n + l - i), i = 0..n, for l = 0..horizon,
-    with h^j(m) = 0 for m <= 0; plus the clamped running-minimum envelope."""
-    i0 = k - family.k
-    if i0 < 0 or i0 + n >= family.n_rows:
-        raise DepthError(f"family rows cover {family.k}..{family.k + family.n_rows - 1}")
-    if n + horizon > family.depth:
-        raise DepthError(f"family depth {family.depth} < n + horizon = {n + horizon}")
-    ell = np.arange(horizon + 1)
-    raw = np.zeros(horizon + 1)
-    for i in range(n + 1):
-        args = n + ell - i
-        valid = args >= 1
-        raw[valid] += family.h_rows[i0 + i, args[valid]]
-    raw *= constants.c_h
-    env = np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw[1:], 1.0))])
-    return ComposedTail(base=k, shift=n, raw=raw, envelope=TailTable(values=env, k=k, label="s_tail"))
 
 
 # -- decomposition weights -------------------------------------------------------------
@@ -420,11 +391,15 @@ def build_model(family: TailFamily, constants: CouplingConstants, horizon: int) 
     return CouplingModel(family, constants, horizon)
 
 
-def _add_rows(a: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``a`` taken in order, as repeated ``+=`` would add
-    them.  numpy reduces axis 0 row by row, except for a single column,
-    which it sums pairwise; that case goes through a sequential cumsum."""
-    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a[:, 0])[-1:]
+def _weighted_rows(coef: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] * block[i], adding the products in row order, as
+    repeated ``+=`` would.  ``einsum`` (no BLAS, whose sums depend on its
+    thread count) keeps that order for two or more columns; a single column
+    it would sum with several accumulators, so that case goes through a
+    sequential cumsum."""
+    if block.shape[1] > 1:
+        return np.einsum("i,ij->j", coef, block)
+    return np.cumsum(coef * block[:, 0])[-1:]
 
 
 def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
@@ -438,9 +413,14 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     n0 = 0 the last of them, (s, 0), receives mass from the others and
     loops on itself; it is resolved geometrically after them.  Each
     processed cell of W is dead, and keeps that state's share of the
-    "beyond" mass, which is summed in row-major order at the end.  Every
-    sum runs in the order of a per-state loop over t, then x, so the
-    table is the same to the bit."""
+    "beyond" mass, which is summed in row-major order at the end.
+
+    A stationary family's envelopes depend on the shift alone: row
+    n_max - x of E holds shift x, and D = E[:, :-1] - E[:, 1:] its push law,
+    both built once.  Anti-diagonal s then reads one block of rows from
+    n_max - s on, ascending in t.  Every sum runs in the order of a
+    per-state loop over t, then x (:func:`_weighted_rows`), so the table is
+    the same to the bit."""
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
     c = model.constants
@@ -452,12 +432,13 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     if xs.size:
         W[0, xs] = rv[xs - n0] - rv[xs + 1 - n0]
     beyond = float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
-    table = None
-    if model.family.stationary:
-        # one envelope row per shift; row x is valid up to column n_max - x + 1
-        table = np.zeros((n_max + 1, n_max + 2))
+    stationary = model.family.stationary
+    if stationary:
+        # row n_max - x is valid up to column n_max - x + 1
+        E = np.zeros((n_max + 1, n_max + 2))
         for x in range(n0, n_max + 1):
-            table[x, : n_max - x + 2] = model.conditional_tail(0, x, n_max - x + 1)
+            E[n_max - x, : n_max - x + 2] = model.conditional_tail(0, x, n_max - x + 1)
+        D = E[:, :-1] - E[:, 1:]
     coupled = np.zeros(n_max + 1)
     for s in range(n0, n_max + 1):
         ts = np.arange(s - n0 + 1)  # states (t, s - t) with shift >= n0
@@ -467,16 +448,16 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
             coupled[s] = np.cumsum(th * w)[-1]
             W[ts, s - ts] = one_m * w
             continue
-        if table is not None:
-            env = table[n0 : s + 1, : hi + 2][::-1]
+        m = len(ts) - 1 if n0 == 0 else len(ts)  # (s, 0) waits for the others
+        if stationary:
+            env = E[n_max - s : n_max - s + len(ts), : hi + 2]
+            push = D[n_max - s : n_max - s + m, : hi + 1]
         else:
             env = model._envelopes(ts, s, hi + 1)
-        m = len(ts) - 1 if n0 == 0 else len(ts)  # (s, 0) waits for the others
+            push = env[:m, : hi + 1] - env[:m, 1 : hi + 2]
         coef = one_m * w[:m]
         if m:
-            push = env[:m, : hi + 1] - env[:m, 1 : hi + 2]
-            push *= coef[:, None]
-            W[s, n0 : n0 + hi + 1] += _add_rows(push)
+            W[s, n0 : n0 + hi + 1] += _weighted_rows(coef, push)
             coupled[s] = np.cumsum(th * w[:m])[-1]
             W[ts[:m], s - ts[:m]] = coef * env[:m, hi + 1]
         if n0 == 0:
@@ -485,9 +466,10 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
             coupled[s] += th * w0
             W[s, 1 : hi + 1] += one_m * w0 * (e[1 : hi + 1] - e[2 : hi + 2])
             W[s, 0] = one_m * w0 * e[hi + 1]
-    for row in W:
-        row[0] += beyond
-        beyond = float(np.cumsum(row)[-1])
+    flat = W.reshape(-1)  # the dead cells after beyond, in row-major order
+    if flat.size:
+        flat[0] += beyond
+        beyond = float(np.cumsum(flat, out=flat)[-1])
     tail = np.cumsum(np.concatenate([[beyond], coupled[::-1]]))[:0:-1]
     tail = np.minimum.accumulate(np.minimum(tail, 1.0))
     return TailTable(

@@ -280,7 +280,8 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
         return _tail_table(lsv_preimage_points(seq, k, n_max), base)
     if fam is Family.PIKOVSKY:
         return _tail_table(pikovsky_endpoints(seq, k, n_max), base)
-    return _tail(_gh_tail(seq.entries[0], n_max, base), k, base)
+    entries, ids = _materialize(seq, k, n_max + 1)
+    return _tail(_gh_tail(entries[ids[0]], n_max, base), k, base)
 
 
 def _return_time_tails(seq: ParamSequence, ks, n_max: int, base: str = "m_k") -> list[TailTable]:

@@ -122,6 +122,15 @@ class TestMixing:
         assert kind == "mixing"
         assert cols["mass"][0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_short_table_floor_is_null_and_fails_its_gate(self, tmp_path):
+        code = run_cli(["mixing", "--family", "lsv", "--n-max", "1", "--grid", "1024",
+                        "--expect-floor", "0.0", "--out", str(tmp_path)])
+        assert code == 1
+        text = (tmp_path / "mixing_summary.json").read_text()
+        summary = json.loads(text, parse_constant=lambda name: pytest.fail(f"not strict JSON: {name}"))
+        assert summary["metrics"]["floor_from_2"] is None
+        assert summary["gates"][0] == {"name": "floor", "pass": False, "expected": 0.0, "actual": None}
+
 
 class TestEvolve:
     def test_writes_density(self, tmp_path):
@@ -283,8 +292,10 @@ class TestSummarize:
         capsys.readouterr()
         assert run_cli(["summarize", str(tmp_path / "mixing.csv")]) == 0
         captured = capsys.readouterr()
-        entry = json.loads(captured.out)[str(tmp_path / "mixing.csv")]
-        assert np.isnan(entry["floor_from_2"]) and entry["max"] == pytest.approx(1.0)
+        # strict JSON: a bare NaN would be rejected here
+        out = json.loads(captured.out, parse_constant=lambda name: pytest.fail(f"not strict JSON: {name}"))
+        entry = out[str(tmp_path / "mixing.csv")]
+        assert entry["floor_from_2"] is None and entry["max"] == pytest.approx(1.0)
         assert captured.err == ""
 
     def test_empty_csv_is_format_error(self, tmp_path):
@@ -330,6 +341,14 @@ class TestInputErrors:
         assert run_cli([*argv, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: explicit sequence has 3 entries") and err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    def test_explicit_gh_sequence_past_its_end_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps({"kind": "explicit", "family": "gh", "cycle": [2.0, 2.0, 2.0]}))
+        out = tmp_path / "out"
+        assert run_cli(["tails", "--n-max", "50", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: explicit sequence has 3 entries, asked for 51\n"
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("argv,n_max", [

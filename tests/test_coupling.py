@@ -1,20 +1,25 @@
+import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import memloss
 from memloss import errors
 from memloss import rng as _rng
 from memloss import sequences as seqs
 from memloss.coupling import (
     CouplingConstants,
-    _add_rows,
+    _weighted_rows,
     alpha_weights,
     build_model,
     check_stail_bound,
-    compose_tail,
     degenerate_family,
     derive_k_constants,
     family_from_tables,
@@ -74,6 +79,36 @@ class TestHatEnvelope:
         assert np.array_equal(once.values, twice.values)
 
 
+@dataclasses.dataclass(frozen=True)
+class ComposedTail:
+    """Raw composed tail (may exceed 1) and its clamped envelope."""
+
+    base: int
+    shift: int
+    raw: np.ndarray  # raw[l] for l = 0..horizon; raw[0] uses the zero convention
+    envelope: TailTable
+
+
+def compose_tail(family, k, n, horizon, constants):
+    """h_n^k(l) = C_h sum_i h^{k+i}(n + l - i), i = 0..n, for l = 0..horizon,
+    with h^j(m) = 0 for m <= 0; plus the clamped running-minimum envelope.
+    The term-by-term reference for ``CouplingModel._envelopes``."""
+    i0 = k - family.k
+    if i0 < 0 or i0 + n >= family.n_rows:
+        raise errors.DepthError(f"family rows cover {family.k}..{family.k + family.n_rows - 1}")
+    if n + horizon > family.depth:
+        raise errors.DepthError(f"family depth {family.depth} < n + horizon = {n + horizon}")
+    ell = np.arange(horizon + 1)
+    raw = np.zeros(horizon + 1)
+    for i in range(n + 1):
+        args = n + ell - i
+        valid = args >= 1
+        raw[valid] += family.h_rows[i0 + i, args[valid]]
+    raw *= constants.c_h
+    env = np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw[1:], 1.0))])
+    return ComposedTail(base=k, shift=n, raw=raw, envelope=TailTable(values=env, k=k, label="s_tail"))
+
+
 class TestComposeTail:
     def setup_method(self):
         self.constants = make_constants(theta=0.25, n0=1, K=0.5)
@@ -106,6 +141,15 @@ class TestComposeTail:
     def test_depth_errors(self):
         with pytest.raises(errors.DepthError):
             compose_tail(self.family, 1, 39, 200, self.constants)
+
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_model_envelopes_match(self, stationary):
+        horizon = 120
+        model = _model(2.0, horizon=horizon) if stationary else _bench_nonstationary_model(horizon)
+        for t, x in ((0, 1), (3, 5), (40, 17), (100, 20)):
+            length = horizon - t - x + 1
+            env = compose_tail(model.family, model.family.k + t, x, length, model.constants).envelope.values
+            assert np.allclose(model.conditional_tail(t, x, length), env, rtol=1e-13, atol=0.0), (t, x)
 
 
 class TestAlphaWeights:
@@ -360,17 +404,34 @@ class TestSTailDp:
             assert np.max(z[gate]) <= 4.0, bp
 
 
+def _added_in_order(coef, block):
+    acc = np.zeros(block.shape[1])
+    for c, row in zip(coef, block):
+        acc += c * row
+    return acc
+
+
 class TestSTailDpAgainstReference:
     @pytest.mark.parametrize("cols", [1, 3])
     def test_rows_are_added_in_order(self, cols):
-        # 1e16 + 1 rounds back to 1e16, so adding the ones one at a time
+        # 2e16 + 2 rounds back to 2e16, so adding the twos one at a time
         # loses them all, while a pairwise sum would keep them
-        a = np.ones((16, cols))
-        a[0] = 1e16
-        acc = np.zeros(cols)
-        for row in a:
-            acc += row
-        assert np.array_equal(_add_rows(a), acc)
+        coef = np.full(16, 2.0)
+        for block in (np.ones((16, cols)), np.ones((32, 2 * cols))[::2, ::2]):  # contiguous, strided
+            block[0] = 1e16
+            expected = _added_in_order(coef, block)
+            assert np.all(expected == 2e16)
+            assert np.array_equal(_weighted_rows(coef, block), expected), block.strides
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 400), width=st.integers(1, 40), strided=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_weighted_rows_equal_a_loop(self, m, width, strided, seed):
+        gen = np.random.default_rng(seed)
+        big = gen.uniform(size=(2 * m, 2 * width)) * 10.0 ** gen.uniform(-12, 12, size=(2 * m, 1))
+        block = big[::2, ::2] if strided else np.ascontiguousarray(big[::2, ::2])
+        coef = gen.uniform(size=m)
+        assert np.array_equal(_weighted_rows(coef, block), _added_in_order(coef, block))
 
     @pytest.mark.parametrize("name", sorted(_DP_MODELS))
     def test_bit_identical(self, name):
@@ -412,6 +473,50 @@ class TestSTailDpAgainstReference:
         v = dp.values
         assert np.all(np.diff(v) <= 0.0) and np.all((v >= 0.0) & (v <= 1.0))
         assert dp.notes["remainder"] == 0.0
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from memloss import build_model, make_constants, s_tail_dp, synthetic_poly_family
+model = build_model(synthetic_poly_family(2.0, n_rows=330, depth=660), make_constants(K=0.5), 320)
+print(hashlib.sha256(s_tail_dp(model, 300).values.tobytes()).hexdigest())
+"""
+
+
+class TestSTailDpDeterminism:
+    def test_blas_thread_count_does_not_change_the_table(self):
+        # the poly2.0 model of _DP_MODELS, one process per BLAS thread count
+        src = os.path.dirname(os.path.dirname(memloss.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        make_family, kw, horizon, n_max = _DP_MODELS["poly2.0"]
+        here = s_tail_dp(build_model(make_family(), make_constants(K=0.5, **kw), horizon), n_max)
+        assert digests == [hashlib.sha256(here.values.tobytes()).hexdigest()] * 2
+
+    @pytest.mark.parametrize("builder", ["synthetic", "one-table"])
+    def test_stationary_rows_are_one_shared_row(self, builder):
+        if builder == "synthetic":
+            family = synthetic_poly_family(2.0, beta_prime=1.5, n_rows=130, depth=260)
+        else:
+            m = np.arange(1.0, 262.0)
+            r, h = (TailTable(values=np.minimum(1.0, m**-b), label="r") for b in (1.5, 2.0))
+            family = family_from_tables(1, r, h, beta=2.0, beta_prime=1.5, c_beta=1.0, c_beta_prime=1.0)
+        h = family.h_rows
+        assert family.stationary and h.strides[0] == 0 and not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 1] = 0.5
+        tiled = dataclasses.replace(family, h_rows=np.tile(h[0], (family.n_rows, 1)))
+        a = build_model(family, make_constants(K=0.5), 120)
+        b = build_model(tiled, make_constants(K=0.5), 120)
+        assert np.array_equal(s_tail_dp(a, 110).values, s_tail_dp(b, 110).values)
+        ma, mb = s_tail_mc(a, 110, 10_000, seed=3), s_tail_mc(b, 110, 10_000, seed=3)
+        assert np.array_equal(ma.values, mb.values) and np.array_equal(ma.stderr, mb.stderr)
 
 
 class TestSTailMc:

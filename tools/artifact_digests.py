@@ -6,6 +6,11 @@ DIR is a checkout: its ``src`` and ``bench/experiments.py`` are imported.
 Each experiment runs once into a fresh directory, and every file it writes
 is printed as ``sha256  NN-experiment/file``, so the lists of two checkouts
 compare with ``diff``; a failed check is printed as a ``#`` line.
+
+Library experiments write no files, so every table that ``memloss.s_tail_dp``
+and ``memloss.s_tail_mc`` return is printed too, as
+``sha256  NN-experiment/function#i`` over its values, its stderr and its
+``notes["beyond"]``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,16 @@ import hashlib
 import os
 import sys
 import tempfile
+
+_RECORDED = ("s_tail_dp", "s_tail_mc")
+
+
+def _table_digest(table) -> str:
+    h = hashlib.sha256(table.values.tobytes())
+    if table.stderr is not None:
+        h.update(table.stderr.tobytes())
+    h.update(repr(table.notes.get("beyond")).encode())
+    return h.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -26,11 +41,26 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "bench"), os.path.join(root, "src")]
     import experiments
+    import memloss
+
+    tables: list[tuple[str, object]] = []
+
+    def recorder(name, fn):
+        def wrapper(*a, **kw):
+            table = fn(*a, **kw)
+            tables.append((name, table))
+            return table
+
+        return wrapper
+
+    for name in _RECORDED:
+        setattr(memloss, name, recorder(name, getattr(memloss, name)))
 
     with tempfile.TemporaryDirectory() as tmp:
         for i, exp in enumerate(experiments.build(args.workload, args.seed, os.path.join(tmp, "inputs"))):
             out = os.path.join(tmp, f"{i:02d}-{exp.name}")
-            os.makedirs(out)  # library experiments write nothing
+            os.makedirs(out)
+            tables.clear()
             try:
                 exp(out)
             except experiments.CheckFailed as e:
@@ -38,6 +68,8 @@ def main(argv=None) -> int:
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as fh:
                     print(f"{hashlib.sha256(fh.read()).hexdigest()}  {i:02d}-{exp.name}/{name}")
+            for j, (name, table) in enumerate(tables):
+                print(f"{_table_digest(table)}  {i:02d}-{exp.name}/{name}#{j}")
     return 0
 
 
