@@ -505,8 +505,8 @@ class TestSTailDpDeterminism:
             family = synthetic_poly_family(2.0, beta_prime=1.5, n_rows=130, depth=260)
         else:
             m = np.arange(1.0, 262.0)
-            r, h = (TailTable(values=np.minimum(1.0, m**-b), label="r") for b in (1.5, 2.0))
-            family = family_from_tables(1, r, h, beta=2.0, beta_prime=1.5, c_beta=1.0, c_beta_prime=1.0)
+            r, row = (TailTable(values=np.minimum(1.0, m**-b), label="r") for b in (1.5, 2.0))
+            family = family_from_tables(1, r, row, beta=2.0, beta_prime=1.5, c_beta=1.0, c_beta_prime=1.0)
         h = family.h_rows
         assert family.stationary and h.strides[0] == 0 and not h.flags.writeable
         with pytest.raises(ValueError):
