@@ -35,7 +35,7 @@ from .coupling import (
     s_tail_mc,
     synthetic_poly_family,
 )
-from .errors import ConfigError, MemlossError
+from .errors import ConfigError, MemlossError, check_n_max
 from .maps import state_interval
 from .partitions import (
     _return_time_tails,
@@ -293,6 +293,7 @@ def _model_from_config(cfg: dict, horizon: int):
 
 
 def _cmd_coupling(args) -> dict:
+    check_n_max(args.n_max)
     cfg = _load_model_config(args.model) if args.model else {}
     if args.theta is not None:
         cfg["theta"] = args.theta

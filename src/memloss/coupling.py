@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import DepthError, HorizonError, NotNormalized, ParamError
+from .errors import DepthError, HorizonError, NotNormalized, ParamError, check_n_max
 from .tables import TailTable, empirical_tail
 
 
@@ -177,11 +177,15 @@ class TailFamily:
                 stacklevel=2,
             )
         n = np.arange(1, h.shape[1], dtype=float)
-        for i in range(h.shape[0]):
-            j = self.k + i
-            bound = self.c_beta * np.maximum(1.0, n - th[i] * j) ** (-self.beta)
-            if np.any(h[i, 1:] > bound + 1e-12):
-                raise ParamError(f"declared bound violated by tail row {j}")
+        shift = th * (self.k + np.arange(len(th)))
+        if np.any(shift):  # one bound per row
+            bad = [np.any(h[i, 1:] > self.c_beta * np.maximum(1.0, n - shift[i]) ** (-self.beta) + 1e-12)
+                   for i in range(len(th))]
+        else:  # one bound for every row, and a shared row is checked once
+            rows = h[:1] if h.strides[0] == 0 else h
+            bad = np.any(rows[:, 1:] > self.c_beta * np.maximum(1.0, n) ** (-self.beta) + 1e-12, axis=1)
+        if np.any(bad):
+            raise ParamError(f"declared bound violated by tail row {self.k + int(np.argmax(bad))}")
         rv = self.r.values
         nr = np.arange(1, len(rv), dtype=float)
         rbound = self.c_beta_prime * np.maximum(1.0, nr - th[0] * self.k) ** (-self.beta_prime)
@@ -200,17 +204,9 @@ class TailFamily:
 def _stationary_family(k: int, h: np.ndarray, rvals: np.ndarray, n_rows: int,
                        beta: float, beta_prime: float) -> TailFamily:
     """Every row h, measure tail rvals, C_beta = C'_beta = 1 and Theta = 0."""
-    return TailFamily(
-        k=k,
-        r=TailTable(values=rvals, k=k, label="r"),
-        h_rows=np.broadcast_to(h, (n_rows, len(h))),
-        beta=beta,
-        beta_prime=beta_prime,
-        c_beta=1.0,
-        c_beta_prime=1.0,
-        theta_seq=np.zeros(n_rows),
-        stationary=True,
-    )
+    r = TailTable(values=rvals, k=k, label="r")
+    return TailFamily(k=k, r=r, h_rows=np.broadcast_to(h, (n_rows, len(h))), beta=beta, beta_prime=beta_prime,
+                      c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(n_rows), stationary=True)
 
 
 def synthetic_poly_family(
@@ -256,25 +252,14 @@ def family_from_tables(
     if isinstance(h_tables, TailTable):
         row = np.array(h_tables.values, dtype=float)
         rows = np.broadcast_to(row, (max(len(r.values), 2), len(row)))
-        if stationary is None:
-            stationary = True
     else:
         depth = min(len(t.values) for t in h_tables)
         rows = np.stack([t.values[:depth] for t in h_tables])
-        if stationary is None:
-            stationary = all(np.array_equal(t.values[:depth], h_tables[0].values[:depth]) for t in h_tables)
+    if stationary is None:
+        stationary = rows.strides[0] == 0 or all(np.array_equal(row, rows[0]) for row in rows)
     th = np.broadcast_to(np.asarray(theta, dtype=float), (rows.shape[0],)).copy()
-    return TailFamily(
-        k=k,
-        r=r,
-        h_rows=rows,
-        beta=beta,
-        beta_prime=beta_prime,
-        c_beta=c_beta,
-        c_beta_prime=c_beta_prime,
-        theta_seq=th,
-        stationary=stationary,
-    )
+    return TailFamily(k=k, r=r, h_rows=rows, beta=beta, beta_prime=beta_prime, c_beta=c_beta,
+                      c_beta_prime=c_beta_prime, theta_seq=th, stationary=stationary)
 
 
 # -- decomposition weights -------------------------------------------------------------
@@ -326,8 +311,8 @@ def memory_loss_bound(weights: WeightTable, n: int) -> float:
 
 
 class CouplingModel:
-    """Materialized law of the random sum: r_hat plus fast access to the
-    clamped composed-tail envelopes via anti-diagonal prefix sums."""
+    """Materialized law of the random sum: r_hat plus the clamped composed-tail
+    envelopes from anti-diagonal prefix sums (one table for a stationary family)."""
 
     def __init__(self, family: TailFamily, constants: CouplingConstants, horizon: int):
         if horizon < 1:
@@ -347,16 +332,33 @@ class CouplingModel:
         self.r_hat = hat_envelope(family.r)
         if len(self.r_hat.values) - 1 < horizon + 1 - constants.n0:
             raise HorizonError("measure tail r is tabulated too shallow for the horizon")
+        if family.stationary:
+            self._table = self._envelope_table()
+            return
         # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i') for the columns c <= horizon + 1
-        # that the envelopes read; h^{k+i}(m) sits in column i + m.
-        rows, depth = family.h_rows.shape[0], family.h_rows.shape[1] - 1
+        # that the envelopes read; h^{k+i}(m) sits in column i + m (rows and depth suffice).
         n_cols = self.horizon + 2
-        shifted = np.zeros((rows + 1, n_cols))
-        for i in range(min(rows, n_cols - 1)):
-            m = min(depth, n_cols - 1 - i)
-            shifted[i + 1, i + 1 : i + 1 + m] = family.h_rows[i, 1 : m + 1]
+        shifted = np.zeros((family.n_rows + 1, n_cols))
+        for i in range(n_cols - 1):
+            shifted[i + 1, i + 1 :] = family.h_rows[i, 1 : n_cols - i]
         self._prefix = np.cumsum(shifted, axis=0)
-        self._env_cache: dict[int, np.ndarray] = {}
+
+    def _envelope_table(self) -> np.ndarray:
+        """Read-only; row horizon - x is the clamped base-0 envelope of shift x for
+        l = 0..horizon - x + 1, then zeros.  Raw column c = x + l is one sequential cumsum
+        of the anti-diagonal h_rows[i, c - i], i < c: the prefix table's additions in order."""
+        h, n_cols = self.horizon, self.horizon + 2
+        table = np.zeros((h + 1, n_cols))
+        flat = table.reshape(-1)
+        rev = self.family.h_rows[:, ::-1]  # rev[i, depth - m] = h^{k+i}(m)
+        for c in range(1, n_cols):  # (x, c - x) sits at flat[(h - x) n_cols + c - x]
+            np.cumsum(rev.diagonal(rev.shape[1] - 1 - c)[:c], out=flat[h * n_cols + c :: -(n_cols + 1)][:c])
+        table *= self.constants.c_h
+        table[:, 0] = 1.0
+        np.minimum(table, 1.0, out=table)
+        np.minimum.accumulate(table, axis=1, out=table)
+        table.flags.writeable = False
+        return table
 
     def _envelopes(self, ts, s: int, length: int) -> np.ndarray:
         """env[i, l] = clamped composed tail hhat at base offset ts[i], shift
@@ -375,15 +377,12 @@ class CouplingModel:
         """env[l] = clamped composed tail hhat at base offset t, shift x,
         for l = 0..length (env[0] = 1).
 
-        Stationary families cache the full-horizon envelope per shift x
-        (the base offset is then immaterial)."""
+        For a stationary family the base offset is immaterial, and the
+        envelope is a read-only slice of the table built once."""
         if self.family.stationary:
-            cached = self._env_cache.get(x)
-            if cached is None:
-                cached = self._envelopes([0], x, max(self.horizon - x + 1, length))[0]
-                self._env_cache[x] = cached
-            if length <= len(cached) - 1:
-                return cached[: length + 1]
+            if not 0 <= x <= self.horizon or length > self.horizon - x + 1:
+                raise HorizonError("conditional tail requested beyond the envelope table")
+            return self._table[self.horizon - x, : length + 1]
         return self._envelopes([t], t + x, length)[0]
 
 
@@ -413,40 +412,41 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     n0 = 0 the last of them, (s, 0), receives mass from the others and
     loops on itself; it is resolved geometrically after them.  Each
     processed cell of W is dead, and keeps that state's share of the
-    "beyond" mass, which is summed in row-major order at the end.
+    "beyond" mass, which is summed in row-major order at the end.  W keeps
+    only its triangle t + x <= n_max (the rest stays 0), row t at off[t].
 
-    A stationary family's envelopes depend on the shift alone: row
-    n_max - x of E holds shift x, and D = E[:, :-1] - E[:, 1:] its push law,
-    both built once.  Anti-diagonal s then reads one block of rows from
-    n_max - s on, ascending in t.  Every sum runs in the order of a
-    per-state loop over t, then x (:func:`_weighted_rows`), so the table is
-    the same to the bit."""
+    A stationary family's envelopes depend on the shift alone: E, the last
+    n_max + 1 rows of the model's table, holds shift x in row n_max - x,
+    and D = E[:, :-1] - E[:, 1:] is their push law, built once.
+    Anti-diagonal s then reads one block of rows from n_max - s on,
+    ascending in t.  Every sum runs in the order of a per-state loop over
+    t, then x (:func:`_weighted_rows`), so the table is the same to the
+    bit."""
+    check_n_max(n_max)
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
     c = model.constants
     n0, th = c.n0, c.theta
     one_m = 1.0 - th
     rv = model.r_hat.values
-    W = np.zeros((n_max + 1, n_max + 1))
+    off = np.concatenate([[0], np.cumsum(np.arange(n_max + 1, 0, -1))])
+    W = np.zeros(off[-1])
     xs = np.arange(n0, n_max + 1)
-    if xs.size:
-        W[0, xs] = rv[xs - n0] - rv[xs + 1 - n0]
+    W[xs] = rv[xs - n0] - rv[xs + 1 - n0]
     beyond = float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
     stationary = model.family.stationary
     if stationary:
-        # row n_max - x is valid up to column n_max - x + 1
-        E = np.zeros((n_max + 1, n_max + 2))
-        for x in range(n0, n_max + 1):
-            E[n_max - x, : n_max - x + 2] = model.conditional_tail(0, x, n_max - x + 1)
+        E = model._table[model.horizon - n_max :, : n_max + 2]
         D = E[:, :-1] - E[:, 1:]
     coupled = np.zeros(n_max + 1)
     for s in range(n0, n_max + 1):
         ts = np.arange(s - n0 + 1)  # states (t, s - t) with shift >= n0
-        w = W[ts, s - ts]
+        cells = off[ts] + s - ts
+        w = W[cells]
         hi = n_max - s - n0
         if hi < 0:
             coupled[s] = np.cumsum(th * w)[-1]
-            W[ts, s - ts] = one_m * w
+            W[cells] = one_m * w
             continue
         m = len(ts) - 1 if n0 == 0 else len(ts)  # (s, 0) waits for the others
         if stationary:
@@ -455,21 +455,20 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
         else:
             env = model._envelopes(ts, s, hi + 1)
             push = env[:m, : hi + 1] - env[:m, 1 : hi + 2]
+        row = W[off[s] : off[s + 1]]  # W[s, x] for x = 0..n_max - s
         coef = one_m * w[:m]
         if m:
-            W[s, n0 : n0 + hi + 1] += _weighted_rows(coef, push)
+            row[n0:] += _weighted_rows(coef, push)
             coupled[s] = np.cumsum(th * w[:m])[-1]
-            W[ts[:m], s - ts[:m]] = coef * env[:m, hi + 1]
+            W[cells[:m]] = coef * env[:m, hi + 1]
         if n0 == 0:
             e = env[m]
-            w0 = W[s, 0] / (1.0 - one_m * (1.0 - e[1]))
+            w0 = row[0] / (1.0 - one_m * (1.0 - e[1]))
             coupled[s] += th * w0
-            W[s, 1 : hi + 1] += one_m * w0 * (e[1 : hi + 1] - e[2 : hi + 2])
-            W[s, 0] = one_m * w0 * e[hi + 1]
-    flat = W.reshape(-1)  # the dead cells after beyond, in row-major order
-    if flat.size:
-        flat[0] += beyond
-        beyond = float(np.cumsum(flat, out=flat)[-1])
+            row[1:] += one_m * w0 * (e[1 : hi + 1] - e[2 : hi + 2])
+            row[0] = one_m * w0 * e[hi + 1]
+    W[0] += beyond  # the dead cells after beyond, in row-major order
+    beyond = float(np.cumsum(W, out=W)[-1])
     tail = np.cumsum(np.concatenate([[beyond], coupled[::-1]]))[:0:-1]
     tail = np.minimum.accumulate(np.minimum(tail, 1.0))
     return TailTable(
@@ -489,10 +488,11 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     one ``searchsorted`` per distinct envelope (shift x for stationary
     families, (t, x) otherwise).  A nonstationary step builds its new keys'
     envelopes with one ``_envelopes`` call per anti-diagonal t + x."""
-    if samples < 10**4:
-        raise ParamError("samples must be >= 10**4")
+    check_n_max(n_max)
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
+    if samples < 10**4:
+        raise ParamError("samples must be >= 10**4")
     c = model.constants
     n0, th = c.n0, c.theta
     stationary = model.family.stationary
@@ -514,8 +514,11 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
         uniq, starts = np.unique(keys[order], return_index=True)
         # each key gets the longest envelope it can need: a walker whose
         # draw lands past its own room ends beyond n_max either way
-        if not stationary:
-            new = np.array([key for key in uniq.tolist() if key not in env_rev], dtype=np.int64)
+        new = np.array([key for key in uniq.tolist() if key not in env_rev], dtype=np.int64)
+        if stationary:
+            env_rev.update((key, model.conditional_tail(0, key, n_max - key + 1)[1:][::-1])
+                           for key in new.tolist())
+        else:
             new_t, new_x = np.divmod(new, over)
             for sv in np.unique(new_t + new_x).tolist():  # one anti-diagonal t + x = sv
                 on = new_t + new_x == sv
@@ -523,10 +526,7 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
                 env_rev.update(zip(new[on].tolist(), envs[:, 1:][:, ::-1]))
         counts = np.empty(live.size, dtype=np.int64)
         for key, a, b in zip(uniq.tolist(), starts.tolist(), [*starts[1:].tolist(), live.size]):
-            rev = env_rev.get(key)
-            if rev is None:
-                rev = model.conditional_tail(0, key, n_max - key + 1)[1:][::-1]
-                env_rev[key] = rev
+            rev = env_rev[key]
             idx = order[a:b]
             counts[idx] = len(rev) - rev.searchsorted(u[idx], side="right")
         nxt = n0 + counts

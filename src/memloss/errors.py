@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument check, shared across the package."""
 
 
 class MemlossError(Exception):
@@ -50,3 +50,9 @@ class FormatError(MemlossError, ValueError):
 
 class ConfigError(MemlossError, ValueError):
     """A JSON configuration document failed validation."""
+
+
+def check_n_max(n_max: int) -> None:
+    """Every table runs over n = 0..n_max, so n_max must be at least 1."""
+    if n_max < 1:
+        raise ParamError(f"n_max must be >= 1, got {n_max}")

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .errors import NonPositiveValue, ParamError
+from .errors import NonPositiveValue, ParamError, check_n_max
 from .maps import (
     Branch,
     Family,
@@ -259,8 +259,7 @@ def reference_set(params: MapParams) -> list[tuple[float, float]]:
 
 
 def _check_tail_args(n_max: int, base: str) -> None:
-    if n_max < 1:
-        raise ParamError(f"n_max must be >= 1, got {n_max}")
+    check_n_max(n_max)
     if base not in ("m_k", "lebesgue"):
         raise ParamError(f"base must be 'm_k' or 'lebesgue', got {base!r}")
 
@@ -382,25 +381,20 @@ def return_time_tail_mc(
     samples: int,
     seed: int,
     base: str = "m_k",
-    reference_sets: list[list[tuple[float, float]]] | None = None,
 ) -> TailTable:
     """Monte Carlo tail: sample the base measure, iterate maps forward,
     record the first entry into the moving reference set.
 
     Returns the empirical tail with binomial standard errors.  Orbits not
     returned by n_max are censored there (the tail values for n <= n_max
-    are unaffected).  ``reference_sets`` overrides the per-step targets
-    (testing hook).
+    are unaffected).
     """
     if samples < 1000:
         raise ParamError("samples must be >= 1000")
     _check_tail_args(n_max, base)
     entries, ids = _materialize(seq, k, n_max + 1)
     params = [entries[i] for i in ids]
-    if reference_sets is None:
-        sets = [reference_set(p) for p in params]
-    else:
-        sets = reference_sets
+    sets = [reference_set(p) for p in params]
     gen = np.random.default_rng(_rng.child_seed(seed, f"return-mc-{k}-{base}"))
     if base == "m_k":
         x = _sample_base(sets[0], samples, gen)

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParamError, ShapeMismatch
+from .errors import ParamError, ShapeMismatch, check_n_max
 from .maps import Branch, MapParams, inverse_branch_array, state_interval
 from .partitions import reference_set
 from .sequences import ParamSequence, param_at
@@ -378,8 +378,7 @@ def mixing_mass(seq: ParamSequence, k: int, n_max: int, n_cells: int = 2**12) ->
 
     Reference-set boundaries snap to the nearest cell edge; the worst snap
     distance is reported in the table notes."""
-    if n_max < 1:
-        raise ParamError(f"n_max must be >= 1, got {n_max}")
+    check_n_max(n_max)
     maps = _maps(seq, k, n_max + 1)
     lo, hi = state_interval(maps[0])
     proto = make_density("uniform", n_cells, (lo, hi))

@@ -364,13 +364,16 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: need 1 <= n_min < n_max <= {n_max}\n"
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("family", _FAMILY_ARGS, ids=lambda argv: argv[1])
-    @pytest.mark.parametrize("command", ["tails", "mixing"])
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param([command, *family], id=f"{command}-{family[1]}")
+          for command in ("tails", "mixing") for family in _FAMILY_ARGS),
+        pytest.param(["coupling"], id="coupling"),
+    ])
     @pytest.mark.parametrize("n_max", ["-5", "-1", "0"])
-    def test_n_max_below_one_exits_2_with_one_line(self, tmp_path, capsys, family, command, n_max):
+    def test_n_max_below_one_exits_2_with_one_line(self, tmp_path, capsys, argv, n_max):
         out = tmp_path / "out"
-        grid = ["--grid", "1024"] if command == "mixing" else []
-        assert run_cli([command, *family, "--n-max", n_max, *grid, "--out", str(out)]) == 2
+        grid = ["--grid", "1024"] if argv[0] == "mixing" else []
+        assert run_cli([*argv, "--n-max", n_max, *grid, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: n_max must be >= 1, got {n_max}\n"
         assert os.listdir(out) == []

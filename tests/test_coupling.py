@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,6 +17,7 @@ from memloss import rng as _rng
 from memloss import sequences as seqs
 from memloss.coupling import (
     CouplingConstants,
+    TailFamily,
     _weighted_rows,
     alpha_weights,
     build_model,
@@ -353,6 +355,14 @@ class TestSTailDp:
         with pytest.raises(errors.HorizonError):
             s_tail_dp(model, 150)
 
+    @pytest.mark.parametrize("n_max", [-3, 0])
+    def test_n_max_below_one_is_a_param_error(self, n_max):
+        model = _model(2.0, horizon=100)
+        with pytest.raises(errors.ParamError, match=f"n_max must be >= 1, got {n_max}"):
+            s_tail_dp(model, n_max)
+        with pytest.raises(errors.ParamError, match=f"n_max must be >= 1, got {n_max}"):
+            s_tail_mc(model, n_max, 10_000, seed=1)
+
     def test_matches_brute_force_stage_mixture(self):
         # independent oracle: P(S >= n) = sum_j P(tau = j) P(S_j >= n),
         # with the stage laws evolved as explicit state dictionaries and
@@ -597,12 +607,69 @@ class TestEnvelopeTable:
         full = np.zeros((rows + 1, rows + depth + 1))
         for i in range(rows):
             full[i + 1, i + 1 : i + 1 + depth] = h[i, 1:]
-        assert np.array_equal(model._prefix, np.cumsum(full, axis=0)[:, : horizon + 2])
+        prefix = np.cumsum(full, axis=0)
+        if stationary:
+            # one read-only table: row horizon - x is the base-0 envelope of
+            # shift x from the same prefix sums, then zeros
+            assert not hasattr(model, "_prefix") and not model._table.flags.writeable
+            for x in range(horizon + 1):
+                raw = model.constants.c_h * (prefix[x + 1, x + 1 : horizon + 2] - prefix[0, x + 1 : horizon + 2])
+                env = np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw, 1.0)), np.zeros(x)])
+                assert np.array_equal(model._table[horizon - x], env), x
+        else:
+            assert np.array_equal(model._prefix, prefix[:, : horizon + 2])
         assert len(model.conditional_tail(3, 5, horizon - 7)) == horizon - 6
         with pytest.raises(errors.HorizonError):
-            model._envelopes([0], 1, horizon + 1)
+            if stationary:
+                model.conditional_tail(0, 1, horizon + 1)
+            else:
+                model._envelopes([0], 1, horizon + 1)
         with pytest.raises(errors.HorizonError):
             model.conditional_tail(3, 5, horizon - 6 if not stationary else 2 * horizon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 1.0), min_size=62, max_size=62),
+        size=st.floats(1e-4, 1.0),
+        scales=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=70, max_size=70)),
+        horizon=st.integers(1, 60),
+        at=st.floats(0.0, 1.0),
+        K=st.floats(0.0, 1.0),
+    )
+    def test_table_rows_equal_the_prefix_envelopes(self, values, size, scales, horizon, at, K):
+        # a random nonincreasing row, shared or scaled per index; flagged
+        # stationary either way, since the table reads every row it is given.
+        # Small rows keep c_h times their sums below the clamp at 1, where a
+        # change in the order of the additions would show.
+        h = np.concatenate([[1.0], size * np.sort(values)[::-1]])
+        n = np.arange(1.0, len(h))
+        c_beta = max(1.0, float(np.max(n**1.01 * h[1:])))
+        row = TailTable(values=h, label="r")
+        tables = [row] * 70 if scales is None else [TailTable(values=a * h, label="r") for a in scales]
+        model = {flag: build_model(family_from_tables(1, row, tables, beta=1.01, beta_prime=1.01, c_beta=c_beta,
+                                                      c_beta_prime=c_beta, stationary=flag),
+                                   make_constants(K=K), horizon)
+                 for flag in (True, False)}
+        x = int(at * horizon)
+        length = horizon - x + 1
+        env = model[False]._envelopes([0], x, length)[0]
+        assert np.array_equal(model[True].conditional_tail(0, x, length), env)
+        assert np.array_equal(model[True]._table[horizon - x], np.concatenate([env, np.zeros(x)]))
+
+    def test_stationary_dp_memory_peak(self):
+        # the envelope table, the push law and the triangle of W: about 2.6
+        # tables of (n + 2)**2 floats, where three full copies of the
+        # envelopes and a square W took 4.7
+        n = 400
+        family = synthetic_poly_family(2.0, n_rows=n + 10, depth=2 * n + 30)
+        constants = make_constants(theta=0.25, n0=1, K=0.5)
+        tracemalloc.start()
+        try:
+            s_tail_dp(build_model(family, constants, n + 1), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 8 * (n + 2) ** 2
 
 
 class TestStailBound:
@@ -657,8 +724,6 @@ class TestEndToEnd:
 
 class TestFamilyValidation:
     def test_declared_bound_checked(self):
-        from memloss.coupling import TailFamily
-
         with pytest.raises(errors.ParamError, match="bound violated"):
             TailFamily(
                 k=1,
@@ -670,6 +735,18 @@ class TestFamilyValidation:
                 c_beta_prime=1.0,
                 theta_seq=np.zeros(2),
             )
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_first_violating_row_is_named(self, shared):
+        # with every Theta 0 all rows share one bound, checked in one pass;
+        # a shared row is checked once, and stands for the family's first row
+        m = np.arange(1.0, 41.0)
+        good = np.concatenate([[1.0], np.minimum(1.0, m**-2.0)])
+        bad = np.maximum(good, 0.01)
+        rows = np.broadcast_to(bad, (6, 41)) if shared else np.stack([good, good, bad, good, bad, good])
+        with pytest.raises(errors.ParamError, match="violated by tail row 5$" if shared else "row 7$"):
+            TailFamily(k=5, r=TailTable(values=good, label="r"), h_rows=rows, beta=2.0, beta_prime=2.0,
+                       c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(6))
 
     def test_large_theta_warns(self):
         m = np.arange(4.0)

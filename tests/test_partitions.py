@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from memloss import errors
+from memloss import errors, partitions
 from memloss import sequences as seqs
 from memloss.maps import Branch, cui, grossmann_horner, inverse_branch_array, lsv, pikovsky, state_interval
 from memloss.partitions import (
@@ -219,11 +219,11 @@ class TestReturnTimeTail:
 
 
 class TestReturnTimeTailMc:
-    def test_full_return_toy(self):
+    def test_full_return_toy(self, monkeypatch):
         # reference sets covering the whole interval force tau = 1
         s = seqs.constant(lsv(0.5))
-        sets = [[(0.0, 1.0)]] * 11
-        t = return_time_tail_mc(s, 1, 10, 2000, seed=1, reference_sets=sets)
+        monkeypatch.setattr(partitions, "reference_set", lambda params: [(0.0, 1.0)])
+        t = return_time_tail_mc(s, 1, 10, 2000, seed=1)
         assert t.values[1] == 1.0 and t.values[2] == 0.0
 
     def test_lsv_against_exact(self):
