@@ -47,7 +47,6 @@ from .maps import (
     eval_map,
     grossmann_horner,
     inverse_branch,
-    inverse_branch_derivative,
     lsv,
     pikovsky,
     state_interval,
@@ -71,14 +70,12 @@ from .sequences import (
     check_frequency,
     constant,
     explicit,
-    good_count,
     iid,
     load_sequence,
     markov,
     param_at,
     periodic,
     sequence_from_config,
-    shifted,
     theta_profile,
 )
 from .tables import TailTable

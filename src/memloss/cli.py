@@ -35,7 +35,7 @@ from .coupling import (
     s_tail_mc,
     synthetic_poly_family,
 )
-from .errors import ConfigError, MemlossError, check_n_max
+from .errors import ConfigError, MemlossError, check_config, check_n_max
 from .maps import state_interval
 from .partitions import (
     _return_time_tails,
@@ -241,20 +241,13 @@ def _cmd_frequency(args) -> dict:
     return summary
 
 
-_MODEL_KEYS = {
-    "theta", "n0", "K", "lambda", "diam", "delta0",
-    "beta", "beta_prime", "C_beta", "C_beta_prime", "Theta", "tails", "k", "horizon",
-}
+_MODEL_KEYS = dict.fromkeys(["theta", "K", "lambda", "diam", "delta0", "beta", "beta_prime",
+                             "C_beta", "C_beta_prime", "Theta"], "number")
+_MODEL_KEYS.update(n0="integer", k="integer", horizon="integer", tails="string")
 
 
 def _load_model_config(path: str) -> dict:
-    cfg = seqs._load_json(path)
-    if not isinstance(cfg, dict):
-        raise ConfigError("model config must be a JSON object")
-    unknown = set(cfg) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys in model config: {sorted(unknown)}")
-    return cfg
+    return check_config(seqs._load_json(path), _MODEL_KEYS, "model config")
 
 
 def _model_from_config(cfg: dict, horizon: int):
@@ -270,7 +263,10 @@ def _model_from_config(cfg: dict, horizon: int):
     beta_prime = cfg.get("beta_prime", beta)
     spec = cfg.get("tails", f"synthetic:poly:{beta}")
     if spec.startswith("synthetic:poly:"):
-        b = float(spec.split(":")[2])
+        try:
+            b = float(spec.split(":")[2])
+        except ValueError:
+            raise ConfigError(f"tails spec {spec!r} needs a number after 'synthetic:poly:'") from None
         fam = synthetic_poly_family(
             b, beta_prime=beta_prime, k=cfg.get("k", 1),
             n_rows=horizon + 10, depth=2 * horizon + 20,

@@ -553,9 +553,8 @@ class StailBoundReport:
     argmax_n: int
     ratios: np.ndarray = field(repr=False)
 
-    def plateau(self, n_max: int | None = None) -> bool:
-        limit = len(self.ratios) if n_max is None else n_max
-        return self.argmax_n <= limit // 2
+    def plateau(self) -> bool:
+        return self.argmax_n <= len(self.ratios) // 2
 
 
 def check_stail_bound(

@@ -339,31 +339,3 @@ def inverse_branch_array(params: MapParams, branch: Branch, y: np.ndarray) -> np
         return -_pik_g_plus(-y, params.gamma)
     gp = (1.0 - y) ** 2 / 4.0
     return gp if branch is Branch.RIGHT else -gp
-
-
-def inverse_branch_derivative(params: MapParams, branch: Branch, y: float) -> float:
-    """|d/dy inverse_branch(y)| = 1 / |T'(inverse_branch(y))|."""
-    _check_image(params, y)
-    fam = params.family
-    if fam is Family.CUI and branch is Branch.RIGHT and y == 0.0 and params.beta > 1.0:
-        raise SingularPoint("T' vanishes at the critical point for beta > 1")
-    if fam is Family.PIKOVSKY and (y if branch is Branch.RIGHT else -y) == -1.0:
-        raise SingularPoint("T' is infinite at the branch preimage of -1")
-    if fam is Family.GROSSMANN_HORNER and y == 1.0:
-        raise SingularPoint("T' is infinite at x = 0")
-    return _at(_inverse_derivative_array, params, branch, y)
-
-
-def _inverse_derivative_array(params: MapParams, branch: Branch, y: np.ndarray) -> np.ndarray:
-    fam = params.family
-    g = params.gamma
-    if fam in (Family.LSV, Family.CUI):
-        if branch is Branch.LEFT:
-            return 1.0 / _lsv_slope(_lsv_left_inverse_array(y, g), g)
-        if fam is Family.LSV:
-            return np.full_like(y, 0.5)
-        b = params.beta
-        return y ** (1.0 / b - 1.0) / (2.0 * b)
-    if fam is Family.PIKOVSKY:
-        return _pik_g_plus_deriv(y if branch is Branch.RIGHT else -y, g)
-    return (1.0 - y) / 2.0

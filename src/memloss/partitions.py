@@ -170,9 +170,9 @@ class PartitionEndpoints:
     from its creep cells and need none):
 
     * LSV/Cui: ``x[n]``, ``y[n]`` for n = 0..n_max.
-    * Pikovsky: ``u[n] = 1 - x_plus[n]`` for n = 0..n_max+1 at base k,
+    * Pikovsky: ``u[n] = 1 - x_n^+`` for n = 0..n_max+1 at base k,
       ``u_next`` the same chain at base k+1 (to depth n_max), and
-      ``delta_bound[n] = |g_minus(x_plus[n-1] at k+1)|``, the outer
+      ``delta_bound[n] = |g_minus(1 - u_next[n-1])|``, the outer
       boundary of the union of little cells with return time >= n.
     """
 
@@ -185,10 +185,6 @@ class PartitionEndpoints:
     u_next: np.ndarray | None = None
     delta_bound: np.ndarray | None = None
     gamma_k: float | None = None
-
-    @property
-    def x_plus(self) -> np.ndarray:
-        return 1.0 - self.u
 
 
 def _fill_groups(ks: list[int], n_max: int) -> list[list[int]]:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence as SeqType
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DepthError, NoGoodMaps, ParamError
+from .errors import ConfigError, DepthError, NoGoodMaps, ParamError, check_config, has_type
 from .maps import Family, MapParams, cui, grossmann_horner, lsv, pikovsky, validate_params
 from .tables import TailTable
 
@@ -42,14 +42,8 @@ class ParamSequence:
     transition: tuple[tuple[float, ...], ...] | None = None
     init: tuple[float, ...] | None = None
     seed: int = 0
-    offset: int = 0  # shifted view: element k reads base element k + offset
     _markov_cache: list = field(default_factory=list, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def __len__(self):
-        if self.kind == "explicit":
-            return max(len(self.entries) - self.offset, 0)
-        raise TypeError(f"{self.kind} sequences are unbounded")
 
 
 def _common_family(entries: SeqType[MapParams]) -> Family:
@@ -126,14 +120,6 @@ def markov(
     )
 
 
-def shifted(seq: ParamSequence, offset: int) -> ParamSequence:
-    """View of seq starting at element offset + 1 (its element k is
-    seq's element k + offset)."""
-    if offset < 0:
-        raise ParamError("offset must be >= 0")
-    return replace(seq, offset=seq.offset + offset)
-
-
 # -- element access -----------------------------------------------------------
 
 
@@ -168,19 +154,18 @@ def _entry_indices(seq: ParamSequence, k: int, length: int) -> np.ndarray:
         raise ParamError(f"k must be >= 1, got {k}")
     if length < 0:
         raise ParamError("length must be >= 0")
-    start = k + seq.offset  # base index of element k
-    last = start + length - 1
+    last = k + length - 1
     n = len(seq.entries)
     if seq.kind == "explicit":
         if length and last > n:
             raise DepthError(f"explicit sequence has {n} entries, asked for {last}")
-        return np.arange(start - 1, last)
-    ks = np.arange(start, last + 1)
+        return np.arange(k - 1, last)
+    ks = np.arange(k, last + 1)
     if seq.kind == "periodic":
         return (ks - 1) % n
     if seq.kind == "iid":
         return _iid_indices(seq, ks)
-    return np.asarray(_markov_states(seq, last)[start - 1 : last], dtype=np.intp)
+    return np.asarray(_markov_states(seq, last)[k - 1 : last], dtype=np.intp)
 
 
 def param_at(seq: ParamSequence, k: int) -> MapParams:
@@ -194,13 +179,6 @@ def gammas(seq: ParamSequence, k: int, length: int) -> np.ndarray:
 
 
 # -- frequency statistics ------------------------------------------------------
-
-
-def good_count(seq: ParamSequence, k: int, length: int, threshold: float) -> int:
-    """#{k <= j <= k+length-1 : gamma_j <= threshold}."""
-    if length < 1:
-        raise ParamError("length must be >= 1")
-    return int(np.count_nonzero(gammas(seq, k, length) <= threshold))
 
 
 def _running_frequency(seq: ParamSequence, threshold: float, n_max: int) -> np.ndarray:
@@ -262,32 +240,23 @@ def theta_profile(seq: ParamSequence, threshold: float, b: float, n_max: int):
 
 # -- JSON config ingestion -----------------------------------------------------
 
-_FAMILY_NAMES = {
-    "lsv": Family.LSV,
-    "cui": Family.CUI,
-    "pikovsky": Family.PIKOVSKY,
-    "gh": Family.GROSSMANN_HORNER,
-}
+_FAMILY_NAMES = {f.value: f for f in Family}
 
-_ALLOWED_KEYS = {"kind", "family", "support", "probs", "transition", "init", "seed", "cycle"}
+_CONFIG_KEYS = {"kind": "string", "family": "string", "support": "list", "cycle": "list", "seed": "integer",
+                "probs": "list of number", "init": "list of number", "transition": "list of list of number"}
 
 
 def _entry_to_params(entry, family: Family) -> MapParams:
-    if isinstance(entry, (int, float)):
-        values = {"gamma": float(entry)}
-    elif isinstance(entry, dict):
-        values = dict(entry)
-    else:
-        raise ConfigError(f"sequence entry must be a number or object, got {entry!r}")
+    values = {"gamma": float(entry)} if has_type(entry, "number") else entry
+    if not (isinstance(values, dict) and all(has_type(v, "number") for v in values.values())):
+        raise ConfigError(f"sequence entry must be a number or an object of numbers, got {entry!r}")
     try:
         if family is Family.LSV:
-            return lsv(values.pop("gamma"))
+            return lsv(values["gamma"])
         if family is Family.CUI:
-            return cui(values.pop("gamma"), values.pop("beta"))
+            return cui(values["gamma"], values["beta"])
         if family is Family.PIKOVSKY:
-            return pikovsky(values.pop("gamma"))
-        values.pop("gamma", None)
-        values.pop("eta", None)
+            return pikovsky(values["gamma"])
         return grossmann_horner()
     except KeyError as e:
         raise ConfigError(f"sequence entry {entry!r} is missing key {e}") from None
@@ -301,13 +270,9 @@ def sequence_from_config(config: dict) -> ParamSequence:
     Schema: {"kind": "iid"|"markov"|"periodic"|"explicit", "family": str,
     "support": [...], "probs": [...], "transition": [[...]], "init": [...],
     "seed": int, "cycle": [...]}.  Periodic and explicit sequences list
-    their entries under "cycle".  Unknown keys are rejected.
+    their entries under "cycle".  Unknown keys and mistyped values are rejected.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("sequence config must be a JSON object")
-    unknown = set(config) - _ALLOWED_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys in sequence config: {sorted(unknown)}")
+    check_config(config, _CONFIG_KEYS, "sequence config")
     try:
         kind = config["kind"]
         family = _FAMILY_NAMES[config["family"]]

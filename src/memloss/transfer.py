@@ -114,16 +114,15 @@ def make_density(
     n_cells: int,
     interval: tuple[float, float] = (0.0, 1.0),
     *,
-    exponent: float = 1.0,
     profile: int = 1,
     beta: float = 0.5,
 ) -> GridDensity:
     """Normalized seed densities.
 
     kind = "uniform";
-    kind = "holder": the fixed closed form 1 + ((1 + cos(2 pi p t)) / 2)**alpha / 2
-    on the unit coordinate t, with alpha = ``exponent`` and p = ``profile``
-    (distinct profiles give distinct densities);
+    kind = "holder": the fixed closed form 1 + (1 + cos(2 pi p t)) / 4 on the
+    unit coordinate t, with p = ``profile`` (distinct profiles give distinct
+    densities);
     kind = "cone": exact cell averages of c * x**(-beta) on (0, 1], the
     extremal member of the decreasing-density cone with that exponent.
     """
@@ -135,7 +134,7 @@ def make_density(
     if kind == "holder":
         t = (np.arange(n_cells) + 0.5) / n_cells
         base = 0.5 * (1.0 + np.cos(2.0 * np.pi * profile * t))
-        vals = 1.0 + 0.5 * base**exponent
+        vals = 1.0 + 0.5 * base
         d = GridDensity(vals, interval)
         return GridDensity(vals / d.mass, interval)
     if kind == "cone":

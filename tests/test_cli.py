@@ -327,6 +327,9 @@ class TestSummarize:
         assert abs(fits[0] - fits[1]) <= 0.3
 
 
+_IID = {"kind": "iid", "family": "lsv", "support": [0.5, 0.8], "probs": [0.5, 0.5], "seed": 1}
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["tails", "--n-max", "50"],
@@ -392,6 +395,40 @@ class TestInputErrors:
                         "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot create --out directory")
+
+    @pytest.mark.parametrize("flag,config,needle", [
+        pytest.param("--model", {"tails": 5}, "'tails'", id="tails-int"),
+        pytest.param("--model", {"theta": "abc"}, "'theta'", id="theta-str"),
+        pytest.param("--model", {"horizon": "x"}, "'horizon'", id="horizon-str"),
+        pytest.param("--model", {"beta": "2"}, "'beta'", id="beta-str"),
+        pytest.param("--model", {"k": "a"}, "'k'", id="k-str"),
+        pytest.param("--model", {"n0": 1.5}, "'n0'", id="n0-float"),
+        pytest.param("--model", {"k": True}, "'k'", id="k-bool"),
+        pytest.param("--model", {"horizon": 30.0}, "'horizon'", id="horizon-float"),
+        pytest.param("--model", {"tails": "synthetic:poly:abc"}, "'synthetic:poly:abc'", id="tails-spec"),
+        pytest.param("--config", {**_IID, "seed": "abc"}, "'seed'", id="seed-str"),
+        pytest.param("--config", {**_IID, "seed": 1.7}, "'seed'", id="seed-float"),
+        pytest.param("--config", {**_IID, "seed": False}, "'seed'", id="seed-bool"),
+        pytest.param("--config", {**_IID, "probs": "x"}, "'probs'", id="probs-str"),
+        pytest.param("--config", {"kind": "periodic", "family": "lsv", "cycle": 5}, "'cycle'", id="cycle-int"),
+        pytest.param("--config", {"kind": "periodic", "family": ["lsv"], "cycle": [0.5]}, "'family'",
+                     id="family-list"),
+        pytest.param("--config", {"kind": "periodic", "family": "lsv", "cycle": [{"gamma": "a"}]}, "'gamma'",
+                     id="entry-str"),
+        pytest.param("--config", {"kind": "markov", "family": "lsv", "support": [0.5, 0.8],
+                                  "transition": [[0.5, "a"], [0.5, 0.5]], "seed": 1}, "'transition'",
+                     id="transition-str"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, flag, config, needle):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = (["coupling", "--n-max", "20", "--samples", "10000"] if flag == "--model"
+                else ["tails", "--n-max", "50"])
+        assert run_cli([*argv, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert os.listdir(out) == []
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = run_cli(["memloss", "--config", str(tmp_path / "nope.json"), "--n-max", "10",

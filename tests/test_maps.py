@@ -15,7 +15,6 @@ from memloss.maps import (
     grossmann_horner,
     inverse_branch,
     inverse_branch_array,
-    inverse_branch_derivative,
     lsv,
     pikovsky,
     state_interval,
@@ -108,18 +107,25 @@ class TestInverse:
             inverse_branch(lsv(0.5), Branch.LEFT, 1.5)
 
 
+def _inverse_derivative(params, branch, y):
+    return 1.0 / abs(derivative(params, inverse_branch(params, branch, y)))
+
+
 class TestInverseDerivative:
+    """|d/dy inverse_branch(y)| = 1 / |T'(inverse_branch(y))|."""
+
     def test_lsv_right_half(self):
-        assert inverse_branch_derivative(lsv(0.7), Branch.RIGHT, 0.3) == 0.5
+        assert _inverse_derivative(lsv(0.7), Branch.RIGHT, 0.3) == 0.5
 
     def test_pikovsky_at_zero(self):
-        assert inverse_branch_derivative(pikovsky(1.5), Branch.RIGHT, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert _inverse_derivative(pikovsky(1.5), Branch.RIGHT, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_pikovsky_near_one(self):
-        v = inverse_branch_derivative(pikovsky(1.5), Branch.RIGHT, 1.0 - 1e-10)
+        v = _inverse_derivative(pikovsky(1.5), Branch.RIGHT, 1.0 - 1e-10)
         assert v == pytest.approx(1.0, abs=1e-4)
 
     def test_matches_reciprocal_forward_derivative(self):
+        h = 1e-6
         for params in ALL_PARAMS:
             for branch in Branch:
                 for y in (-0.63, -0.2, 0.11, 0.57, 0.9):
@@ -131,8 +137,9 @@ class TestInverseDerivative:
                         continue
                     if params.family in (Family.LSV, Family.CUI) and x == 0.5:
                         continue
-                    got = inverse_branch_derivative(params, branch, y)
-                    assert got == pytest.approx(1.0 / abs(derivative(params, x)), rel=1e-9)
+                    up, down = (inverse_branch(params, branch, y + d) for d in (h, -h))
+                    slope = (up - down) / (2 * h)
+                    assert abs(slope) == pytest.approx(1.0 / abs(derivative(params, x)), rel=1e-6)
 
 
 class TestValidate:
@@ -286,7 +293,7 @@ class TestScalarEntriesMatchArrays:
     @settings(max_examples=80, deadline=2000)
     @given(params=_any_map(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
     def test_bit_for_bit(self, params, u):
-        from memloss.maps import _derivative_array, _inverse_derivative_array
+        from memloss.maps import _derivative_array
 
         lo, hi = state_interval(params)
         pts = np.concatenate([lo + (hi - lo) * np.array(u), [lo, 0.5 * (lo + hi), hi]])
@@ -294,15 +301,12 @@ class TestScalarEntriesMatchArrays:
             fwd = eval_map_array(params, pts)
             der = _derivative_array(params, pts)
             inv = {b: inverse_branch_array(params, b, pts) for b in Branch}
-            inv_d = {b: _inverse_derivative_array(params, b, pts) for b in Branch}
         for i, v in enumerate(pts.tolist()):
             assert _same_float(lambda: eval_map(params, v), fwd[i]), ("eval_map", v)
             assert _same_float(lambda: derivative(params, v), der[i]), ("derivative", v)
         for branch in Branch:
             for i, v in enumerate(pts.tolist()):
                 assert _same_float(lambda: inverse_branch(params, branch, v), inv[branch][i]), (branch, v)
-                assert _same_float(lambda: inverse_branch_derivative(params, branch, v),
-                                   inv_d[branch][i]), (branch, v)
 
     @settings(max_examples=60, deadline=2000)
     @given(

@@ -116,14 +116,15 @@ class TestLsvEndpoints:
 class TestPikovskyEndpoints:
     def test_first_points(self):
         ep = pikovsky_endpoints(seqs.constant(pikovsky(1.5)), 1, 10)
-        assert ep.x_plus[0] == 0.0
-        assert ep.x_plus[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        # u = 1 - x_plus: the right-branch pullbacks of 0 are 0, 1/3, ...
+        assert ep.u[0] == 1.0
+        assert ep.u[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_symmetry_is_structural(self):
         # left endpoints are negatives of right endpoints by oddness of the
         # map; the chain stores the right side only.
         ep = pikovsky_endpoints(seqs.constant(pikovsky(2.0)), 1, 50)
-        assert np.all(np.diff(ep.x_plus) > 0)
+        assert np.all(np.diff(ep.u) < 0)
 
     def test_stationary_gap_slope(self):
         ep = pikovsky_endpoints(seqs.constant(pikovsky(2.0)), 1, 1000)
@@ -190,10 +191,13 @@ class TestReturnTimeTail:
         assert np.max(np.abs(t.values[1:] - two_way)) <= 1e-12
 
     def test_shift_identity(self):
-        s = seqs.periodic([lsv(0.5), lsv(0.7), lsv(0.6)])
+        # element j of the rotated cycle is element j + k - 1 of s
+        cycle = [lsv(0.5), lsv(0.7), lsv(0.6)]
+        s = seqs.periodic(cycle)
         for k in (2, 3, 5):
             direct = return_time_tail(s, k, 100, base="m_k")
-            via_shift = return_time_tail(seqs.shifted(s, k - 1), 1, 100, base="m_k")
+            r = (k - 1) % 3
+            via_shift = return_time_tail(seqs.periodic(cycle[r:] + cycle[:r]), 1, 100, base="m_k")
             assert np.allclose(direct.values, via_shift.values, atol=1e-14)
 
     def test_monotone_domination(self):

@@ -1,0 +1,32 @@
+"""The README's library example runs and its comments hold."""
+
+import pathlib
+import re
+
+import numpy as np
+
+import memloss as ml
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_library_example_runs_and_its_comments_hold():
+    (code,) = _python_blocks()
+    names = {}
+    exec(compile(code, str(README), "exec"), names)
+    # "slope close to -2" on the tail's fit, "-1" on the curve's
+    claims = re.findall(r"^(\w+) = .*# slope close to (-?\d+)$", code, re.M)
+    assert [name for name, _ in claims] == ["fit", "curve"]
+    targets = {name: float(value) for name, value in claims}
+
+    assert abs(names["fit"].slope - targets["fit"]) <= 0.15
+
+    tv = names["curve"].values
+    assert len(tv) == 201
+    assert np.all((tv >= 0.0) & (tv <= 1.0))
+    assert np.all(np.diff(tv) <= 0.0)
+    assert abs(ml.fit_power_law(names["curve"], 10, 200).slope - targets["curve"]) <= 0.3

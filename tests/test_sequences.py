@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memloss import errors
 from memloss import rng as _rng
@@ -66,16 +68,10 @@ class TestParamAt:
         with pytest.raises(errors.ParamError, match="one family"):
             seqs.explicit([lsv(0.5), pikovsky(1.5)])
 
-    def test_shifted_view(self):
-        s = alternating()
-        assert seqs.param_at(seqs.shifted(s, 1), 1).gamma == 0.8
-        assert seqs.param_at(seqs.shifted(s, 2), 1).gamma == 0.5
-
 
 def _reference_index(seq, k, states):
     """Entry index of element k, one index at a time as the scalar accessor
     computed it; ``states`` holds the Markov chain's prefix."""
-    k += seq.offset
     n = len(seq.entries)
     if seq.kind == "explicit":
         if k > n:
@@ -104,17 +100,19 @@ _KINDS = {
 
 
 class TestEntryIndices:
-    @pytest.mark.parametrize("offset", [0, 7])
+    @pytest.mark.parametrize("skip", [0, 7])
     @pytest.mark.parametrize("kind", sorted(_KINDS))
-    def test_bulk_matches_one_index_at_a_time(self, kind, offset):
-        seq = seqs.shifted(_KINDS[kind](), offset)
+    def test_bulk_matches_one_index_at_a_time(self, kind, skip):
+        # windows from base index 1 + skip on, up to element 53
+        seq = _KINDS[kind]()
         states = []
-        ref = [_reference_index(seq, j, states) for j in range(1, 54 - offset)]
-        for k, length in [(1, 53 - offset), (5, 20), (30, 1), (9, 0)]:
+        ref = [_reference_index(seq, j, states) for j in range(1, 54)]
+        for k, length in [(1 + skip, 53 - skip), (5 + skip, 20), (30 + skip, 1), (9 + skip, 0)]:
             got = seqs._entry_indices(seq, k, length)
             assert got.tolist() == ref[k - 1 : k - 1 + length]
-        assert [seqs.param_at(seq, j) for j in range(1, 54 - offset)] == [seq.entries[i] for i in ref]
-        assert np.array_equal(seqs.gammas(seq, 3, 40), [seq.entries[i].gamma for i in ref[2:42]])
+        assert [seqs.param_at(seq, j) for j in range(1 + skip, 54)] == [seq.entries[i] for i in ref[skip:]]
+        got = seqs.gammas(seq, 3 + skip, 40)
+        assert np.array_equal(got, [seq.entries[i].gamma for i in ref[2 + skip : 42 + skip]])
 
     def test_past_explicit_end(self):
         seq = _KINDS["explicit"]()
@@ -122,8 +120,8 @@ class TestEntryIndices:
         with pytest.raises(errors.DepthError, match="asked for 61"):
             seqs._entry_indices(seq, 51, 11)
         with pytest.raises(errors.DepthError):
-            seqs._entry_indices(seqs.shifted(seq, 10), 50, 2)
-        assert len(seqs._entry_indices(seqs.shifted(seq, 60), 1, 0)) == 0
+            seqs._entry_indices(seq, 60, 2)
+        assert len(seqs._entry_indices(seq, 61, 0)) == 0
         with pytest.raises(errors.ParamError):
             seqs._entry_indices(seq, 0, 3)
 
@@ -138,20 +136,37 @@ class TestEntryIndices:
         else:
             assert seq.entries.index(seqs.param_at(seq, 120)) == ref[119]
             assert seq.entries.index(seqs.param_at(seq, 3)) == ref[2]
-            assert seqs._entry_indices(seqs.shifted(seq, 100), 1, 500).tolist() == ref[100:]
+            assert seqs._entry_indices(seq, 101, 500).tolist() == ref[100:]
         assert seq._markov_cache == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(_KINDS)), k=st.integers(1, 30), o=st.integers(0, 15),
+           length=st.integers(0, 14), late_first=st.booleans())
+    def test_window_at_a_later_base_index(self, kind, k, o, length, late_first):
+        # the window at base index k + o is the tail of a longer one at k;
+        # a fresh Markov sequence fills its cache from either call first
+        seq = _KINDS[kind]()
+        late, whole = (k + o, length), (k, o + length)
+        got = {w: seqs._entry_indices(seq, *w) for w in ([late, whole] if late_first else [whole, late])}
+        assert got[late].tolist() == got[whole][o:].tolist()
+
+
+def good_count(seq, k, length, threshold):
+    """#{k <= j <= k+length-1 : gamma_j <= threshold}, as the README's note
+    on the removed ``sequences.good_count`` writes it."""
+    return int(np.count_nonzero(seqs.gammas(seq, k, length) <= threshold))
 
 
 class TestGoodCount:
     def test_alternating(self):
-        assert seqs.good_count(alternating(), 1, 10, 0.6) == 5
+        assert good_count(alternating(), 1, 10, 0.6) == 5
 
     def test_below_min(self):
-        assert seqs.good_count(alternating(), 1, 10, 0.3) == 0
+        assert good_count(alternating(), 1, 10, 0.3) == 0
 
     def test_constant(self):
         s = seqs.constant(lsv(0.5))
-        assert seqs.good_count(s, 7, 13, 0.5) == 13
+        assert good_count(s, 7, 13, 0.5) == 13
 
     def test_additivity(self):
         s = seqs.iid([lsv(0.5), lsv(0.8)], [0.3, 0.7], seed=11)
@@ -160,8 +175,8 @@ class TestGoodCount:
             k = int(rng.integers(1, 50))
             l1 = int(rng.integers(1, 40))
             l2 = int(rng.integers(1, 40))
-            whole = seqs.good_count(s, k, l1 + l2, 0.6)
-            parts = seqs.good_count(s, k, l1, 0.6) + seqs.good_count(s, k + l1, l2, 0.6)
+            whole = good_count(s, k, l1 + l2, 0.6)
+            parts = good_count(s, k, l1, 0.6) + good_count(s, k + l1, l2, 0.6)
             assert whole == parts
 
 

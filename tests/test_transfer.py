@@ -46,7 +46,7 @@ class TestMakeDensity:
         assert d.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_holder_normalized(self):
-        d = make_density("holder", N, exponent=1.0, profile=2)
+        d = make_density("holder", N, profile=2)
         assert d.mass == pytest.approx(1.0, abs=1e-12)
         assert not np.all(d.values == d.values[0])
 
