@@ -203,8 +203,8 @@ def _cmd_mixing(args) -> dict:
 def _cmd_evolve(args) -> dict:
     seq = _sequence_from_args(args)
     lo, hi = state_interval(param_at(seq, 1))
-    f = make_density(args.density, args.grid, (lo, hi), profile=args.profile, beta=args.cone_beta)
-    out = evolve(seq, f, args.steps)
+    out = evolve(seq, make_density(args.density, args.grid, (lo, hi), profile=args.profile,
+                                   beta=args.cone_beta), args.steps)  # held nowhere else: freed after step 1
     path = os.path.join(args.out, "density.csv")
     csvio.write_columns(path, "density", [out.midpoints(), out.values])
     summary = {
@@ -251,6 +251,8 @@ def _load_model_config(path: str) -> dict:
 
 
 def _model_from_config(cfg: dict, horizon: int):
+    if cfg.get("k", 1) < 1:
+        raise ConfigError(f"model config: 'k' must be >= 1, got {cfg['k']}")
     constants = make_constants(
         theta=cfg.get("theta", 0.25),
         n0=cfg.get("n0", 1),
@@ -267,6 +269,9 @@ def _model_from_config(cfg: dict, horizon: int):
             b = float(spec.split(":")[2])
         except ValueError:
             raise ConfigError(f"tails spec {spec!r} needs a number after 'synthetic:poly:'") from None
+        for key, own in {"Theta": 0.0, "C_beta": 1.0, "C_beta_prime": 1.0}.items():  # the family's own
+            if cfg.get(key, own) != own:
+                raise ConfigError(f"model config: {key!r} must be {own} or absent with {spec!r} tails")
         fam = synthetic_poly_family(
             b, beta_prime=beta_prime, k=cfg.get("k", 1),
             n_rows=horizon + 10, depth=2 * horizon + 20,

@@ -90,13 +90,13 @@ def read_csv(path: str) -> tuple[str, dict[str, np.ndarray]]:
                 ragged = next((ln for ln in rows if ln.count(",") != len(header) - 1), None)
                 if ragged is not None:
                     raise FormatError(f"{path}: ragged row {ragged!r}")
-                cells = [c or "nan" for c in ",".join(rows).split(",")] if rows else []
-                blocks.append(np.array(cells, dtype=float).reshape(-1, len(header)))
+                cells = np.array([c or "nan" for c in ",".join(rows).split(",")] if rows else [], dtype=float)
+                blocks.append(cells.reshape(-1, len(header)))  # its strings freed before the next block's
     except FormatError:
         raise
     except (OSError, ValueError) as e:  # ValueError: a cell or byte that does not decode
         raise FormatError(f"{path}: {e}") from None
-    data = np.concatenate(blocks)
-    if not len(data):
+    columns = [np.concatenate([b[:, i] for b in blocks]) for i in range(len(header))]
+    if not len(columns[0]):
         raise FormatError(f"{path}: no data rows")
-    return kind, dict(zip(header, data.T.copy()))
+    return kind, dict(zip(header, columns))

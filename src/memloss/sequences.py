@@ -248,8 +248,8 @@ _CONFIG_KEYS = {"kind": "string", "family": "string", "support": "list", "cycle"
 
 def _entry_to_params(entry, family: Family) -> MapParams:
     values = {"gamma": float(entry)} if has_type(entry, "number") else entry
-    if not (isinstance(values, dict) and all(has_type(v, "number") for v in values.values())):
-        raise ConfigError(f"sequence entry must be a number or an object of numbers, got {entry!r}")
+    check_config(values, dict.fromkeys(["gamma", "beta"] if family is Family.CUI else ["gamma"], "number"),
+                 f"sequence entry {entry!r}")
     try:
         if family is Family.LSV:
             return lsv(values["gamma"])

@@ -16,12 +16,13 @@ A step has two parts: the map's interpolation plan, which depends only on
 the map and the grid, and its application to a density.  Per branch, the
 plan holds each clipped edge image u's cell j (edges[j] <= u < edges[j+1]),
 found arithmetically because every allowed grid's edges are exactly lo + i w
-with w a power of two, and the fraction (u - edges[j]) / w.  Applied in
-blocks of 2**14 edges, it reproduces ``np.interp``'s arithmetic on the
-prefix integral float for float.  :func:`evolve`, :func:`memory_loss_curve`
-and :func:`mixing_mass` compute each distinct map's plan at its first step
-and drop it after its last, holding four arrays of N+1 per distinct map
-still ahead.  Nothing is cached between calls.
+with w a power of two, and the fraction (u - edges[j]) / w.  Built and
+applied in blocks of 2**14 edges, it gives ``np.interp``'s floats on the
+prefix integral, and a step holds only the plan, the prefix and the density
+in and out.  :func:`evolve`, :func:`memory_loss_curve` and
+:func:`mixing_mass` compute each distinct map's plan at its first step and
+drop it after its last, holding four arrays of N+1 per distinct map still
+ahead.  Nothing is cached between calls.
 
 :func:`memory_loss_curve` pushes the signed difference h = f - g (the
 operator is linear), keeping each branch's orientation sign where a density
@@ -233,7 +234,9 @@ def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.nda
     if f.interval != (lo, hi):
         raise ShapeMismatch(f"density lives on {f.interval}, map on {(lo, hi)}")
     edges = f.edges()
-    images = (np.clip(inverse_branch_array(params, b, edges), lo, hi) for b in Branch)
+    images = [np.empty_like(edges) for _ in Branch]  # filled a block at a time: see rootfind
+    for (b, u), s in itertools.product(zip(Branch, images), range(0, len(edges), _BLOCK)):
+        np.clip(inverse_branch_array(params, b, edges[s : s + _BLOCK]), lo, hi, out=u[s : s + _BLOCK])
     return tuple((1.0 if u[-1] >= u[0] else -1.0, u) for u in images)
 
 
@@ -241,16 +244,17 @@ def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarr
     """Per branch: its sign, the cell j of each edge image u (N for u = hi)
     and the fraction (u - edges[j]) / w, over u.  The edges are exactly
     lo + i w, so the rounded (u - lo) / w is u's cell or the next one."""
-    images = _edge_images(params, f)  # first, so its root-find runs without a second edges array
+    # the images first, so their root-find runs without a second edges array
+    plan = tuple((sign, np.empty(len(u), np.intp), u) for sign, u in _edge_images(params, f))
     lo, w, edges = f.interval[0], f.cell_width, f.edges()
-    plan = []
-    for sign, u in images:
-        j = np.clip(np.floor((u - lo) / w), 0, f.n_cells).astype(np.intp)
-        j -= edges[j] > u
-        u -= edges[j]
-        u /= w
-        plan.append((sign, j, u))
-    return tuple(plan)
+    for _, j, u in plan:
+        for s in range(0, len(u), _BLOCK):  # u turns into t in place
+            us, js = u[s : s + _BLOCK], j[s : s + _BLOCK]
+            js[:] = np.clip(np.floor((us - lo) / w), 0, f.n_cells)
+            js -= edges[js] > us
+            us -= edges[js]
+            us /= w
+    return plan
 
 
 def _apply_images(plan: tuple[tuple[float, np.ndarray, np.ndarray], ...], f: GridDensity) -> GridDensity:
@@ -260,19 +264,20 @@ def _apply_images(plan: tuple[tuple[float, np.ndarray, np.ndarray], ...], f: Gri
     t is exact, so the product has the same real value and rounding."""
     n, w = f.n_cells, f.cell_width
     pre = np.empty(n + 2)
-    pre[0] = 0.0
-    np.multiply(np.cumsum(f.values), w, out=pre[1:-1])
-    pre[-1] = pre[-2]  # an image at hi has j = N and t = 0
-    rise = pre[1:] - pre[:-1]  # once per cell, not per edge image
+    np.multiply(np.cumsum(f.values, out=pre[1:-1]), w, out=pre[1:-1])
+    pre[0], pre[-1] = 0.0, pre[-2]  # an image at hi has j = N and t = 0
     out = np.zeros(n)
     signed = isinstance(f, _SignedGrid)
+    base, p = np.empty((2, min(n, _BLOCK) + 1))  # shared by the blocks, which then allocate nothing
     for sign, j, t in plan:
         for s in range(0, n, _BLOCK):
             js = j[s : s + _BLOCK + 1]
-            p = rise[js]
+            np.take(pre, js, out=base, mode="clip")  # no index is out of range; "raise" buffers
+            np.take(pre[1:], js, out=p, mode="clip")
+            p -= base  # P[j+1] - P[j], the rise of cell j
             p *= t[s : s + _BLOCK + 1]
-            p += pre[js]
-            d = p[1:] - p[:-1]
+            p += base
+            d = np.subtract(p[1:], p[:-1], out=base[1:])  # into base, which is spent
             if signed and sign < 0:
                 np.negative(d, out=d)
             out[s : s + _BLOCK] += d if signed else np.abs(d, out=d)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 import memloss
 from memloss import csvio
 from memloss.cli import run_cli
+from memloss.tables import TailTable
 
 
 def _hash_dir(path):
@@ -176,6 +177,39 @@ class TestCoupling:
         kind, cols = csvio.read_csv(str(tmp_path / "coupling.csv"))
         assert kind == "coupling"
         assert cols["p_dp"][0] == 1.0
+
+    @pytest.mark.parametrize("config,key", [
+        pytest.param({"k": 0, "Theta": 0.5}, "'k'", id="k0"),
+        pytest.param({"k": -2}, "'k'", id="k-2"),
+        pytest.param({"k": 0, "tails": "file:"}, "'k'", id="k0-file"),
+        pytest.param({"Theta": 0.5}, "'Theta'", id="Theta"),
+        pytest.param({"C_beta": 2.0}, "'C_beta'", id="C_beta"),
+        pytest.param({"C_beta_prime": 0.5}, "'C_beta_prime'", id="C_beta_prime"),
+    ])
+    def test_model_key_that_cannot_act_exits_2(self, tmp_path, capsys, config, key):
+        # synthetic:poly: tails have Theta 0 and C_beta = C_beta' = 1 of their own
+        if config.get("tails") == "file:":
+            tails = str(tmp_path / "tails.csv")
+            csvio.write_tail_csv(tails, TailTable(values=np.concatenate([[1.0], np.arange(1.0, 60.0) ** -2.0])))
+            config = {**config, "tails": "file:" + tails}
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["coupling", "--model", str(cfg), "--n-max", "20", "--samples", "10000", "--out", str(out)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+        assert os.listdir(out) == []
+
+    def test_synthetic_model_with_the_family_constants_runs(self, tmp_path):
+        # the bench's model.json spells out the synthetic family's own constants
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"k": 1, "Theta": 0.0, "C_beta": 1.0, "C_beta_prime": 1.0, "beta": 2.0,
+                                   "tails": "synthetic:poly:2.0"}))
+        code = run_cli(["coupling", "--model", str(cfg), "--n-max", "20", "--samples", "10000",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "coupling_summary.json").read_text())["pass"]
 
     def test_unknown_model_key(self, tmp_path):
         cfg = tmp_path / "model.json"

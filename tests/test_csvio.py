@@ -1,10 +1,12 @@
 import filecmp
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memloss import csvio
 from memloss.errors import FormatError
+from memloss.transfer import make_density
 
 B = csvio._BLOCK
 
@@ -131,3 +133,20 @@ def test_write_rejects_columns_of_different_lengths(tmp_path):
     with pytest.raises(ValueError, match="columns"):
         csvio.write_columns(str(path), "memloss", [np.arange(3.0)])
     assert not path.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_read_memory_peak(tmp_path):
+    # one block's lines and cell strings, and each column's blocks: about 5.4
+    # x 16 bytes a row, where a whole-table block list, its concatenation and
+    # a transposed copy took 7.7
+    n = 2**16
+    f = make_density("holder", n)
+    path = str(tmp_path / "density.csv")
+    csvio.write_columns(path, "density", [f.midpoints(), f.values])
+    tracemalloc.start()
+    try:
+        csvio.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * n

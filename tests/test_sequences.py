@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -259,6 +261,27 @@ class TestConfig:
         cfg = {"kind": "periodic", "family": "cui", "cycle": [{"gamma": 0.4, "beta": 2.0}]}
         s = seqs.sequence_from_config(cfg)
         assert seqs.param_at(s, 1).beta == 2.0
+
+    @pytest.mark.parametrize("family,entry,unknown", [
+        pytest.param("lsv", {"gamma": 0.5, "beta": 2.0, "foo": 1}, "['beta', 'foo']", id="lsv-beta-foo"),
+        pytest.param("lsv", {"gamma": 0.5, "beta": 2.0}, "['beta']", id="lsv-beta"),
+        pytest.param("pikovsky", {"gamma": 2.0, "beta": 2.0}, "['beta']", id="pikovsky-beta"),
+        pytest.param("gh", {"gamma": 2.0, "eta": 0.5}, "['eta']", id="gh-eta"),
+        pytest.param("cui", {"gamma": 0.5, "beta": 2.0, "foo": 1}, "['foo']", id="cui-foo"),
+    ])
+    def test_entry_keys_the_family_does_not_read_are_rejected(self, family, entry, unknown):
+        with pytest.raises(errors.ConfigError, match=f"unknown keys in sequence entry .*: {re.escape(unknown)}$"):
+            seqs.sequence_from_config({"kind": "periodic", "family": family, "cycle": [entry]})
+
+    @pytest.mark.parametrize("family,cycle", [
+        pytest.param("lsv", [0.5, {"gamma": 0.8}], id="lsv"),
+        pytest.param("pikovsky", [2.0, {"gamma": 1.5}], id="pikovsky"),
+        pytest.param("gh", [2.0, 2.0, 2.0], id="gh-numbers"),  # a bare number is gamma for every family
+        pytest.param("gh", [{"gamma": 2.0}], id="gh-object"),
+    ])
+    def test_gamma_is_an_entry_key_for_every_family(self, family, cycle):
+        s = seqs.sequence_from_config({"kind": "periodic", "family": family, "cycle": cycle})
+        assert seqs.param_at(s, 1).family.value == family
 
     def test_invalid_param_surfaces_as_config_error(self):
         with pytest.raises(errors.ConfigError, match=r"\(0,1\)"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import assume, example, given, settings
 
 from memloss import errors, transfer
 from memloss import sequences as seqs
-from memloss.maps import cui, grossmann_horner, lsv, pikovsky, state_interval
+from memloss.maps import Branch, cui, grossmann_horner, inverse_branch_array, lsv, pikovsky, state_interval
 from memloss.partitions import fit_power_law, reference_set
 from memloss.transfer import (
     GridDensity,
@@ -471,6 +473,33 @@ class TestInterpolationPlan:
         f = (_SignedGrid if signed else GridDensity)(v, state_interval(params))
         _assert_same_floats(_apply_images(_edge_plan(params, f), f),
                             _reference_apply(_edge_images(params, f), f))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        params=st.one_of(st.floats(0.01, 0.99).map(lsv), st.builds(cui, st.floats(0.01, 0.99), st.floats(1.0, 3.0)),
+                         st.floats(1.01, 2.99).map(pikovsky), st.just(grossmann_horner())),
+        n=st.sampled_from([2**10, 2**14, 2**15, 2**16]),  # 2**14: a one-edge last block
+    )
+    def test_block_filled_images_are_the_whole_array_images(self, params, n):
+        f = make_density("uniform", n, state_interval(params))
+        lo, hi = f.interval
+        for branch, (_, u) in zip(Branch, _edge_images(params, f)):
+            whole = np.clip(inverse_branch_array(params, branch, f.edges()), lo, hi)
+            assert np.array_equal(u.view(np.int64), whole.view(np.int64))
+
+    def test_evolve_memory_peak(self):
+        # the plan (an index and a fraction array per branch), the density in
+        # and out and the prefix integral: about 7.3 arrays of N+1 floats,
+        # where a per-cell rise table and whole-array plan temporaries took 9.1
+        n = 2**18
+        seq = seqs.constant(lsv(0.5))
+        tracemalloc.start()
+        try:
+            evolve(seq, make_density("holder", n), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0 * 8 * (n + 1)
 
     @pytest.mark.parametrize("interval", _INTERVALS)
     def test_grid_edges_are_exact_multiples_of_the_cell_width(self, interval):
