@@ -18,11 +18,12 @@ plan holds each clipped edge image u's cell j (edges[j] <= u < edges[j+1]),
 found arithmetically because every allowed grid's edges are exactly lo + i w
 with w a power of two, and the fraction (u - edges[j]) / w.  Built and
 applied in blocks of 2**14 edges, it gives ``np.interp``'s floats on the
-prefix integral, and a step holds only the plan, the prefix and the density
-in and out.  :func:`evolve`, :func:`memory_loss_curve` and
-:func:`mixing_mass` compute each distinct map's plan at its first step and
-drop it after its last, holding four arrays of N+1 per distinct map still
-ahead.  Nothing is cached between calls.
+prefix integral.  A run of steps (:func:`evolve`, :func:`memory_loss_curve`,
+:func:`mixing_mass`) computes each distinct map's plan at its first step and
+drops it after its last, holding four arrays of N+1 per distinct map still
+ahead, and makes its step arrays once: one prefix, the block rows and two
+outputs, each step writing the one not holding its input, so a step
+allocates nothing of size N.  Nothing is cached between calls.
 
 :func:`memory_loss_curve` pushes the signed difference h = f - g (the
 operator is linear), keeping each branch's orientation sign where a density
@@ -218,11 +219,13 @@ def cone_membership(f: GridDensity, beta: float, a_beta: float) -> ConeReport:
 # -- transfer steps --------------------------------------------------------------
 
 
-# Interpolation plans of the maps of the stepping run in progress (see _steps),
-# keyed by map; None outside a step, so a direct push_density call computes
-# its own.  Passing them this way keeps push_density (params, f) the one step
-# function, so whatever wraps or observes it still sees every step of a run.
-_run_plans: ContextVar[dict[MapParams, tuple] | None] = ContextVar("_run_plans", default=None)
+# The stepping run in progress (see _steps): its maps' interpolation plans, keyed
+# by map, and its step arrays on its one grid, made at first use: the prefix, the
+# block rows, then two outputs used in turn.  None outside a step, so a direct
+# push_density call makes its own.  Passing them this way keeps push_density
+# (params, f) the one step function, so whatever wraps or observes it still sees
+# every step of a run.
+_run: ContextVar[tuple[dict[MapParams, tuple], list[np.ndarray]] | None] = ContextVar("_run", default=None)
 
 _BLOCK = 2**14  # edges per block of _apply_images, so its temporaries stay small
 
@@ -263,12 +266,17 @@ def _apply_images(plan: tuple[tuple[float, np.ndarray, np.ndarray], ...], f: Gri
     (P[j+1] - P[j]) * t + P[j] is np.interp's slope * (u - edges[j]) + P[j]:
     t is exact, so the product has the same real value and rounding."""
     n, w = f.n_cells, f.cell_width
-    pre = np.empty(n + 2)
+    _, arrays = _run.get() or ({}, [])
+    if not arrays:  # the block rows are shared by the blocks, which then allocate nothing
+        arrays += [np.empty(n + 2), *np.empty((2, min(n, _BLOCK) + 1))]
+    pre, base, p, *outs = arrays
+    out = next((o for o in outs if o is not f.values), None)  # the one not holding f
+    if out is None:  # a run's second output is made at its second step, once the start is freed
+        arrays.append(out := np.empty(n))
     np.multiply(np.cumsum(f.values, out=pre[1:-1]), w, out=pre[1:-1])
     pre[0], pre[-1] = 0.0, pre[-2]  # an image at hi has j = N and t = 0
-    out = np.zeros(n)
+    out.fill(0.0)
     signed = isinstance(f, _SignedGrid)
-    base, p = np.empty((2, min(n, _BLOCK) + 1))  # shared by the blocks, which then allocate nothing
     for sign, j, t in plan:
         for s in range(0, n, _BLOCK):
             js = j[s : s + _BLOCK + 1]
@@ -292,32 +300,33 @@ def push_density(params: MapParams, f: GridDensity) -> GridDensity:
     integral between inverse-branch images of the cell edges.  A direct
     call computes the map's plan and applies it once; within a step of
     :func:`evolve`, :func:`memory_loss_curve` or :func:`mixing_mass` the
-    plan comes from that call's store."""
-    store = _run_plans.get()
-    if store is None:
+    plan and the step's arrays come from that call's run."""
+    run = _run.get()
+    if run is None:
         return _apply_images(_edge_plan(params, f), f)
-    if params not in store:
-        store[params] = _edge_plan(params, f)
-    return _apply_images(store[params], f)
+    plans, _ = run
+    if params not in plans:
+        plans[params] = _edge_plan(params, f)
+    return _apply_images(plans[params], f)
 
 
-def _steps(
-    maps: list[MapParams], densities: tuple[GridDensity, ...]
-) -> Iterator[tuple[GridDensity, ...]]:
-    """Push all densities (one grid) through the maps in order, yielding
-    them after each step.  A map's plan is computed at its first step and
-    dropped after its last."""
+def _steps(maps: list[MapParams], f: GridDensity) -> Iterator[GridDensity]:
+    """Push f through the maps in order, yielding it after each step.  A
+    map's plan is computed at its first step and dropped after its last.
+    The run writes its densities into two arrays in turn, so a yielded
+    density's values are overwritten two steps later: every caller reads
+    them before it advances."""
     last = {p: j for j, p in enumerate(maps)}
-    store: dict[MapParams, tuple] = {}
+    plans, arrays = {}, []
     for j, p in enumerate(maps):
-        token = _run_plans.set(store)
+        token = _run.set((plans, arrays))
         try:
-            densities = tuple(push_density(p, d) for d in densities)
+            f = push_density(p, f)
         finally:
-            _run_plans.reset(token)
+            _run.reset(token)
         if last[p] == j:
-            del store[p]
-        yield densities
+            del plans[p]
+        yield f
 
 
 def _maps(seq: ParamSequence, start: int, n: int) -> list[MapParams]:
@@ -329,13 +338,13 @@ def evolve(seq: ParamSequence, f: GridDensity, n: int, start: int = 1) -> GridDe
     start, start+1, ..., start+n-1; n = 0 returns the input."""
     if n < 0:
         raise ParamError("n must be >= 0")
-    for (f,) in _steps(_maps(seq, start, n), (f,)):
+    for f in _steps(_maps(seq, start, n), f):
         pass
     return f
 
 
-def _half_l1(h: GridDensity) -> float:
-    return 0.5 * float(np.sum(np.abs(h.values))) * h.cell_width
+def _half_l1(h: GridDensity, out: np.ndarray | None = None) -> float:
+    return 0.5 * float(np.sum(np.abs(h.values, out=out))) * h.cell_width
 
 
 def tv_distance(f: GridDensity, g: GridDensity) -> float:
@@ -350,8 +359,9 @@ def memory_loss_curve(
     """tv_distance between the evolved densities, n = 0..n_max (pushes f - g)."""
     _require_same_grid(f, g)
     h = _SignedGrid(f.values - g.values, f.interval)
-    evolved = itertools.chain([(h,)], _steps(_maps(seq, start, n_max), (h,)))
-    vals = np.array([_half_l1(h) for (h,) in evolved])
+    evolved = itertools.chain([h], _steps(_maps(seq, start, n_max), h))
+    absh = np.empty(h.n_cells)  # |h| of every step, for its norm
+    vals = np.array([_half_l1(h, absh) for h in evolved])
     return TailTable(values=vals, k=start, label="memloss")
 
 
@@ -392,10 +402,10 @@ def mixing_mass(seq: ParamSequence, k: int, n_max: int, n_cells: int = 2**12) ->
         vals[ia:ib] = 1.0
     total = float(np.sum(vals)) * proto.cell_width
     f = GridDensity(vals / total, (lo, hi))
-    evolved = itertools.chain([(f,)], _steps(maps[:n_max], (f,)))
+    evolved = itertools.chain([f], _steps(maps[:n_max], f))
     out = np.empty(n_max + 1)
     worst_snap = snap0
-    for n, (pn, (f,)) in enumerate(zip(maps, evolved)):
+    for n, (pn, f) in enumerate(zip(maps, evolved)):
         cells, snap = _snap_intervals(reference_set(pn), f)
         worst_snap = max(worst_snap, snap)
         out[n] = sum(float(np.sum(f.values[ia:ib])) * f.cell_width for ia, ib in cells)

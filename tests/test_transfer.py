@@ -558,3 +558,102 @@ class TestInterpolationPlan:
 
         monkeypatch.setattr(np, "empty", poisoned)
         _assert_same_floats(_apply_images(plan, f), ref)
+
+
+# -- a run's step arrays, made once and reused at every step -----------------------
+
+_FAMILY_PARAMS = {
+    "lsv": st.floats(0.01, 0.99).map(lsv),
+    "cui": st.builds(cui, st.floats(0.01, 0.99), st.floats(1.0, 3.0)),
+    "pikovsky": st.floats(1.01, 2.99).map(pikovsky),
+    "gh": st.just(grossmann_horner()),  # the family's one map, so it alternates with itself
+}
+
+
+@st.composite
+def _alternating_maps(draw):
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    a = draw(_FAMILY_PARAMS[family])
+    b = draw(_FAMILY_PARAMS[family].filter(lambda q: q != a or family == "gh"))
+    return [(a, b)[i % 2] for i in range(draw(st.integers(1, 6)))]
+
+
+def _poison_empty(monkeypatch):
+    """Make every float array np.empty hands out NaN, so a read of an entry
+    the code did not write shows up in its output."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+
+
+class TestRunArrays:
+    @settings(max_examples=30, deadline=None)
+    @given(maps=_alternating_maps(), n=st.sampled_from([2**10, 2**13, 2**15]), signed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_yielded_density_is_a_chain_of_direct_pushes(self, maps, n, signed, seed):
+        v = np.random.default_rng(seed).uniform(-1.0 if signed else 0.0, 1.0, n)
+        start = (_SignedGrid if signed else GridDensity)(v, state_interval(maps[0]))
+        before = start.values.copy()
+        ref = prev = start
+        for p, got in zip(maps, transfer._steps(maps, start), strict=True):
+            _assert_same_floats(prev, ref)  # a step leaves its input as it was
+            ref = push_density(p, ref)  # between steps no run is in progress: a direct call
+            _assert_same_floats(got, ref)
+            prev = got
+        assert np.array_equal(start.values.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("family", sorted(_PAIRS))
+    def test_runs_read_no_scratch_they_did_not_write(self, family, monkeypatch):
+        seq = _sequence(family, "periodic")
+        f, g = (make_density("holder", 2**15, state_interval(_PAIRS[family][0]), profile=p) for p in (1, 2))
+        ref = memory_loss_curve(seq, f, g, 5).values, evolve(seq, f, 5), mixing_mass(seq, 1, 5, n_cells=2**15)
+        _poison_empty(monkeypatch)
+        assert np.array_equal(memory_loss_curve(seq, f, g, 5).values, ref[0])
+        _assert_same_floats(evolve(seq, f, 5), ref[1])
+        assert np.array_equal(mixing_mass(seq, 1, 5, n_cells=2**15).values, ref[2].values)
+
+    def test_no_step_after_the_second_allocates_an_n_sized_array(self, monkeypatch):
+        n = 2**15
+        seq = _sequence("lsv", "periodic")  # two plans, made at steps 1 and 2
+        f, g = make_density("holder", n, profile=1), make_density("holder", n, profile=2)
+        step, big = [0], []
+        push = transfer.push_density
+
+        def counted_push(params, d):
+            step[0] += 1
+            return push(params, d)
+
+        def counted(alloc):
+            def wrapper(*args, **kwargs):
+                out = alloc(*args, **kwargs)
+                if out.size >= n:
+                    big.append(step[0])
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(transfer, "push_density", counted_push)
+        monkeypatch.setattr(np, "empty", counted(np.empty))
+        monkeypatch.setattr(np, "zeros", counted(np.zeros))
+        memory_loss_curve(seq, f, g, 50)
+        assert step[0] == 50
+        assert [s for s in big if s > 2] == []
+
+    def test_reruns_and_interleaved_runs_are_the_same(self):
+        seq = _sequence("pikovsky", "iid")
+        f, g = _holder_pair("pikovsky")
+        first = memory_loss_curve(seq, f, g, 20).values
+        assert np.array_equal(memory_loss_curve(seq, f, g, 20).values, first)
+        # two runs advanced in turn each keep their own arrays
+        maps = transfer._maps(seq, 1, 20)
+        h = _SignedGrid(f.values - g.values, f.interval)
+        for a, b in zip(transfer._steps(maps, h), transfer._steps(maps, h)):
+            assert a.values is not b.values
+            assert _half_l1(a) == _half_l1(b)
+        assert np.array_equal([_half_l1(a) for a in transfer._steps(maps, h)], first[1:])
