@@ -270,7 +270,7 @@ def _apply_images(plan: tuple[tuple[float, np.ndarray, np.ndarray], ...], f: Gri
     if not arrays:  # the block rows are shared by the blocks, which then allocate nothing
         arrays += [np.empty(n + 2), *np.empty((2, min(n, _BLOCK) + 1))]
     pre, base, p, *outs = arrays
-    out = next((o for o in outs if o is not f.values), None)  # the one not holding f
+    out = next((o for o in outs if o is not f.values), None)
     if out is None:  # a run's second output is made at its second step, once the start is freed
         arrays.append(out := np.empty(n))
     np.multiply(np.cumsum(f.values, out=pre[1:-1]), w, out=pre[1:-1])
