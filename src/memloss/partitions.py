@@ -16,9 +16,10 @@ reference set Y_k is encoded by backward orbits of inverse branches:
   steps, and the tail is a level sum over them: level j pulls every cell
   back through j right-branch steps.
 
-Tails are evaluated exactly from endpoint lengths (complementing resolved
-mass, so truncation never biases the table); a Monte Carlo orbit sampler
-exists purely as an independent cross-check oracle.
+Tails are exact: LSV, Cui and Pikovsky tails are read straight off the
+orbits, GH tails complement resolved mass (so truncation never biases the
+table); a Monte Carlo orbit sampler exists purely as an independent
+cross-check oracle.
 
 The backward orbits read the sequence once per call: one bulk index
 lookup gives, for every base index of the window, the entry acting there,
@@ -28,10 +29,10 @@ depth n) pulls back the value at (j+1, n-1)), one array step per layer.
 Windows of one map and periodic windows take O(depth) and
 O(period * depth) scalar chains; maps are told apart by value (all
 parameters, not gamma alone), so a support that lists one map twice
-still runs the single chain.  The LSV/Cui chain pull returns the same
-float as the triangle's array pull, so those values do not depend on the
-fill chosen, and LSV/Cui tails for nearby base indices share one fill from
-the least of them, of depth n_max plus their spread.
+still runs the single chain.  A chain pull returns the same float as the
+triangle's array pull, so values do not depend on the fill chosen, and
+tails for nearby base indices share one fill from the least of them, of
+depth n_max plus their spread.
 """
 
 from __future__ import annotations
@@ -98,21 +99,21 @@ def default_fit_window(n_available: int) -> tuple[int, int]:
 def _materialize(seq: ParamSequence, k: int, count: int) -> tuple[tuple[MapParams, ...], np.ndarray]:
     """The entries of seq and, for elements k .. k+count-1, the index of
     the first entry equal to each, so equal maps share an index."""
-    first = np.array([seq.entries.index(p) for p in seq.entries])
-    return seq.entries, first[_entry_indices(seq, k, count)]
+    first: dict[MapParams, int] = {}
+    ids = np.array([first.setdefault(p, i) for i, p in enumerate(seq.entries)])
+    return seq.entries, ids[_entry_indices(seq, k, count)]
 
 
 def _fill_rows(
     entries: tuple[MapParams, ...],
     ids: np.ndarray,
-    x0: float,
     chain: Callable[[float, float, int], list[float]],
     pull_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     depth: int,
     want: list[int],
 ) -> list[np.ndarray]:
-    """Backward-orbit rows: the i-th row holds the values at (base k+r,
-    depth n) for r = want[i] and n = 0..depth-r, where ``entries[ids[j]]``
+    """Backward orbits of 1 in rows: the i-th row holds the values at (base
+    k+r, depth n) for r = want[i] and n = 0..depth-r, where ``entries[ids[j]]``
     acts at base k+j.  ``want`` is increasing, with entries <= depth + 1.
     ``pull_vec`` takes (values, gammas); ``chain(x, gamma, n)`` returns x
     and its first n pulls.
@@ -126,20 +127,20 @@ def _fill_rows(
     gam = np.array([p.gamma for p in entries])[ids]
     want = np.asarray(want, dtype=np.int64)
     if np.all(ids == ids[0]):
-        row = np.array(chain(x0, float(gam[0]), depth))
+        row = np.array(chain(1.0, float(gam[0]), depth))
         return [row[: depth + 1 - r] for r in want]
     period = next((p for p in range(2, min(16, depth)) if np.array_equal(ids[p:], ids[:-p])), 0)
     # Row i is read to depth - want[i]; what a layer writes past that is cut off.
     table = np.empty((len(want), depth + 1))
-    table[:, 0] = x0
+    table[:, 0] = 1.0
     if period:
         g = gam[:period].tolist()
-        cur = [x0] * period
+        cur = [1.0] * period
         for n in range(1, depth + 1):
             cur = [chain(cur[(c + 1) % period], g[c], 1)[1] for c in range(period)]
             table[:, n] = np.array(cur)[want % period]
     else:
-        vals = np.full(depth + 1, x0)
+        vals = np.ones(depth + 1)
         for n in range(1, depth + 1):
             m = depth + 1 - n
             vals = pull_vec(vals[1 : m + 1], gam[:m])
@@ -148,43 +149,35 @@ def _fill_rows(
     return [table[i, : depth + 1 - r] for i, r in enumerate(want)]
 
 
-def _pik_pull(u, g):
-    return u - u**g / (2.0 * g)
-
-
-def _pik_chain(u, g, n):
-    out = [u]
+def _pik_chain(u: float, gamma: float, n: int) -> list[float]:
+    """u and its first n pulls for one map, on ``np.power`` with a one-element
+    exponent as in :func:`_lsv_left_chain`: the triangle's floats."""
+    g = np.array([gamma], dtype=float)
+    out = [float(u)]
     for _ in range(n):
-        out.append(_pik_pull(out[-1], g))
+        out.append(out[-1] - np.power(out[-1], g).item() / (2.0 * gamma))
     return out
 
 
-# -- endpoint containers ---------------------------------------------------------
+# family -> (chain, pull) of its backward orbit (see the module docstring)
+_ORBITS = {
+    Family.LSV: (_lsv_left_chain, _lsv_left_inverse_array),
+    Family.CUI: (_lsv_left_chain, _lsv_left_inverse_array),
+    Family.PIKOVSKY: (_pik_chain, lambda u, g: u - u**g / (2.0 * g)),
+}
 
 
 @dataclass(frozen=True)
 class PartitionEndpoints:
-    """Endpoint arrays of the return-time partition at base index k.
+    """The backward orbit at base k, ``x[n]`` for n = 0..n_max (LSV/Cui:
+    x_n(k); Pikovsky: u_n), the same at base k+1 to depth n_max - 1, and
+    the map acting at k.  GrossmannHorner tails need none."""
 
-    Field population depends on the family (GrossmannHorner tails come
-    from its creep cells and need none):
-
-    * LSV/Cui: ``x[n]``, ``y[n]`` for n = 0..n_max.
-    * Pikovsky: ``u[n] = 1 - x_n^+`` for n = 0..n_max+1 at base k,
-      ``u_next`` the same chain at base k+1 (to depth n_max), and
-      ``delta_bound[n] = |g_minus(1 - u_next[n-1])|``, the outer
-      boundary of the union of little cells with return time >= n.
-    """
-
-    family: Family
+    params: MapParams
     k: int
     n_max: int
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    u: np.ndarray | None = None
-    u_next: np.ndarray | None = None
-    delta_bound: np.ndarray | None = None
-    gamma_k: float | None = None
+    x: np.ndarray
+    x_next: np.ndarray
 
 
 def _fill_groups(ks: list[int], n_max: int) -> list[list[int]]:
@@ -200,7 +193,9 @@ def _fill_groups(ks: list[int], n_max: int) -> list[list[int]]:
     return groups
 
 
-def _lsv_points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
+def _points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
+    """Endpoints at each base index in ``ks``, in order; nearby indices read one fill."""
+    chain, pull = _ORBITS[seq.family]
     points = {}
     for group in _fill_groups(sorted(set(ks)), n_max):
         # One fill from base k0, deep enough for every k's rows k and k+1.
@@ -208,34 +203,25 @@ def _lsv_points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
         span = group[-1] - k0
         want = sorted({r for k in group for r in (k - k0, k - k0 + 1)})
         entries, ids = _materialize(seq, k0, n_max + span + 2)
-        rows = dict(zip(want, _fill_rows(entries, ids, 1.0, _lsv_left_chain,
-                                         _lsv_left_inverse_array, n_max + span, want)))
+        rows = dict(zip(want, _fill_rows(entries, ids, chain, pull, n_max + span, want)))
         for k in group:
             r = k - k0
-            # y_n(k) = h_k(x_{n-1}(k+1)); y_0 = 1 by convention.
-            y = np.concatenate([[1.0], inverse_branch_array(entries[ids[r]], Branch.RIGHT, rows[r + 1][:n_max])])
-            points[k] = PartitionEndpoints(seq.family, k, n_max, x=rows[r][: n_max + 1], y=y)
+            points[k] = PartitionEndpoints(entries[ids[r]], k, n_max, rows[r][: n_max + 1], rows[r + 1][:n_max])
     return [points[k] for k in ks]
 
 
 def lsv_preimage_points(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
-    """x_n(k) and y_n(k) for LSV/Cui sequences, n = 0..n_max."""
+    """The left-branch orbits of an LSV/Cui sequence at bases k and k+1."""
     if seq.family not in (Family.LSV, Family.CUI):
         raise ParamError("lsv_preimage_points needs an LSV or Cui sequence")
-    return _lsv_points(seq, [k], n_max)[0]
+    return _points(seq, [k], n_max)[0]
 
 
 def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpoints:
+    """The orbits u_n of a Pikovsky sequence at bases k and k+1."""
     if seq.family is not Family.PIKOVSKY:
         raise ParamError("pikovsky_endpoints needs a Pikovsky sequence")
-    entries, ids = _materialize(seq, k, n_max + 3)
-    # chain at base k+1, depth n_max+1
-    u_next = _fill_rows(entries, ids[1:], 1.0, _pik_chain, _pik_pull, n_max + 1, [0])[0]
-    g_k = entries[ids[0]].gamma
-    step = u_next[: n_max + 1] ** g_k / (2.0 * g_k)
-    u = np.concatenate([[1.0], u_next[: n_max + 1] - step])
-    delta_bound = np.concatenate([[np.nan], step])
-    return PartitionEndpoints(seq.family, k, n_max, u=u, u_next=u_next, delta_bound=delta_bound, gamma_k=g_k)
+    return _points(seq, [k], n_max)[0]
 
 
 # -- reference sets ----------------------------------------------------------------
@@ -265,46 +251,43 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
 
     ``base="m_k"`` conditions on the reference set (normalized Lebesgue on
     Y_k), ``base="lebesgue"`` starts from normalized Lebesgue on the whole
-    state interval.  Values are exact from endpoint (GH: creep-cell)
-    lengths; the unresolved remainder beyond n_max is handled by
-    complementing resolved mass, so no truncation bias enters.
+    state interval.  LSV, Cui and Pikovsky tails are read straight off the
+    backward orbit (:func:`_tail_table`), so they keep relative accuracy
+    where they are small.  GH tails complement the resolved creep-cell
+    mass, so the unresolved remainder beyond n_max adds no truncation bias.
     """
     _check_tail_args(n_max, base)
-    fam = seq.family
-    if fam in (Family.LSV, Family.CUI):
-        return _tail_table(lsv_preimage_points(seq, k, n_max), base)
-    if fam is Family.PIKOVSKY:
-        return _tail_table(pikovsky_endpoints(seq, k, n_max), base)
+    if seq.family is not Family.GROSSMANN_HORNER:
+        return _tail_table(_points(seq, [k], n_max)[0], base)
     entries, ids = _materialize(seq, k, n_max + 1)
     return _tail(_gh_tail(entries[ids[0]], n_max, base), k, base)
 
 
 def _return_time_tails(seq: ParamSequence, ks, n_max: int, base: str = "m_k") -> list[TailTable]:
     """:func:`return_time_tail` for each base index in ``ks``, in order.  Several
-    LSV/Cui indices read backward fills shared by nearby indices
+    LSV, Cui or Pikovsky indices read backward fills shared by nearby indices
     (:func:`_fill_groups`); each table equals its one-index table bit for bit."""
     _check_tail_args(n_max, base)
-    if seq.family not in (Family.LSV, Family.CUI) or len(ks) == 1:
+    if seq.family is Family.GROSSMANN_HORNER or len(ks) == 1:
         return [return_time_tail(seq, k, n_max, base) for k in ks]
-    return [_tail_table(ep, base) for ep in _lsv_points(seq, ks, n_max)]
+    return [_tail_table(ep, base) for ep in _points(seq, ks, n_max)]
 
 
 def _tail_table(ep: PartitionEndpoints, base: str) -> TailTable:
-    n_max = ep.n_max
-    t = np.empty(n_max + 1)
-    t[0] = 1.0
-    if ep.family in (Family.LSV, Family.CUI):
-        if base == "m_k":
-            t[1:] = 2.0 * (ep.y[1:] - 0.5)
-        else:
-            t[1:] = ep.x[1:] + ep.y[1:] - 0.5
+    """t(n), n >= 1, read off the orbit.  {tau >= n} covers the share
+    t_mk(n) = q_k(x_{n-1}(k+1)) of Y_k, with q_k the identity for LSV,
+    x^(1/beta) for Cui and u^gamma for Pikovsky, and a length x_n(k) |X|
+    outside it, so the Lebesgue tail is x_n(k) + t_mk(n) |Y_k| / |X|."""
+    p = ep.params
+    if p.family is Family.PIKOVSKY:
+        t, share = ep.x_next**p.gamma, 2.0 * p.gamma  # share = |X| / |Y_k|
+    elif p.family is Family.CUI:
+        t, share = ep.x_next ** (1.0 / p.beta), 2.0
     else:
-        g = ep.gamma_k
-        if base == "m_k":
-            t[1:] = ep.u_next[: n_max] ** g
-        else:
-            t[1:] = ep.u[1 : n_max + 1] + ep.u_next[: n_max] ** g / (2.0 * g)
-    return _tail(t, ep.k, base)
+        t, share = ep.x_next, 2.0
+    if base == "lebesgue":
+        t = ep.x[1:] + t / share
+    return _tail(np.concatenate([[1.0], t]), ep.k, base)
 
 
 def _gh_tail(gh: MapParams, n_max: int, base: str) -> np.ndarray:

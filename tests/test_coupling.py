@@ -32,7 +32,7 @@ from memloss.coupling import (
     s_tail_mc,
     synthetic_poly_family,
 )
-from memloss.maps import lsv
+from memloss.maps import Branch, inverse_branch_array, lsv
 from memloss.partitions import TailTable, lsv_preimage_points, mc_zscores, return_time_tail
 
 
@@ -706,7 +706,8 @@ class TestEndToEnd:
         depth = horizon + 2
         h = return_time_tail(s, 1, depth, base="m_k")
         ep = lsv_preimage_points(s, 1, depth)
-        r_vals = np.sqrt(ep.x) + np.sqrt(ep.y) - np.sqrt(0.5)
+        y = np.concatenate([[1.0], inverse_branch_array(ep.params, Branch.RIGHT, ep.x_next)])
+        r_vals = np.sqrt(ep.x) + np.sqrt(y) - np.sqrt(0.5)
         r_vals[0] = 1.0
         r = TailTable(values=np.minimum.accumulate(np.minimum(r_vals, 1.0)), label="r")
         ns = np.arange(1, depth + 1)

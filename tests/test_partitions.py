@@ -1,3 +1,5 @@
+import functools
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -5,7 +7,17 @@ from hypothesis import given, settings
 
 from memloss import errors, partitions
 from memloss import sequences as seqs
-from memloss.maps import Branch, cui, grossmann_horner, inverse_branch_array, lsv, pikovsky, state_interval
+from memloss.maps import (
+    Branch,
+    Family,
+    MapParams,
+    cui,
+    grossmann_horner,
+    inverse_branch_array,
+    lsv,
+    pikovsky,
+    state_interval,
+)
 from memloss.partitions import (
     TailTable,
     _return_time_tails,
@@ -18,6 +30,12 @@ from memloss.partitions import (
     return_time_tail,
     return_time_tail_mc,
 )
+from memloss.sequences import _entry_indices
+
+
+def _y(ep):
+    """y_n(k) = h_k(x_{n-1}(k+1)) of an LSV/Cui record, with y_0 = 1."""
+    return np.concatenate([[1.0], inverse_branch_array(ep.params, Branch.RIGHT, ep.x_next)])
 
 
 def _pullback_tail(seq, k, n, base):
@@ -76,15 +94,17 @@ class TestLsvEndpoints:
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
     def test_first_points(self, gamma):
         ep = lsv_preimage_points(seqs.constant(lsv(gamma)), 1, 5)
-        assert ep.x[0] == 1.0 and ep.y[0] == 1.0
+        y = _y(ep)
+        assert ep.x[0] == 1.0 and y[0] == 1.0
         assert ep.x[1] == pytest.approx(0.5, abs=1e-14)
-        assert ep.y[1] == pytest.approx(1.0, abs=1e-14)
+        assert y[1] == pytest.approx(1.0, abs=1e-14)
 
     def test_monotone_limits(self):
         ep = lsv_preimage_points(seqs.constant(lsv(0.5)), 1, 500)
+        y = _y(ep)
         assert np.all(np.diff(ep.x) < 0)
-        assert np.all(np.diff(ep.y[1:]) < 0)
-        assert ep.x[-1] < 1e-4 and ep.y[-1] - 0.5 < 1e-4
+        assert np.all(np.diff(y[1:]) < 0)
+        assert ep.x[-1] < 1e-4 and y[-1] - 0.5 < 1e-4
 
     def test_stationary_slope(self):
         ep = lsv_preimage_points(seqs.constant(lsv(0.5)), 1, 1000)
@@ -116,19 +136,19 @@ class TestLsvEndpoints:
 class TestPikovskyEndpoints:
     def test_first_points(self):
         ep = pikovsky_endpoints(seqs.constant(pikovsky(1.5)), 1, 10)
-        # u = 1 - x_plus: the right-branch pullbacks of 0 are 0, 1/3, ...
-        assert ep.u[0] == 1.0
-        assert ep.u[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        # x holds u = 1 - x_plus: the right-branch pullbacks of 0 are 0, 1/3, ...
+        assert ep.x[0] == 1.0
+        assert ep.x[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_symmetry_is_structural(self):
         # left endpoints are negatives of right endpoints by oddness of the
         # map; the chain stores the right side only.
         ep = pikovsky_endpoints(seqs.constant(pikovsky(2.0)), 1, 50)
-        assert np.all(np.diff(ep.u) < 0)
+        assert np.all(np.diff(ep.x) < 0) and np.all(np.diff(ep.x_next) < 0)
 
     def test_stationary_gap_slope(self):
         ep = pikovsky_endpoints(seqs.constant(pikovsky(2.0)), 1, 1000)
-        t = TailTable(values=np.minimum.accumulate(np.minimum(ep.u[:1001], 1.0)), label="r")
+        t = TailTable(values=np.minimum.accumulate(np.minimum(ep.x, 1.0)), label="r")
         fit = fit_power_law(t, 50, 1000)
         assert fit.slope == pytest.approx(-1.0, abs=0.1)
 
@@ -184,8 +204,8 @@ class TestReturnTimeTail:
         s = seqs.periodic([lsv(0.5), lsv(0.7)])
         n_max = 300
         t = return_time_tail(s, 1, n_max, base="m_k")
-        ep = lsv_preimage_points(s, 1, n_max)
-        cells = 2.0 * (ep.y[1:] - np.concatenate([ep.y[2:], [0.5]]))  # |[y_{n+1}, y_n]| * 2
+        y = _y(lsv_preimage_points(s, 1, n_max))
+        cells = 2.0 * (y[1:] - np.concatenate([y[2:], [0.5]]))  # |[y_{n+1}, y_n]| * 2
         resolved = np.concatenate([[0.0], np.cumsum(cells[:-1])])
         two_way = 1.0 - resolved
         assert np.max(np.abs(t.values[1:] - two_way)) <= 1e-12
@@ -268,6 +288,77 @@ class TestReturnTimeTailMc:
             mc_zscores(exact, mc, min_tail=min_tail)
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_orbit(pikovsky_map, gamma, n):
+    """The orbit from 1 to depth n at 40 digits: Pikovsky u -> u - u^g / (2g),
+    LSV/Cui left-branch pullbacks by Newton from above on u (1 + (2u)^g) = y,
+    run to full precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        g, out = mpmath.mpf(gamma), [mpmath.mpf(1)]
+        for _ in range(n):
+            y = out[-1]
+            if pikovsky_map:
+                out.append(y - y**g / (2 * g))
+                continue
+            u = min(y, mpmath.mpf(0.5))
+            while True:
+                p = (2 * u) ** g
+                step = (u * (1 + p) - y) / (1 + (1 + g) * p)
+                u -= step
+                if step <= u * mpmath.mpf(10) ** -36:
+                    break
+            out.append(u)
+    return out
+
+
+class TestAgainstMpmath:
+    N = 1000
+
+    @pytest.mark.parametrize("base", ["m_k", "lebesgue"])
+    @pytest.mark.parametrize("params", [lsv(0.5), lsv(0.8), cui(0.5, 2.0), pikovsky(1.5), pikovsky(2.0)],
+                             ids=lambda p: f"{p.family.value}-{p.gamma}")
+    def test_relative_error_of_every_row(self, params, base):
+        # A tail taken as a complement, such as 2 (y_n - 1/2) with y_n near
+        # 1/2, keeps only ~1e-16 absolute precision, far outside this bound.
+        mpmath = pytest.importorskip("mpmath")
+        pik = params.family is Family.PIKOVSKY
+        u = _exact_orbit(pik, params.gamma, self.N)  # Cui (0.5, 2) reuses the LSV 0.5 orbit
+        got = return_time_tail(seqs.constant(params), 1, self.N, base=base).values
+        with mpmath.workdps(40):
+            g = mpmath.mpf(params.gamma)
+            power, share = (g, 2 * g) if pik else (1 / mpmath.mpf(params.beta or 1), 2)
+            for n in range(1, self.N + 1):
+                exact = u[n - 1] ** power
+                if base == "lebesgue":
+                    exact = u[n] + exact / share
+                assert abs(mpmath.mpf(got[n]) - exact) <= 1e-13 * exact, n
+
+
+class TestMaterialize:
+    def test_one_pass_over_the_entries(self, monkeypatch):
+        entries = [lsv(0.05 + 0.9 * i / 2000) for i in range(2000)]
+        calls = []
+        eq = MapParams.__eq__
+        monkeypatch.setattr(MapParams, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+        _, ids = partitions._materialize(seqs.explicit(entries), 1, 10)
+        assert list(ids) == list(range(10))
+        assert len(calls) <= len(entries)  # an index() per entry makes ~2e6
+
+    @pytest.mark.parametrize("kind", ["explicit", "periodic", "iid"])
+    def test_equal_maps_share_the_first_index(self, kind):
+        # a fresh record per pick, so equal maps are equal by value, not identity
+        picks = np.random.default_rng(3).integers(0, 3, 120)
+        entries = [lsv((0.3, 0.5, 0.7)[i]) for i in picks]
+        seq = {"explicit": seqs.explicit, "periodic": seqs.periodic,
+               "iid": lambda e: seqs.iid(e, np.full(len(e), 1 / len(e)), seed=5)}[kind](entries)
+        for k, count in ((1, 100), (7, 50)):
+            got_entries, ids = partitions._materialize(seq, k, count)
+            first = np.array([seq.entries.index(p) for p in seq.entries])
+            assert got_entries is seq.entries
+            assert np.array_equal(ids, first[_entry_indices(seq, k, count)])
+
+
 class TestTailTable:
     def test_depth_error(self):
         t = TailTable(values=np.array([1.0, 1.0, 0.5]), label="h_k")
@@ -322,35 +413,23 @@ def _reference_fill_rows(params, x0, pull_scalar, pull_vec, depth, n_rows):
     return rows
 
 
-def _reference_lsv_points(seq, k, n_max):
-    from memloss.maps import Branch, _lsv_left_chain, _lsv_left_inverse_array, inverse_branch_array
+def _reference_points(seq, k, n_max):
+    """The orbits at bases k and k+1, from per-base MapParams.  The Pikovsky
+    scalar pull runs ``np.power`` on a one-element exponent, as the array
+    pull does per element."""
+    from memloss.maps import _lsv_left_chain, _lsv_left_inverse_array
     from memloss.partitions import PartitionEndpoints
 
     params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 2)]
-    rows = _reference_fill_rows(
-        params, 1.0, lambda p, t: _lsv_left_chain(t, p.gamma, 1)[1],
-        lambda ps, t: _lsv_left_inverse_array(t, np.array([p.gamma for p in ps])), n_max, 2)
-    y = np.empty(n_max + 1)
-    y[0] = 1.0
-    y[1:] = inverse_branch_array(params[0], Branch.RIGHT, rows[1][:n_max])
-    return PartitionEndpoints(seq.family, k, n_max, x=rows[0], y=y)
-
-
-def _reference_pikovsky_endpoints(seq, k, n_max):
-    from memloss.partitions import PartitionEndpoints
-
-    params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 3)]
-
-    def pull_vec(ps, u):
-        g = np.array([p.gamma for p in ps])
-        return u - u**g / (2.0 * g)
-
-    rows = _reference_fill_rows(params[1:], 1.0, lambda p, u: u - u**p.gamma / (2.0 * p.gamma),
-                                pull_vec, n_max + 1, 1)
-    u_next, g_k = rows[0], params[0].gamma
-    u = np.concatenate([[1.0], u_next[: n_max + 1] - u_next[: n_max + 1] ** g_k / (2.0 * g_k)])
-    delta = np.concatenate([[np.nan], u_next[: n_max + 1] ** g_k / (2.0 * g_k)])
-    return PartitionEndpoints(seq.family, k, n_max, u=u, u_next=u_next, delta_bound=delta, gamma_k=g_k)
+    gammas = lambda ps: np.array([p.gamma for p in ps])
+    if seq.family is Family.PIKOVSKY:
+        pull = lambda g, u: u - np.power(u, g) / (2.0 * g)
+        pulls = (lambda p, u: pull(np.array([p.gamma]), u).item(), lambda ps, u: pull(gammas(ps), u))
+    else:
+        pulls = (lambda p, t: _lsv_left_chain(t, p.gamma, 1)[1],
+                 lambda ps, t: _lsv_left_inverse_array(t, gammas(ps)))
+    rows = _reference_fill_rows(params, 1.0, *pulls, n_max, 2)
+    return PartitionEndpoints(params[0], k, n_max, rows[0], rows[1][:n_max])
 
 
 def _support(family):
@@ -387,21 +466,15 @@ class TestBackwardFillAgainstReference:
     @pytest.mark.parametrize("kind", ["iid", "markov", "periodic", "repeated", "explicit", "equal-gamma"])
     @pytest.mark.parametrize("family", ["lsv", "cui", "pikovsky"])
     def test_bit_identical(self, family, kind, k, monkeypatch):
-        from memloss import partitions
-
         n = self.N_MAX
         seq = _sequence(kind, _support(family), n + k + 2)
-        if family == "pikovsky":
-            got, ref = pikovsky_endpoints(seq, k, n), _reference_pikovsky_endpoints(seq, k, n)
-            fields, name, reference = ("u", "u_next", "delta_bound"), "pikovsky_endpoints", _reference_pikovsky_endpoints
-            assert got.gamma_k == ref.gamma_k
-        else:
-            got, ref = lsv_preimage_points(seq, k, n), _reference_lsv_points(seq, k, n)
-            fields, name, reference = ("x", "y"), "lsv_preimage_points", _reference_lsv_points
-        for f in fields:
+        public = pikovsky_endpoints if family == "pikovsky" else lsv_preimage_points
+        got, ref = public(seq, k, n), _reference_points(seq, k, n)
+        assert got.params == ref.params and (got.k, got.n_max) == (k, n)
+        for f in ("x", "x_next"):
             assert np.array_equal(_bits(getattr(got, f)), _bits(getattr(ref, f))), f
         tails = [return_time_tail(seq, k, n, base=b).values for b in ("m_k", "lebesgue")]
-        monkeypatch.setattr(partitions, name, reference)
+        monkeypatch.setattr(partitions, "_points", lambda seq, ks, n_max: [_reference_points(seq, j, n_max) for j in ks])
         for b, t in zip(("m_k", "lebesgue"), tails):
             assert np.array_equal(_bits(t), _bits(return_time_tail(seq, k, n, base=b).values)), b
 

@@ -12,14 +12,8 @@ from hypothesis import given, settings
 
 from memloss import maps
 from memloss import sequences as seqs
-from memloss.maps import _lsv_left_inverse_array, _pik_forward_array, cui, lsv
-from memloss.partitions import (
-    _fill_groups,
-    _lsv_points,
-    _return_time_tails,
-    lsv_preimage_points,
-    return_time_tail,
-)
+from memloss.maps import _lsv_left_inverse_array, _pik_forward_array, cui, lsv, pikovsky
+from memloss.partitions import _fill_groups, _points, _return_time_tails, return_time_tail
 from memloss.rootfind import MAX_ITER, vec_newton_from_above
 
 
@@ -137,6 +131,18 @@ def _explicit(support, tail, n):
     return seqs.explicit([a, b] + body * n)
 
 
+_SUPPORTS = {
+    "lsv": [lsv(0.35), lsv(0.7), lsv(0.5)],
+    "cui": [cui(0.5, 2.0), cui(0.5, 1.5), cui(0.7, 1.0)],  # the first two share gamma
+    "pikovsky": [pikovsky(1.5), pikovsky(2.5), pikovsky(2.0)],
+}
+
+
+def _same_points(a, b):
+    assert (a.params, a.k, a.n_max) == (b.params, b.k, b.n_max)
+    assert np.array_equal(_bits(a.x), _bits(b.x)) and np.array_equal(_bits(a.x_next), _bits(b.x_next))
+
+
 def _tail_sequence(kind, support, n):
     if kind == "iid":
         return seqs.iid(support, [0.3, 0.5, 0.2], seed=41)
@@ -153,13 +159,9 @@ class TestSharedFill:
     @pytest.mark.parametrize("ks", [(1, 2, 3, 4), (1, 3)], ids=["k1-4", "k1,3"])
     @pytest.mark.parametrize("base", ["m_k", "lebesgue"])
     @pytest.mark.parametrize("kind", ["iid", "markov", "periodic", "explicit-periodic", "explicit-constant"])
-    @pytest.mark.parametrize("family", ["lsv", "cui"])
+    @pytest.mark.parametrize("family", ["lsv", "cui", "pikovsky"])
     def test_equals_per_k_tail_bit_for_bit(self, family, kind, base, ks):
-        if family == "lsv":
-            support = [lsv(0.35), lsv(0.7), lsv(0.5)]
-        else:  # the first two share gamma, so only their value tells them apart
-            support = [cui(0.5, 2.0), cui(0.5, 1.5), cui(0.7, 1.0)]
-        seq = _tail_sequence(kind, support, self.N_MAX + 8)
+        seq = _tail_sequence(kind, _SUPPORTS[family], self.N_MAX + 8)
         shared = _return_time_tails(seq, ks, self.N_MAX, base=base)
         assert [t.k for t in shared] == list(ks)
         for k, table in zip(ks, shared):
@@ -169,14 +171,23 @@ class TestSharedFill:
 
     @pytest.mark.parametrize("kind", ["iid", "periodic", "explicit-periodic", "explicit-constant"])
     def test_endpoints_equal_per_k_bit_for_bit(self, kind):
-        # Tails lose the low bits of x_n(k) << 1 when they add 1/2; the
-        # endpoints themselves must agree too.
-        support = [lsv(0.35), lsv(0.7), lsv(0.5)]
-        seq = _tail_sequence(kind, support, self.N_MAX + 8)
+        # The Lebesgue tail x_n(k) + t(n) / 2 drops the low bits of the
+        # smaller term; the endpoints themselves must agree too.
+        seq = _tail_sequence(kind, _SUPPORTS["lsv"], self.N_MAX + 8)
         ks = (1, 2, 3, 4)
-        for k, ep in zip(ks, _lsv_points(seq, ks, self.N_MAX)):
-            alone = lsv_preimage_points(seq, k, self.N_MAX)
-            assert np.array_equal(_bits(ep.x), _bits(alone.x)) and np.array_equal(_bits(ep.y), _bits(alone.y))
+        for k, ep in zip(ks, _points(seq, ks, self.N_MAX)):
+            _same_points(ep, _points(seq, [k], self.N_MAX)[0])
+
+    @pytest.mark.parametrize("family", ["lsv", "pikovsky"])
+    def test_window_constant_from_k_but_not_from_the_fill_base(self, family):
+        # From k = 2 on the window is one map, so k = 2 alone runs the scalar
+        # chain while the shared fill from k0 = 1 runs the array triangle.
+        first, rest = (lsv(0.3), lsv(0.5)) if family == "lsv" else (pikovsky(1.3), pikovsky(2.0))
+        n_max, ks = 1500, (1, 2, 3)
+        seq = seqs.explicit([first] + [rest] * (n_max + 8))
+        for k, ep, table in zip(ks, _points(seq, ks, n_max), _return_time_tails(seq, ks, n_max)):
+            _same_points(ep, _points(seq, [k], n_max)[0])
+            assert np.array_equal(_bits(table.values), _bits(return_time_tail(seq, k, n_max).values)), k
 
     def test_only_nearby_indices_share_a_fill(self):
         # A shared fill of depth n_max + span must cost no more than one
@@ -190,12 +201,10 @@ class TestSharedFill:
     @pytest.mark.parametrize("n_max, ks", [(50, (500, 1, 2)), (0, (1, 2, 4)), (1, (1, 2, 3))])
     @pytest.mark.parametrize("kind", ["iid", "markov", "periodic", "explicit-periodic", "explicit-constant"])
     def test_spread_or_shallow_indices_equal_per_k(self, kind, n_max, ks):
-        support = [lsv(0.35), lsv(0.7), lsv(0.5)]
-        seq = _tail_sequence(kind, support, 600)
-        for k, ep in zip(ks, _lsv_points(seq, ks, n_max)):
-            alone = lsv_preimage_points(seq, k, n_max)
-            assert ep.k == k and len(ep.x) == len(ep.y) == n_max + 1
-            assert np.array_equal(_bits(ep.x), _bits(alone.x)) and np.array_equal(_bits(ep.y), _bits(alone.y))
+        seq = _tail_sequence(kind, _SUPPORTS["lsv"], 600)
+        for k, ep in zip(ks, _points(seq, ks, n_max)):
+            assert ep.k == k and len(ep.x) == len(ep.x_next) + 1 == n_max + 1
+            _same_points(ep, _points(seq, [k], n_max)[0])
         if n_max >= 1:  # a tail table needs t(0) and t(1)
             for k, table in zip(ks, _return_time_tails(seq, ks, n_max)):
                 assert table.k == k
