@@ -335,13 +335,13 @@ class CouplingModel:
         if family.stationary:
             self._table = self._envelope_table()
             return
-        # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i') for the columns c <= horizon + 1
+        # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i') for the rows and columns <= horizon + 1
         # that the envelopes read; h^{k+i}(m) sits in column i + m (rows and depth suffice).
         n_cols = self.horizon + 2
-        shifted = np.zeros((family.n_rows + 1, n_cols))
-        for i in range(n_cols - 1):
-            shifted[i + 1, i + 1 :] = family.h_rows[i, 1 : n_cols - i]
-        self._prefix = np.cumsum(shifted, axis=0)
+        prefix = self._prefix = np.zeros((n_cols, n_cols))
+        for i in range(n_cols - 1):  # a cumsum down the columns, in place
+            prefix[i + 1, i + 1 :] = family.h_rows[i, 1 : n_cols - i]
+            prefix[i + 1] += prefix[i]
 
     def _envelope_table(self) -> np.ndarray:
         """Read-only; row horizon - x is the clamped base-0 envelope of shift x for
@@ -360,17 +360,23 @@ class CouplingModel:
         table.flags.writeable = False
         return table
 
-    def _envelopes(self, ts, s: int, length: int) -> np.ndarray:
-        """env[i, l] = clamped composed tail hhat at base offset ts[i], shift
-        s - ts[i], for l = 0..length: one row per state of the anti-diagonal
-        t + x = s, which all read the same prefix-table columns."""
-        if s + length > self._prefix.shape[1] - 1:
+    def _envelopes(self, rows, s: int, length: int, out=None, hhat: bool = True) -> np.ndarray:
+        """env[i, l] = clamped composed tail hhat at base offset t = rows[i] (indices or a slice), shift
+        s - t, for l = 0..length: the states of the anti-diagonal t + x = s, which read the same prefix
+        columns.  ``out`` is a flat buffer to build them in; ``hhat=False`` skips the running minimum."""
+        if s > self.horizon or s + length > self.horizon + 1:
             raise HorizonError("conditional tail requested beyond the prefix table")
         cols = slice(s + 1, s + length + 1)
-        raw = self.constants.c_h * (self._prefix[s + 1, cols] - self._prefix[ts, cols])
-        env = np.empty((raw.shape[0], length + 1))
-        env[:, 0] = 1.0
-        env[:, 1:] = np.minimum.accumulate(np.minimum(raw, 1.0), axis=1)
+        low = self._prefix[rows, cols]
+        size = low.shape[0] * (length + 1)
+        env = (np.empty(size) if out is None else out[:size]).reshape(-1, length + 1)
+        env[:, 0] = 1.0  # finite, so that whole rows can be scaled and clamped
+        np.subtract(self._prefix[s + 1, cols], low, out=env[:, 1:])
+        env *= self.constants.c_h
+        np.minimum(env, 1.0, out=env)
+        env[:, 0] = 1.0  # c_h may lie below 1
+        if hhat:
+            _running_min(env)
         return env
 
     def conditional_tail(self, t: int, x: int, length: int) -> np.ndarray:
@@ -379,11 +385,25 @@ class CouplingModel:
 
         For a stationary family the base offset is immaterial, and the
         envelope is a read-only slice of the table built once."""
+        if min(t, x, length) < 0:
+            raise ParamError(f"conditional tail needs t, x, length >= 0, got ({t}, {x}, {length})")
         if self.family.stationary:
-            if not 0 <= x <= self.horizon or length > self.horizon - x + 1:
+            if x > self.horizon or length > self.horizon - x + 1:
                 raise HorizonError("conditional tail requested beyond the envelope table")
             return self._table[self.horizon - x, : length + 1]
-        return self._envelopes([t], t + x, length)[0]
+        return self._envelopes(slice(t, t + 1), t + x, length)[0]
+
+
+def _running_min(block: np.ndarray) -> np.ndarray:
+    """``np.minimum.accumulate(block, axis=1)`` in place, run only on the rows
+    that rise: a nonincreasing row is its own running minimum, exactly.
+    Returns the indices of those rows."""
+    flat, rise = block.reshape(-1), np.empty(block.shape, dtype=bool)
+    np.greater(flat[1:], flat[:-1], out=rise.reshape(-1)[:-1])
+    rise[:, -1] = False  # the next row's head against this row's end
+    up = np.flatnonzero(rise.any(axis=1))
+    block[up] = np.minimum.accumulate(block[up], axis=1)
+    return up
 
 
 def build_model(family: TailFamily, constants: CouplingConstants, horizon: int) -> CouplingModel:
@@ -419,9 +439,10 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     n_max + 1 rows of the model's table, holds shift x in row n_max - x,
     and D = E[:, :-1] - E[:, 1:] is their push law, built once.
     Anti-diagonal s then reads one block of rows from n_max - s on,
-    ascending in t.  Every sum runs in the order of a per-state loop over
-    t, then x (:func:`_weighted_rows`), so the table is the same to the
-    bit."""
+    ascending in t; a nonstationary one reads prefix rows 0..s - n0, into two
+    buffers of (n_max / 2)**2 floats.  Every sum runs in the order of a
+    per-state loop over t, then x (:func:`_weighted_rows`), so the table is
+    the same to the bit."""
     check_n_max(n_max)
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
@@ -438,6 +459,8 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     if stationary:
         E = model._table[model.horizon - n_max :, : n_max + 2]
         D = E[:, :-1] - E[:, 1:]
+    else:  # an anti-diagonal's block has (s - n0 + 1)(n_max - s - n0 + 2) <= (n_max + 3)**2 / 4 cells
+        env_buf, push_buf = np.empty((2, (n_max + 3) ** 2 // 4))
     coupled = np.zeros(n_max + 1)
     for s in range(n0, n_max + 1):
         ts = np.arange(s - n0 + 1)  # states (t, s - t) with shift >= n0
@@ -453,8 +476,9 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
             env = E[n_max - s : n_max - s + len(ts), : hi + 2]
             push = D[n_max - s : n_max - s + m, : hi + 1]
         else:
-            env = model._envelopes(ts, s, hi + 1)
-            push = env[:m, : hi + 1] - env[:m, 1 : hi + 2]
+            env = model._envelopes(slice(0, len(ts)), s, hi + 1, out=env_buf)
+            push = push_buf[: m * (hi + 1)].reshape(m, hi + 1)
+            np.subtract(env[:m, : hi + 1], env[:m, 1 : hi + 2], out=push)
         row = W[off[s] : off[s + 1]]  # W[s, x] for x = 0..n_max - s
         coef = one_m * w[:m]
         if m:
@@ -484,10 +508,12 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     tail and of the geometric coupling time; binomial standard errors.
 
     All live walkers move in lock step: each step draws one uniform per
-    live walker, in walker order, and inverts the envelope of its state,
-    one ``searchsorted`` per distinct envelope (shift x for stationary
-    families, (t, x) otherwise).  A nonstationary step builds its new keys'
-    envelopes with one ``_envelopes`` call per anti-diagonal t + x."""
+    live walker, in walker order, and inverts the envelope of its state:
+    one ``searchsorted`` per distinct shift x for stationary families.
+    Nonstationary walkers all bisect their raw rows c_h (P[s+1, s+l] -
+    P[t, s+l]) of the prefix table P at once, exact where a row does not
+    rise (the clamp at 1 decides no comparison with u < 1); the states
+    whose row rises are found by one sweep and searched on hhat."""
     check_n_max(n_max)
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
@@ -504,31 +530,36 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     t = np.zeros(samples, dtype=np.int64)
     s = x.copy()
     over = n_max + 1
-    env_rev: dict[int, np.ndarray] = {}  # envelope key -> env[1:] reversed
+    env_rev: dict[int, np.ndarray] = {}  # shift -> env[1:] reversed
+    rising: dict[int, np.ndarray] = {}  # t * over + s -> hhat[1:] of a state whose raw row rises
+    for sv in () if stationary else range(n0, over):
+        env = model._envelopes(slice(0, sv - n0 + 1), sv, over - sv, hhat=False)
+        rising.update((tv * over + sv, env[tv, 1:].copy()) for tv in _running_min(env).tolist())
     step = 1
     live = np.nonzero((taus > step) & (s <= n_max))[0]
     while live.size:
         u = gen.uniform(size=live.size)
-        keys = x[live] if stationary else t[live] * over + x[live]
-        order = np.argsort(keys, kind="stable")
-        uniq, starts = np.unique(keys[order], return_index=True)
-        # each key gets the longest envelope it can need: a walker whose
-        # draw lands past its own room ends beyond n_max either way
-        new = np.array([key for key in uniq.tolist() if key not in env_rev], dtype=np.int64)
-        if stationary:
+        if stationary:  # a stable sort of 16-bit keys is a radix sort
+            keys = x[live].astype(np.min_scalar_type(over))
+            order = np.argsort(keys, kind="stable")
+            uniq, starts = np.unique(keys[order], return_index=True)
+            # each shift gets the longest envelope it can need: a walker whose
+            # draw lands past its own room ends beyond n_max either way
             env_rev.update((key, model.conditional_tail(0, key, n_max - key + 1)[1:][::-1])
-                           for key in new.tolist())
+                           for key in uniq.tolist() if key not in env_rev)
+            counts = np.empty(live.size, dtype=np.int64)
+            for key, a, b in zip(uniq.tolist(), starts.tolist(), [*starts[1:].tolist(), live.size]):
+                idx = order[a:b]
+                counts[idx] = len(env_rev[key]) - env_rev[key].searchsorted(u[idx], side="right")
         else:
-            new_t, new_x = np.divmod(new, over)
-            for sv in np.unique(new_t + new_x).tolist():  # one anti-diagonal t + x = sv
-                on = new_t + new_x == sv
-                envs = model._envelopes(new_t[on], sv, n_max - sv + 1)
-                env_rev.update(zip(new[on].tolist(), envs[:, 1:][:, ::-1]))
-        counts = np.empty(live.size, dtype=np.int64)
-        for key, a, b in zip(uniq.tolist(), starts.tolist(), [*starts[1:].tolist(), live.size]):
-            rev = env_rev[key]
-            idx = order[a:b]
-            counts[idx] = len(rev) - rev.searchsorted(u[idx], side="right")
+            tl, sl, flat, width = t[live], s[live], model._prefix.reshape(-1), model._prefix.shape[1]
+            length, hi, lo = over - sl, (sl + 1) * width + sl, tl * width + sl
+            counts, bit = np.zeros_like(length), 1 << (int(length.max()).bit_length() - 1)
+            while bit:  # counts <= the count < counts + 2 bit, on a row that does not rise
+                at = np.minimum(counts + bit, length)
+                counts, bit = np.where(c.c_h * (flat[hi + at] - flat[lo + at]) > u, at, counts), bit >> 1
+            for i in np.flatnonzero(np.isin(tl * over + sl, list(rising))).tolist():
+                counts[i] = np.count_nonzero(rising[int(tl[i] * over + sl[i])] > u[i])
         nxt = n0 + counts
         moved = nxt <= n_max - s[live]
         s[live[~moved]] = over

@@ -122,8 +122,7 @@ def _fill_rows(
     residue class, everything else the full anti-diagonal triangle
     (vectorized per layer).  Maps are told apart by value, through ``ids``.
     """
-    assert len(ids) >= depth + 1
-    ids = ids[: depth + 1]
+    assert len(ids) == max(depth, 1)  # the maps the pulls read: layer n reads bases 0..depth - n
     gam = np.array([p.gamma for p in entries])[ids]
     want = np.asarray(want, dtype=np.int64)
     if np.all(ids == ids[0]):
@@ -202,7 +201,7 @@ def _points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
         k0 = group[0]
         span = group[-1] - k0
         want = sorted({r for k in group for r in (k - k0, k - k0 + 1)})
-        entries, ids = _materialize(seq, k0, n_max + span + 2)
+        entries, ids = _materialize(seq, k0, max(n_max, 1) + span)  # the maps the pulls read, and each k's
         rows = dict(zip(want, _fill_rows(entries, ids, chain, pull, n_max + span, want)))
         for k in group:
             r = k - k0

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 
 import memloss
-from memloss import errors
+from memloss import coupling, errors
 from memloss import rng as _rng
 from memloss import sequences as seqs
 from memloss.coupling import (
     CouplingConstants,
+    CouplingModel,
     TailFamily,
+    _running_min,
     _weighted_rows,
     alpha_weights,
     build_model,
@@ -34,6 +36,7 @@ from memloss.coupling import (
 )
 from memloss.maps import Branch, inverse_branch_array, lsv
 from memloss.partitions import TailTable, lsv_preimage_points, mc_zscores, return_time_tail
+from memloss.tables import empirical_tail
 
 
 class TestConstants:
@@ -303,6 +306,49 @@ def _reference_s_tail_mc(model, n_max, samples, seed):
     return (samples - np.concatenate([[0], np.cumsum(counts[:-1])]))[: n_max + 1] / samples
 
 
+def _lockstep_s_tail_mc(model, n_max, samples, seed):
+    """The lock-step sampler with one ``searchsorted`` per distinct envelope
+    and step (shift x for stationary families, (t, x) otherwise), over
+    ``conditional_tail``: it draws the same uniforms in the same order as
+    ``s_tail_mc``, so the two agree draw for draw."""
+    c = model.constants
+    n0, th = c.n0, c.theta
+    stationary = model.family.stationary
+    gen = np.random.default_rng(_rng.child_seed(seed, "s-tail-mc"))
+    taus = gen.geometric(th, size=samples)
+    r_rev = model.r_hat.values[1:][::-1]
+    x = n0 + (len(r_rev) - np.searchsorted(r_rev, gen.uniform(size=samples), side="right"))
+    t = np.zeros(samples, dtype=np.int64)
+    s = x.copy()
+    over = n_max + 1
+    env_rev = {}
+    step = 1
+    live = np.nonzero((taus > step) & (s <= n_max))[0]
+    while live.size:
+        u = gen.uniform(size=live.size)
+        keys = x[live] if stationary else t[live] * over + x[live]
+        order = np.argsort(keys, kind="stable")
+        uniq, starts = np.unique(keys[order], return_index=True)
+        counts = np.empty(live.size, dtype=np.int64)
+        for key, a, b in zip(uniq.tolist(), starts.tolist(), [*starts[1:].tolist(), live.size]):
+            if key not in env_rev:
+                kt, kx = divmod(key, over)
+                env_rev[key] = model.conditional_tail(kt, kx, n_max - kt - kx + 1)[1:][::-1]
+            rev = env_rev[key]
+            idx = order[a:b]
+            counts[idx] = len(rev) - rev.searchsorted(u[idx], side="right")
+        nxt = n0 + counts
+        moved = nxt <= n_max - s[live]
+        s[live[~moved]] = over
+        live = live[moved]
+        t[live] = s[live]
+        x[live] = nxt[moved]
+        s[live] += x[live]
+        step += 1
+        live = live[(taus[live] > step) & (s[live] <= n_max)]
+    return empirical_tail(s, n_max, model.family.k)
+
+
 def _assert_dp_matches_reference(model, n_max):
     dp = s_tail_dp(model, n_max)
     values, beyond = _reference_s_tail_dp(model, n_max)
@@ -568,6 +614,14 @@ class TestSTailMc:
         mc = s_tail_mc(model, 120, 50_000, seed=1)
         assert np.nanmax(np.abs(mc_zscores(dp, mc))) <= 4.0
 
+    @pytest.mark.parametrize("name", sorted(_DP_MODELS))
+    def test_draw_for_draw_equal_to_a_per_envelope_search(self, name):
+        make_family, kw, horizon, n_max = _DP_MODELS[name]
+        model = build_model(make_family(), make_constants(K=0.5, **kw), horizon)
+        a = s_tail_mc(model, n_max, 10_000, seed=8)
+        b = _lockstep_s_tail_mc(model, n_max, 10_000, seed=8)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.stderr, b.stderr)
+
     @pytest.mark.parametrize("name", ["poly1.5", "nonstationary-n0-0"])
     def test_same_law_as_one_walk_per_sample(self, name):
         # lock-step walkers draw their uniforms in another order, so the
@@ -588,7 +642,93 @@ def _bench_nonstationary_model(horizon):
     return build_model(fam, make_constants(), horizon)
 
 
+def _flat_run_model(horizon=130):
+    """Row j has tail min(1, a_j ceil(m / 4)**-(2 + 0.5 (j mod 3))): runs of
+    four equal values, whose composed sums round so that the raw envelopes
+    of some states with shift 1 or 2 rise by an ulp.  The small a_j let
+    walkers reach those states."""
+    m = np.arange(2 * horizon + 41, dtype=float)
+    m[0] = 1.0
+    rows = [TailTable(values=np.minimum(1.0, (0.05, 0.08, 0.06)[j % 3] * np.ceil(m / 4.0) ** -(2.0 + 0.5 * (j % 3))),
+                      label="r") for j in range(horizon + 10)]
+    r = TailTable(values=np.minimum(1.0, m**-1.5), label="r")
+    family = family_from_tables(1, r, rows, beta=2.0, beta_prime=1.5, c_beta=16.0, c_beta_prime=1.0)
+    return build_model(family, make_constants(theta=0.25, n0=1, K=0.0), horizon)
+
+
+def _accumulated_tail(model, t, x, length):
+    """``conditional_tail`` of a nonstationary model with a full running minimum."""
+    cols = slice(t + x + 1, t + x + length + 1)
+    raw = model.constants.c_h * (model._prefix[t + x + 1, cols] - model._prefix[t, cols])
+    return np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw, 1.0))])
+
+
 class TestEnvelopeTable:
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_arguments_out_of_range(self, stationary):
+        horizon = 120
+        model = _model(2.0, horizon=horizon) if stationary else _bench_nonstationary_model(horizon)
+        for args in ((-1, 5, 3), (2, -1, 3), (2, 3, -2)):
+            with pytest.raises(errors.ParamError):
+                model.conditional_tail(*args)
+        with pytest.raises(errors.HorizonError):  # t + x past the horizon, even with length 0
+            model.conditional_tail(0, horizon + 1, 0)
+
+    def test_flat_runs_take_the_fix_up_paths(self, monkeypatch):
+        model = _flat_run_model()
+        n_max = 120
+        # Uniforms drawn from the dips of the rising raw rows, where a search
+        # of the raw row can count past the dip.  Both samplers build their
+        # generator through np.random.default_rng.
+        dips = []
+        for s in range(1, n_max + 1):
+            raw = model._envelopes(np.arange(s), s, n_max - s + 1, hhat=False)
+            dips.append(raw[:, :-1][raw[:, 1:] > raw[:, :-1]])
+        dips = np.concatenate(dips)
+        make_rng = np.random.default_rng
+
+        class DipDraws:
+            def __init__(self, seed):
+                self.gen = make_rng(seed)
+
+            def geometric(self, p, size):
+                return self.gen.geometric(p, size=size)
+
+            def uniform(self, size):
+                return dips[self.gen.integers(len(dips), size=size)]
+
+        fixed = []  # rows each _running_min call fixed
+        running_min = coupling._running_min
+        with monkeypatch.context() as patch:
+            patch.setattr(coupling, "_running_min", lambda block: fixed.append(len(up := running_min(block))) or up)
+            dp = s_tail_dp(model, n_max)
+            dp_fixed, fixed[:] = sum(fixed), []
+            patch.setattr(np.random, "default_rng", DipDraws)
+            mc = s_tail_mc(model, n_max, 20_000, seed=5)
+        assert len(dips) and dp_fixed > 0 and sum(fixed) > 0
+        # the references, on envelopes with a full running minimum
+        monkeypatch.setattr(CouplingModel, "conditional_tail", _accumulated_tail)
+        values, beyond = _reference_s_tail_dp(model, n_max)
+        assert np.array_equal(dp.values, values) and dp.notes["beyond"] == beyond
+        monkeypatch.setattr(np.random, "default_rng", DipDraws)
+        ref = _lockstep_s_tail_mc(model, n_max, 20_000, seed=5)
+        assert np.array_equal(mc.values, ref.values) and np.array_equal(mc.stderr, ref.stderr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 30), width=st.integers(1, 40), levels=st.integers(1, 20),
+           bumps=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_rise_only_clamp_equals_a_running_minimum(self, rows, width, levels, bumps, seed):
+        # nonincreasing rows with flat runs, some entries raised by an ulp
+        gen = np.random.default_rng(seed)
+        block = np.sort(gen.integers(0, levels + 1, size=(rows, width)) / levels, axis=1)[:, ::-1].copy()
+        bump = gen.uniform(size=block.shape) < bumps
+        block[bump] = np.nextafter(block[bump], 2.0)
+        expected = np.minimum.accumulate(block, axis=1)
+        got = block.copy()
+        up = _running_min(got)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(up, np.flatnonzero(np.any(block[:, 1:] > block[:, :-1], axis=1)))
+
     def test_batched_rows_equal_one_row_calls(self):
         model = _bench_nonstationary_model(210)
         n_max = 200
@@ -617,7 +757,7 @@ class TestEnvelopeTable:
                 env = np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw, 1.0)), np.zeros(x)])
                 assert np.array_equal(model._table[horizon - x], env), x
         else:
-            assert np.array_equal(model._prefix, prefix[:, : horizon + 2])
+            assert np.array_equal(model._prefix, prefix[: horizon + 2, : horizon + 2])
         assert len(model.conditional_tail(3, 5, horizon - 7)) == horizon - 6
         with pytest.raises(errors.HorizonError):
             if stationary:
@@ -670,6 +810,20 @@ class TestEnvelopeTable:
         finally:
             tracemalloc.stop()
         assert peak <= 3.0 * 8 * (n + 2) ** 2
+
+    def test_nonstationary_dp_memory_peak(self):
+        # the prefix table, the triangle of W and two anti-diagonal buffers:
+        # about 2.2 tables of (n + 2)**2 floats with the model build, where a
+        # second prefix-sized table and fresh blocks per anti-diagonal took 3.0
+        n = 400
+        family = _poly_family([2.0 + 0.25 * (j % 3) for j in range(n + 10)], 2.0, depth=2 * n + 30)
+        tracemalloc.start()
+        try:
+            s_tail_dp(build_model(family, make_constants(theta=0.25, n0=1, K=0.5), n + 1), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * (n + 2) ** 2
 
 
 class TestStailBound:

@@ -229,6 +229,20 @@ class TestReturnTimeTail:
         with pytest.raises(errors.ParamError):
             return_time_tail(seqs.constant(lsv(0.5)), 1, 10, base="nope")
 
+    @pytest.mark.parametrize("base", ["m_k", "lebesgue"])
+    def test_explicit_sequence_read_to_its_last_entry(self, base):
+        # t(0..n_max) at base k reads the maps at k .. k + n_max - 1 only
+        ten = [lsv(0.5), lsv(0.8)] * 5
+        tail = return_time_tail(seqs.explicit(ten), 1, 10, base=base).values
+        longer = return_time_tail(seqs.explicit(ten + [lsv(0.3), lsv(0.6)]), 1, 10, base=base).values
+        assert np.array_equal(_bits(tail), _bits(longer))
+        shared = _return_time_tails(seqs.explicit(ten), [1, 2], 9, base=base)
+        for k, table in zip((1, 2), shared):
+            alone = return_time_tail(seqs.explicit(ten + [lsv(0.3)]), k, 9, base=base).values
+            assert np.array_equal(_bits(table.values), _bits(alone))
+        with pytest.raises(errors.DepthError):
+            return_time_tail(seqs.explicit(ten), 1, 11, base=base)
+
     @pytest.mark.parametrize("params", [lsv(0.5), cui(0.5, 2.0), pikovsky(2.0), grossmann_horner()],
                              ids=lambda p: p.family.value)
     @pytest.mark.parametrize("n_max", [-5, -1, 0])
