@@ -3,32 +3,30 @@
 Densities are piecewise constant on N equal cells (N a power of two).  One
 step of evolution replaces a density by the cell averages of its exact
 pushforward: for each output cell [a, b] and each inverse branch g, the
-transported mass is the exact integral of the density over [g(a), g(b)],
-evaluated through the prefix integral (piecewise linear, so interpolating
-it linearly is exact).  The discrete one-step operator is therefore a
-composition of two Markov operators (pushforward, then conditional
-expectation onto the grid): it conserves mass to rounding and contracts
-total variation exactly, for arbitrarily rough cell data.  The inverse
-branches are closed-form except the LSV/Cui left branch, which is
-root-found at cell edges only.
+transported mass is the exact integral of the density over [g(a), g(b)].
+The discrete one-step operator is therefore a composition of two Markov
+operators (pushforward, then conditional expectation onto the grid): it
+conserves mass to rounding and contracts total variation exactly, for
+arbitrarily rough cell data.  The inverse branches are closed-form except
+the LSV/Cui left branch, which is root-found at cell edges only.
 
 A step has two parts: the map's interpolation plan, which depends only on
 the map and the grid, and its application to a density.  Per branch, the
 plan holds each clipped edge image u's cell j (edges[j] <= u < edges[j+1]),
 found arithmetically because every allowed grid's edges are exactly lo + i w
-with w a power of two, and the fraction (u - edges[j]) / w.  Built and
-applied in blocks of 2**14 edges, it gives ``np.interp``'s floats on the
-prefix integral.  A run of steps (:func:`evolve`, :func:`memory_loss_curve`,
+with w a power of two, the fraction t = (u - edges[j]) / w, and which cells'
+preimages cross a cell edge or span whole cells.  A step forms no prefix
+integral (see :func:`_apply_images`).  Plans are built and applied in blocks
+of 2**14 edges.  A run of steps (:func:`evolve`, :func:`memory_loss_curve`,
 :func:`mixing_mass`) computes each distinct map's plan at its first step and
-drops it after its last, holding four arrays of N+1 per distinct map still
-ahead, and makes its step arrays once: one prefix, the block rows and two
+drops it after its last, holding about 4.25 arrays of N+1 per distinct map
+still ahead, and makes its step arrays once: the block rows and two
 outputs, each step writing the one not holding its input, so a step
 allocates nothing of size N.  Nothing is cached between calls.
 
 :func:`memory_loss_curve` pushes the signed difference h = f - g (the
-operator is linear), keeping each branch's orientation sign where a density
-step takes absolute values: the TV at step n is half the L1 norm of h_n,
-free of the cancellation of subtracting two evolved O(1) densities.
+operator is linear): the TV at step n is half the L1 norm of h_n, free of
+the cancellation of subtracting two evolved O(1) densities.
 
 Total variation here is half the L1 distance of densities, so it lies in
 [0, 1] for probability densities.
@@ -55,13 +53,13 @@ _MAX_CELLS = 2**20
 
 
 def _check_cells(n: int) -> None:
-    if n < _MIN_CELLS or n > _MAX_CELLS or (n & (n - 1)) != 0:
+    if not isinstance(n, (int, np.integer)) or n < _MIN_CELLS or n > _MAX_CELLS or (n & (n - 1)) != 0:
         raise ParamError(f"cell count must be a power of two in [2**10, 2**20], got {n}")
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Nonnegative cell averages on N equal cells over ``interval``."""
+    """Finite, nonnegative cell averages on N equal cells over ``interval``."""
 
     values: np.ndarray
     interval: tuple[float, float] = (0.0, 1.0)
@@ -70,10 +68,13 @@ class GridDensity:
         v = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         _check_cells(len(v))
-        if not isinstance(self, _SignedGrid) and np.any(v < -1e-12):
+        if not -np.inf < self.interval[0] < self.interval[1] < np.inf:  # false for a NaN end too
+            raise ParamError(f"interval must be finite and nonempty, got {self.interval}")
+        bottom, top = v.min(), v.max()  # NaN if any value is, which fails every comparison
+        if not -np.inf < bottom <= top < np.inf:
+            raise ParamError("density values must be finite")
+        if not isinstance(self, _SignedGrid) and bottom < -1e-12:
             raise ParamError("density values must be nonnegative")
-        if self.interval[1] <= self.interval[0]:
-            raise ParamError("empty interval")
 
     @property
     def n_cells(self) -> int:
@@ -123,8 +124,8 @@ def make_density(
 
     kind = "uniform";
     kind = "holder": the fixed closed form 1 + (1 + cos(2 pi p t)) / 4 on the
-    unit coordinate t, with p = ``profile`` (distinct profiles give distinct
-    densities);
+    unit coordinate t, with p = ``profile`` >= 1 (distinct profiles give
+    distinct densities);
     kind = "cone": exact cell averages of c * x**(-beta) on (0, 1], the
     extremal member of the decreasing-density cone with that exponent.
     """
@@ -134,6 +135,8 @@ def make_density(
         vals = np.full(n_cells, 1.0 / (hi - lo))
         return GridDensity(vals, interval)
     if kind == "holder":
+        if profile < 1:  # 0 is uniform, and -p repeats p
+            raise ParamError(f"holder profile must be >= 1, got {profile}")
         t = (np.arange(n_cells) + 0.5) / n_cells
         base = 0.5 * (1.0 + np.cos(2.0 * np.pi * profile * t))
         vals = 1.0 + 0.5 * base
@@ -220,14 +223,14 @@ def cone_membership(f: GridDensity, beta: float, a_beta: float) -> ConeReport:
 
 
 # The stepping run in progress (see _steps): its maps' interpolation plans, keyed
-# by map, and its step arrays on its one grid, made at first use: the prefix, the
-# block rows, then two outputs used in turn.  None outside a step, so a direct
-# push_density call makes its own.  Passing them this way keeps push_density
-# (params, f) the one step function, so whatever wraps or observes it still sees
-# every step of a run.
+# by map, and its step arrays on its one grid, made at first use: the block rows,
+# then two outputs used in turn.  None outside a step, so a direct push_density
+# call makes its own.  Passing them this way keeps push_density (params, f) the
+# one step function, so whatever wraps or observes it still sees every step of
+# a run.
 _run: ContextVar[tuple[dict[MapParams, tuple], list[np.ndarray]] | None] = ContextVar("_run", default=None)
 
-_BLOCK = 2**14  # edges per block of _apply_images, so its temporaries stay small
+_BLOCK = 2**14  # edges per block of _edge_plan and _apply_images, so their temporaries stay small
 
 
 def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray], ...]:
@@ -243,53 +246,59 @@ def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.nda
     return tuple((1.0 if u[-1] >= u[0] else -1.0, u) for u in images)
 
 
-def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
-    """Per branch: its sign, the cell j of each edge image u (N for u = hi)
-    and the fraction (u - edges[j]) / w, over u.  The edges are exactly
-    lo + i w, so the rounded (u - lo) / w is u's cell or the next one."""
-    # the images first, so their root-find runs without a second edges array
-    plan = tuple((sign, np.empty(len(u), np.intp), u) for sign, u in _edge_images(params, f))
-    lo, w, edges = f.interval[0], f.cell_width, f.edges()
-    for _, j, u in plan:
+def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple, ...]:
+    """Per branch: its sign, the cell j of each edge image u (N for u = hi),
+    the fraction t = (u - edges[j]) / w, whether each cell's preimage crosses
+    one cell edge, and the cells whose preimage spans whole cells, with their
+    np.add.reduceat spans.  The edges are exactly lo + i w, so the rounded
+    (u - lo) / w is u's cell or the next one."""
+    lo, w, n = f.interval[0], f.cell_width, f.n_cells
+    plan = []
+    for sign, u in _edge_images(params, f):
+        j, cross, wide = np.empty(len(u), np.intp), np.empty(len(u) - 1, np.bool_), []
         for s in range(0, len(u), _BLOCK):  # u turns into t in place
             us, js = u[s : s + _BLOCK], j[s : s + _BLOCK]
-            js[:] = np.clip(np.floor((us - lo) / w), 0, f.n_cells)
-            js -= edges[js] > us
-            us -= edges[js]
+            js[:] = np.clip(np.floor((us - lo) / w), 0, n)
+            js -= js * w + lo > us  # the edges, exactly
+            us -= js * w + lo
             us /= w
-    return plan
+        for s in range(0, len(cross), _BLOCK):  # the cells j_lo .. j_up - 1 lie under a preimage
+            rise = np.abs(np.subtract(j[1:][s : s + _BLOCK], j[:-1][s : s + _BLOCK]))  # j_up - j_lo
+            np.equal(rise, 1, out=cross[s : s + _BLOCK])
+            wide.append(np.flatnonzero(rise > 1) + s)
+        cells = np.concatenate(wide)[:: int(sign)]  # ascending in j_lo: a span ending at N is the last
+        spans = np.sort(np.column_stack((j[cells], j[cells + 1]))).ravel()
+        plan.append((sign, j, u, cross, cells, spans[:-1] if len(spans) and spans[-1] == n else spans))
+    return tuple(plan)
 
 
-def _apply_images(plan: tuple[tuple[float, np.ndarray, np.ndarray], ...], f: GridDensity) -> GridDensity:
-    """One transfer step of f, given its map's plan: output cell mass is the
-    prefix integral P's increment between the images of the cell edges.
-    (P[j+1] - P[j]) * t + P[j] is np.interp's slope * (u - edges[j]) + P[j]:
-    t is exact, so the product has the same real value and rounding."""
-    n, w = f.n_cells, f.cell_width
+def _apply_images(plan: tuple[tuple, ...], f: GridDensity) -> GridDensity:
+    """One transfer step of f, given its map's plan.  With a = f[j] and p = t a
+    at each edge image, a branch sends cell i, divided by w, p_up - p_lo +
+    f[j_lo] + ... + f[j_up - 1], lo and up the images of the lower and upper
+    ends of its preimage: the prefix integral's increment, with the common
+    prefix cancelled.  The sum is a_lo for a preimage that crosses one edge."""
+    n, v = f.n_cells, f.values
     _, arrays = _run.get() or ({}, [])
     if not arrays:  # the block rows are shared by the blocks, which then allocate nothing
-        arrays += [np.empty(n + 2), *np.empty((2, min(n, _BLOCK) + 1))]
-    pre, base, p, *outs = arrays
-    out = next((o for o in outs if o is not f.values), None)
+        arrays += [*np.empty((2, min(n, _BLOCK) + 1)), np.empty(min(n, _BLOCK))]
+    a, p, d, *outs = arrays
+    out = next((o for o in outs if o is not v), None)
     if out is None:  # a run's second output is made at its second step, once the start is freed
         arrays.append(out := np.empty(n))
-    np.multiply(np.cumsum(f.values, out=pre[1:-1]), w, out=pre[1:-1])
-    pre[0], pre[-1] = 0.0, pre[-2]  # an image at hi has j = N and t = 0
-    out.fill(0.0)
-    signed = isinstance(f, _SignedGrid)
-    for sign, j, t in plan:
-        for s in range(0, n, _BLOCK):
-            js = j[s : s + _BLOCK + 1]
-            np.take(pre, js, out=base, mode="clip")  # no index is out of range; "raise" buffers
-            np.take(pre[1:], js, out=p, mode="clip")
-            p -= base  # P[j+1] - P[j], the rise of cell j
-            p *= t[s : s + _BLOCK + 1]
-            p += base
-            d = np.subtract(p[1:], p[:-1], out=base[1:])  # into base, which is spent
-            if signed and sign < 0:
-                np.negative(d, out=d)
-            out[s : s + _BLOCK] += d if signed else np.abs(d, out=d)
-    out /= w
+    for b, (sign, j, t, cross, cells, spans) in enumerate(plan):
+        lo, up, a_lo = (p[:-1], p[1:], a[:-1]) if sign > 0 else (p[1:], p[:-1], a[1:])
+        for s in range(0, n, _BLOCK):  # an image at hi has j = N and t = 0: clipped, it adds nothing
+            np.take(v, j[s : s + _BLOCK + 1], out=a, mode="clip")  # "raise" buffers
+            np.multiply(a, t[s : s + _BLOCK + 1], out=p)
+            o = d if b else out[s : s + _BLOCK]  # the first branch writes the output
+            np.copyto(o, cross[s : s + _BLOCK])  # a cast, then a product: a mixed-type product buffers
+            o *= a_lo
+            o -= lo
+            o += up
+            if b:
+                out[s : s + _BLOCK] += d
+        out[cells] += np.add.reduceat(v, spans)[::2]
     return type(f)(out, f.interval)
 
 
@@ -357,6 +366,7 @@ def memory_loss_curve(
     seq: ParamSequence, f: GridDensity, g: GridDensity, n_max: int, start: int = 1
 ) -> TailTable:
     """tv_distance between the evolved densities, n = 0..n_max (pushes f - g)."""
+    check_n_max(n_max)
     _require_same_grid(f, g)
     h = _SignedGrid(f.values - g.values, f.interval)
     evolved = itertools.chain([h], _steps(_maps(seq, start, n_max), h))

@@ -144,6 +144,15 @@ class TestEvolve:
         assert kind == "density"
         assert np.allclose(cols["value"], 0.5, atol=1e-9)
 
+    @pytest.mark.parametrize("profile", ["0", "-1"])
+    def test_holder_profile_below_one_exits_2_with_one_line(self, tmp_path, capsys, profile):
+        out = tmp_path / "out"
+        code = run_cli(["evolve", "--family", "lsv", "--steps", "2", "--grid", "1024",
+                        "--profile", profile, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: holder profile must be >= 1, got {profile}\n"
+        assert os.listdir(out) == []
+
 
 class TestFrequency:
     def test_iid_estimate(self, tmp_path):
@@ -403,13 +412,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv", [
         *(pytest.param([command, *family], id=f"{command}-{family[1]}")
-          for command in ("tails", "mixing") for family in _FAMILY_ARGS),
+          for command in ("tails", "memloss", "mixing") for family in _FAMILY_ARGS),
         pytest.param(["coupling"], id="coupling"),
     ])
     @pytest.mark.parametrize("n_max", ["-5", "-1", "0"])
     def test_n_max_below_one_exits_2_with_one_line(self, tmp_path, capsys, argv, n_max):
         out = tmp_path / "out"
-        grid = ["--grid", "1024"] if argv[0] == "mixing" else []
+        grid = ["--grid", "1024"] if argv[0] in ("memloss", "mixing") else []
         assert run_cli([*argv, "--n-max", n_max, *grid, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: n_max must be >= 1, got {n_max}\n"
