@@ -213,20 +213,23 @@ def _lsv_left_inverse_array(y: np.ndarray, gamma) -> np.ndarray:
     return vec_newton_from_above(f, df, x0, 0.0)
 
 
-def _lsv_left_chain(y: float, gamma: float, n: int) -> list[float]:
-    """y and n successive left-inverse pulls of it for one map, in scalar
-    arithmetic: the iteration of :func:`_lsv_left_inverse_array` (same
-    operations, start, stop rule and cap), so the same floats, at a
-    fraction of a one-element array call.  A pull starts at the last root,
-    so it reuses the power computed there; single-map tail chains make
-    10^4 pulls."""
-    g = np.array([gamma], dtype=float)
-    g1 = 1.0 + g.item()
+def _lsv_left_chain(y: float, gammas: list[float], n: int) -> list[float]:
+    """y and its first n left-inverse pulls, pull i by the map of gamma
+    ``gammas[i % len(gammas)]``, in scalar arithmetic: the iteration of
+    :func:`_lsv_left_inverse_array` (same operations, start, stop rule and
+    cap), so the same floats, at a fraction of a one-element array call.  A
+    pull starts at the last root, so while gamma repeats it reuses the power
+    computed there; single-map tail chains make 10^4 pulls."""
+    cycle = [(float(g), np.array([g], dtype=float)) for g in gammas]
     y = float(y)
     out = [y]
     u = min(max(y, 0.0), 0.5)
-    p = np.power(2.0 * u, g).item()
-    for _ in range(n):
+    last = None
+    for i in range(n):
+        gamma, g = cycle[i % len(cycle)]
+        if gamma != last:  # a fresh power at the start point, as the array kernel takes
+            p = np.power(2.0 * u, g).item()
+            g1, last = 1.0 + gamma, gamma
         for _ in range(MAX_ITER):
             u_new = max(u - (u * (1.0 + p) - y) / (1.0 + g1 * p), 0.0)
             if not u_new < u:

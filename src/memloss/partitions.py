@@ -26,13 +26,13 @@ lookup gives, for every base index of the window, the entry acting there,
 and the fill runs on the gamma array gathered from it.  Nonstationary
 windows are handled by an anti-diagonal layered fill (value at (base j,
 depth n) pulls back the value at (j+1, n-1)), one array step per layer.
-Windows of one map and periodic windows take O(depth) and
-O(period * depth) scalar chains; maps are told apart by value (all
-parameters, not gamma alone), so a support that lists one map twice
-still runs the single chain.  A chain pull returns the same float as the
-triangle's array pull, so values do not depend on the fill chosen, and
-tails for nearby base indices share one fill from the least of them, of
-depth n_max plus their spread.
+Windows of period P <= 15 (one map: P = 1) take P chains of depth
+pulls; maps are told apart by value (all parameters, not gamma alone),
+so a support that lists one map twice still runs the single chain.  A
+chain pull returns the same float as the triangle's array pull, so
+values do not depend on the fill chosen, and tails for nearby base
+indices share one fill from the least of them, of depth n_max plus their
+spread.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _materialize(seq: ParamSequence, k: int, count: int) -> tuple[tuple[MapParam
 def _fill_rows(
     entries: tuple[MapParams, ...],
     ids: np.ndarray,
-    chain: Callable[[float, float, int], list[float]],
+    chain: Callable[[float, list[float], int], list[float]],
     pull_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     depth: int,
     want: list[int],
@@ -115,45 +115,42 @@ def _fill_rows(
     """Backward orbits of 1 in rows: the i-th row holds the values at (base
     k+r, depth n) for r = want[i] and n = 0..depth-r, where ``entries[ids[j]]``
     acts at base k+j.  ``want`` is increasing, with entries <= depth + 1.
-    ``pull_vec`` takes (values, gammas); ``chain(x, gamma, n)`` returns x
-    and its first n pulls.
+    ``pull_vec`` takes (values, gammas); ``chain(x, gammas, n)`` returns x
+    and its first n pulls, pull i by ``gammas[i % len(gammas)]``.
 
-    Windows of one map run a single chain, periodic ones a chain per
-    residue class, everything else the full anti-diagonal triangle
-    (vectorized per layer).  Maps are told apart by value, through ``ids``.
+    A window of period P <= 15 (one map: P = 1) runs P chains of depth
+    pulls: chain d holds (r, n) for r + n = d (mod P), its n-th pull by the
+    map at base (d - n) mod P; other windows run the anti-diagonal triangle,
+    one array pull per layer.  Maps are told apart by value, through ``ids``.
     """
     assert len(ids) == max(depth, 1)  # the maps the pulls read: layer n reads bases 0..depth - n
     gam = np.array([p.gamma for p in entries])[ids]
     want = np.asarray(want, dtype=np.int64)
-    if np.all(ids == ids[0]):
-        row = np.array(chain(1.0, float(gam[0]), depth))
-        return [row[: depth + 1 - r] for r in want]
-    period = next((p for p in range(2, min(16, depth)) if np.array_equal(ids[p:], ids[:-p])), 0)
+    period = next((p for p in range(1, 16) if np.array_equal(ids[p:], ids[:-p])), 0)
+    if period:
+        pulls, cols = np.arange(1, period + 1), np.arange(depth + 1)
+        chains = np.array([chain(1.0, gam[(d - pulls) % period].tolist(), depth) for d in range(period)])
+        table = chains[(want[:, None] + cols) % period, cols]
+        return [table[i, : depth + 1 - r] for i, r in enumerate(want)]
     # Row i is read to depth - want[i]; what a layer writes past that is cut off.
     table = np.empty((len(want), depth + 1))
     table[:, 0] = 1.0
-    if period:
-        g = gam[:period].tolist()
-        cur = [1.0] * period
-        for n in range(1, depth + 1):
-            cur = [chain(cur[(c + 1) % period], g[c], 1)[1] for c in range(period)]
-            table[:, n] = np.array(cur)[want % period]
-    else:
-        vals = np.ones(depth + 1)
-        for n in range(1, depth + 1):
-            m = depth + 1 - n
-            vals = pull_vec(vals[1 : m + 1], gam[:m])
-            reach = np.searchsorted(want, m)  # rows r < m reach depth n
-            table[:reach, n] = vals[want[:reach]]
+    vals = np.ones(depth + 1)
+    for n in range(1, depth + 1):
+        m = depth + 1 - n
+        vals = pull_vec(vals[1 : m + 1], gam[:m])
+        reach = np.searchsorted(want, m)  # rows r < m reach depth n
+        table[:reach, n] = vals[want[:reach]]
     return [table[i, : depth + 1 - r] for i, r in enumerate(want)]
 
 
-def _pik_chain(u: float, gamma: float, n: int) -> list[float]:
-    """u and its first n pulls for one map, on ``np.power`` with a one-element
-    exponent as in :func:`_lsv_left_chain`: the triangle's floats."""
-    g = np.array([gamma], dtype=float)
+def _pik_chain(u: float, gammas: list[float], n: int) -> list[float]:
+    """u and its first n pulls, pull i by ``gammas[i % len(gammas)]``, on
+    ``np.power`` with a one-element exponent: the triangle's floats."""
+    cycle = [(float(g), np.array([g], dtype=float)) for g in gammas]
     out = [float(u)]
-    for _ in range(n):
+    for i in range(n):
+        gamma, g = cycle[i % len(cycle)]
         out.append(out[-1] - np.power(out[-1], g).item() / (2.0 * gamma))
     return out
 
@@ -364,13 +361,13 @@ def return_time_tail_mc(
     record the first entry into the moving reference set.
 
     Returns the empirical tail with binomial standard errors.  Orbits not
-    returned by n_max are censored there (the tail values for n <= n_max
-    are unaffected).
+    returned before n_max are censored there: t(n_max) = P(tau >= n_max)
+    needs no later step, so the maps at k .. k + n_max - 1 are all it reads.
     """
     if samples < 1000:
         raise ParamError("samples must be >= 1000")
     _check_tail_args(n_max, base)
-    entries, ids = _materialize(seq, k, n_max + 1)
+    entries, ids = _materialize(seq, k, n_max)
     params = [entries[i] for i in ids]
     sets = [reference_set(p) for p in params]
     gen = np.random.default_rng(_rng.child_seed(seed, f"return-mc-{k}-{base}"))
@@ -381,11 +378,11 @@ def return_time_tail_mc(
         x = gen.uniform(lo, hi, size=samples)
     tau = np.full(samples, n_max + 1, dtype=np.int64)
     alive = np.arange(samples)
-    for n in range(1, n_max + 1):
+    for n in range(1, n_max):
         if alive.size == 0:
             break
         x = eval_map_array(params[n - 1], x)
-        hit = _in_sets(x, sets[n]) if n < len(sets) else _in_sets(x, sets[-1])
+        hit = _in_sets(x, sets[n])
         tau[alive[hit]] = n
         alive = alive[~hit]
         x = x[~hit]

@@ -389,6 +389,14 @@ class TestInputErrors:
         assert err.startswith("error: explicit sequence has 3 entries") and err.count("\n") == 1
         assert os.listdir(out) == []
 
+    def test_explicit_sequence_runs_tails_with_mc_to_its_last_entry(self, tmp_path, capsys):
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps({"kind": "explicit", "family": "lsv", "cycle": [0.5, 0.8] * 10}))
+        argv = ["tails", "--config", str(cfg), "--mc-samples", "1000"]
+        assert run_cli([*argv, "--n-max", "20", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli([*argv, "--n-max", "21", "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == "error: explicit sequence has 20 entries, asked for 21\n"
+
     def test_explicit_gh_sequence_past_its_end_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "seq.json"
         cfg.write_text(json.dumps({"kind": "explicit", "family": "gh", "cycle": [2.0, 2.0, 2.0]}))

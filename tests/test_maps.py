@@ -314,10 +314,10 @@ class TestScalarEntriesMatchArrays:
         gammas=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=60),
     )
     def test_tail_chain_pull_matches_the_array_kernel(self, y, gammas):
-        # The single-map and periodic tail chains pull one scalar at a time.
+        # The tail chains pull one scalar at a time.
         from memloss.maps import _lsv_left_chain, _lsv_left_inverse_array
 
         g = np.resize(np.array(gammas), len(y))
         want = _lsv_left_inverse_array(np.array(y), g)
-        got = np.array([_lsv_left_chain(v, w, 1)[1] for v, w in zip(y, g.tolist())])
+        got = np.array([_lsv_left_chain(v, [w], 1)[1] for v, w in zip(y, g.tolist())])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

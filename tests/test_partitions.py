@@ -243,6 +243,17 @@ class TestReturnTimeTail:
         with pytest.raises(errors.DepthError):
             return_time_tail(seqs.explicit(ten), 1, 11, base=base)
 
+    @pytest.mark.parametrize("base", ["m_k", "lebesgue"])
+    def test_mc_reads_an_explicit_sequence_to_its_last_entry(self, base):
+        # the MC table to n_max reads the maps at k .. k + n_max - 1, as the exact one does
+        ten = [lsv(0.5), lsv(0.8)] * 5
+        mc = return_time_tail_mc(seqs.explicit(ten), 1, 10, 2000, seed=4, base=base)
+        longer = return_time_tail_mc(seqs.explicit(ten + [lsv(0.3), lsv(0.6)]), 1, 10, 2000, seed=4, base=base)
+        assert np.array_equal(_bits(mc.values), _bits(longer.values))
+        assert np.array_equal(_bits(mc.stderr), _bits(longer.stderr)) and mc.notes == longer.notes
+        with pytest.raises(errors.DepthError):
+            return_time_tail_mc(seqs.explicit(ten), 1, 11, 2000, seed=4, base=base)
+
     @pytest.mark.parametrize("params", [lsv(0.5), cui(0.5, 2.0), pikovsky(2.0), grossmann_horner()],
                              ids=lambda p: p.family.value)
     @pytest.mark.parametrize("n_max", [-5, -1, 0])
@@ -391,58 +402,37 @@ class TestTailTable:
 # -- the per-MapParams backward fill, kept as the reference -------------------------
 
 
-def _reference_fill_rows(params, x0, pull_scalar, pull_vec, depth, n_rows):
-    """Backward-orbit rows from a list of MapParams, one map per base index;
-    the pulls take (MapParams or list, values)."""
-    window = params[: depth + 1]
-    if all(p == window[0] for p in window):
-        row = np.empty(depth + 1)
-        row[0] = x0
-        for n in range(1, depth + 1):
-            row[n] = pull_scalar(window[0], row[n - 1])
-        return [row[: depth + 1 - r] for r in range(n_rows)]
-    period = 0
-    for p_try in range(2, min(16, depth)):
-        if all(window[i] == window[i % p_try] for i in range(depth + 1)):
-            period = p_try
-            break
-    rows = [np.empty(depth + 1 - r) for r in range(n_rows)]
-    for r in range(n_rows):
-        rows[r][0] = x0
-    if period:
-        cur = np.full(period, x0)
-        for n in range(1, depth + 1):
-            cur = np.array([pull_scalar(window[c], float(cur[(c + 1) % period])) for c in range(period)])
-            for r in range(n_rows):
-                if n <= depth - r:
-                    rows[r][n] = cur[r % period]
-        return rows
+def _reference_fill_rows(params, x0, pull_vec, depth, n_rows):
+    """Backward-orbit rows 0 .. n_rows - 1 from a list of MapParams, one map
+    per base index, by the full anti-diagonal triangle whatever the window;
+    ``pull_vec`` takes (list of MapParams, values)."""
+    rows = [np.full(depth + 1 - r, x0) for r in range(n_rows)]
     vals = np.full(depth + 1, x0)
     for n in range(1, depth + 1):
         m = depth + 1 - n
-        vals = pull_vec(window[:m], vals[1 : m + 1])
-        for r in range(min(n_rows, m)):
-            if n <= depth - r:
-                rows[r][n] = vals[r]
+        vals = pull_vec(params[:m], vals[1 : m + 1])
+        for r in range(min(n_rows, m)):  # row r is read to depth - r
+            rows[r][n] = vals[r]
     return rows
 
 
+def _reference_pull(family):
+    """The array pull on per-base MapParams.  The Pikovsky pull runs
+    ``np.power`` on a per-element exponent, as the package's does."""
+    from memloss.maps import _lsv_left_inverse_array
+
+    gammas = lambda ps: np.array([p.gamma for p in ps])
+    if family is Family.PIKOVSKY:
+        return lambda ps, u: u - np.power(u, gammas(ps)) / (2.0 * gammas(ps))
+    return lambda ps, t: _lsv_left_inverse_array(t, gammas(ps))
+
+
 def _reference_points(seq, k, n_max):
-    """The orbits at bases k and k+1, from per-base MapParams.  The Pikovsky
-    scalar pull runs ``np.power`` on a one-element exponent, as the array
-    pull does per element."""
-    from memloss.maps import _lsv_left_chain, _lsv_left_inverse_array
+    """The orbits at bases k and k+1, from per-base MapParams."""
     from memloss.partitions import PartitionEndpoints
 
     params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 2)]
-    gammas = lambda ps: np.array([p.gamma for p in ps])
-    if seq.family is Family.PIKOVSKY:
-        pull = lambda g, u: u - np.power(u, g) / (2.0 * g)
-        pulls = (lambda p, u: pull(np.array([p.gamma]), u).item(), lambda ps, u: pull(gammas(ps), u))
-    else:
-        pulls = (lambda p, t: _lsv_left_chain(t, p.gamma, 1)[1],
-                 lambda ps, t: _lsv_left_inverse_array(t, gammas(ps)))
-    rows = _reference_fill_rows(params, 1.0, *pulls, n_max, 2)
+    rows = _reference_fill_rows(params, 1.0, _reference_pull(seq.family), n_max, 2)
     return PartitionEndpoints(params[0], k, n_max, rows[0], rows[1][:n_max])
 
 
@@ -491,6 +481,53 @@ class TestBackwardFillAgainstReference:
         monkeypatch.setattr(partitions, "_points", lambda seq, ks, n_max: [_reference_points(seq, j, n_max) for j in ks])
         for b, t in zip(("m_k", "lebesgue"), tails):
             assert np.array_equal(_bits(t), _bits(return_time_tail(seq, k, n, base=b).values)), b
+
+
+@st.composite
+def _periodic_windows(draw):
+    """An explicit periodic window (period 1..15, depth 0 up, also below the
+    period) and the rows wanted from it, up to depth + 1."""
+    family = draw(st.sampled_from(["lsv", "cui", "pikovsky"]))
+    if family == "lsv":
+        support = [lsv(draw(st.floats(0.05, 0.95))) for _ in range(3)]
+    elif family == "cui":  # the first two maps share gamma
+        g = draw(st.floats(0.05, 0.95))
+        support = [cui(g, 1.5), cui(g, 2.5), cui(draw(st.floats(0.05, 0.95)), 1.0)]
+    else:
+        support = [pikovsky(draw(st.floats(1.05, 2.95))) for _ in range(3)]
+    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=15))
+    depth = draw(st.integers(0, 60))
+    want = sorted(draw(st.sets(st.integers(0, depth + 1), min_size=1, max_size=4)))
+    return [support[i] for i in picks], depth, want
+
+
+class TestPeriodicChains:
+    @settings(max_examples=150, deadline=2000)
+    @given(case=_periodic_windows())
+    def test_rows_equal_the_triangle(self, case):
+        cycle, depth, want = case
+        seq = seqs.explicit(cycle * (depth // len(cycle) + 1))
+        entries, ids = partitions._materialize(seq, 1, max(depth, 1))
+        chain, pull = partitions._ORBITS[seq.family]
+        got = partitions._fill_rows(entries, ids, chain, pull, depth, want)
+        params = [seqs.param_at(seq, j) for j in range(1, depth + 1)]
+        ref = _reference_fill_rows(params, 1.0, _reference_pull(seq.family), depth, want[-1] + 1)
+        assert len(got) == len(want)
+        for r, row in zip(want, got):
+            assert np.array_equal(_bits(row), _bits(ref[r])), r
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 15])
+    @pytest.mark.parametrize("family", ["lsv", "pikovsky"])
+    def test_a_period_p_window_makes_p_chain_calls(self, family, period, monkeypatch):
+        make = lsv if family == "lsv" else pikovsky
+        seq = seqs.periodic([make((0.3 if family == "lsv" else 1.5) + 0.02 * i) for i in range(period)])
+        alone = return_time_tail(seq, 2, 100).values
+        chain, pull = partitions._ORBITS[seq.family]
+        depths = []
+        counted = lambda x, gammas, n: depths.append(n) or chain(x, gammas, n)
+        monkeypatch.setitem(partitions._ORBITS, seq.family, (counted, pull))
+        assert np.array_equal(_bits(return_time_tail(seq, 2, 100).values), _bits(alone))
+        assert depths == [100] * period
 
 
 @st.composite
