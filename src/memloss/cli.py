@@ -7,8 +7,6 @@ passed), writes ``<command>_summary.json`` and returns the exit code: 0
 success, 1 an expectation gate failed, 2 usage or configuration error.
 All randomness flows from ``--seed`` (derived streams are keyed by
 purpose), so a config reruns to byte-identical artifacts.
-``MEMLOSS_THREADS`` caps the worker pool used for the per-k Monte Carlo
-jobs of ``tails``.
 
 Expectation gates (``--expect-slope``/``--tol`` and friends) live here,
 not in the library, so library results stay assertion-free.
@@ -20,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,13 +44,6 @@ from .partitions import (
 from .sequences import check_frequency, load_sequence, param_at, theta_profile
 from .tables import TailTable
 from .transfer import make_density, memory_loss_curve, mixing_mass, evolve
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MEMLOSS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _k_list(text: str) -> tuple[int, ...]:
@@ -128,18 +118,10 @@ def _cmd_tails(args) -> dict:
     ks = args.k
     out_paths = {}
     exacts = _return_time_tails(seq, ks, args.n_max, base=base)
-
-    def mc_job(k: int):
-        return return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)
-
     mcs = [None] * len(ks)
     if args.mc_samples:
-        workers = min(_threads(), len(ks))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                mcs = list(pool.map(mc_job, ks))
-        else:
-            mcs = [mc_job(k) for k in ks]
+        mcs = [return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)
+               for k in ks]
     summary = {"base": args.base, "n_max": args.n_max, "k": list(ks)}
     for k, exact, mc in zip(ks, exacts, mcs):  # every fit before any CSV
         summary[f"k{k}"] = _fit_metrics(exact.values, args.fit_lo, args.fit_hi)

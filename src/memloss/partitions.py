@@ -255,7 +255,7 @@ def return_time_tail(seq: ParamSequence, k: int, n_max: int, base: str = "m_k") 
     _check_tail_args(n_max, base)
     if seq.family is not Family.GROSSMANN_HORNER:
         return _tail_table(_points(seq, [k], n_max)[0], base)
-    entries, ids = _materialize(seq, k, n_max + 1)
+    entries, ids = _materialize(seq, k, n_max)
     return _tail(_gh_tail(entries[ids[0]], n_max, base), k, base)
 
 

@@ -261,32 +261,17 @@ class TestDeterminism:
         assert run_cli(argv + ["--out", str(b)]) == 0
         assert _hash_dir(a) == _hash_dir(b)
 
-    def test_thread_count_invariant(self, tmp_path, monkeypatch):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        a.mkdir()
-        b.mkdir()
-        argv = ["tails", "--family", "lsv", "--gamma", "0.5", "--k", "1,2,3",
-                "--n-max", "60"]
-        monkeypatch.setenv("MEMLOSS_THREADS", "1")
-        assert run_cli(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("MEMLOSS_THREADS", "3")
-        assert run_cli(argv + ["--out", str(b)]) == 0
-        assert _hash_dir(a) == _hash_dir(b)
-
-    def test_thread_count_invariant_with_mc_jobs(self, tmp_path, monkeypatch):
+    def test_each_k_table_equals_its_one_index_run(self, tmp_path):
         cfg = tmp_path / "iid.json"
         cfg.write_text(json.dumps({"kind": "iid", "family": "lsv", "support": [0.5, 0.8],
                                    "probs": [0.3, 0.7], "seed": 5}))
-        argv = ["tails", "--config", str(cfg), "--k", "1,2,3,4", "--n-max", "60",
-                "--mc-samples", "2000", "--seed", "9"]
-        hashes = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("MEMLOSS_THREADS", threads)
-            out = tmp_path / threads
-            assert run_cli(argv + ["--out", str(out)]) == 0
-            hashes.append(_hash_dir(out))
-        assert len(hashes[0]) == 9 and hashes[0] == hashes[1]
+        argv = ["tails", "--config", str(cfg), "--n-max", "60", "--mc-samples", "2000", "--seed", "9"]
+        assert run_cli([*argv, "--k", "1,2,3,4", "--out", str(tmp_path / "all")]) == 0
+        for k in (1, 2, 3, 4):
+            alone = tmp_path / f"k{k}"
+            assert run_cli([*argv, "--k", str(k), "--out", str(alone)]) == 0
+            for name in (f"tails_k{k}_mk.csv", f"tails_k{k}_mk_mc.csv"):
+                assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 class TestSummarize:
@@ -402,8 +387,17 @@ class TestInputErrors:
         cfg.write_text(json.dumps({"kind": "explicit", "family": "gh", "cycle": [2.0, 2.0, 2.0]}))
         out = tmp_path / "out"
         assert run_cli(["tails", "--n-max", "50", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: explicit sequence has 3 entries, asked for 51\n"
+        assert capsys.readouterr().err == "error: explicit sequence has 3 entries, asked for 50\n"
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("mc", [[], ["--mc-samples", "1000"]], ids=["exact", "mc"])
+    def test_explicit_gh_sequence_runs_tails_to_its_last_entry(self, tmp_path, capsys, mc):
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps({"kind": "explicit", "family": "gh", "cycle": [2.0] * 10}))
+        argv = ["tails", "--config", str(cfg), *mc]
+        assert run_cli([*argv, "--n-max", "10", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli([*argv, "--n-max", "11", "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == "error: explicit sequence has 10 entries, asked for 11\n"
 
     @pytest.mark.parametrize("argv,n_max", [
         (["tails", "--family", "lsv", "--n-max", "2"], 2),

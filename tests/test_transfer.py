@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from memloss import errors, transfer
 from memloss import sequences as seqs
 from memloss.maps import Branch, cui, grossmann_horner, inverse_branch_array, lsv, pikovsky, state_interval
-from memloss.partitions import fit_power_law, reference_set
+from memloss.partitions import fit_power_law, reference_set, return_time_tail, return_time_tail_mc
 from memloss.transfer import (
     GridDensity,
     _apply_images,
@@ -715,3 +715,46 @@ class TestRunArrays:
             assert a.values is not b.values
             assert _half_l1(a) == _half_l1(b)
         assert np.array_equal([_half_l1(a) for a in transfer._steps(maps, h)], first[1:])
+
+
+# -- stated depths: what each entry point reads of an explicit sequence ------------
+
+
+def _holder_curve(seq, k, n_max):
+    f, g = (make_density("holder", N, state_interval(seq.entries[0]), profile=p) for p in (1, 2))
+    return memory_loss_curve(seq, f, g, n_max, start=k)
+
+
+# each entry point run at base k to depth n, and the entries it reads past k + n - 1
+_DEPTHS = {
+    "return_time_tail": (lambda seq, k, n, base: return_time_tail(seq, k, n, base), 0),
+    "return_time_tail_mc": (lambda seq, k, n, base: return_time_tail_mc(seq, k, n, 1000, 11, base), 0),
+    "memory_loss_curve": (lambda seq, k, n, base: _holder_curve(seq, k, n), 0),
+    "mixing_mass": (lambda seq, k, n, base: mixing_mass(seq, k, n, n_cells=N), 1),
+}
+
+
+@st.composite
+def _explicit_maps(draw):
+    """Maps of one family, long enough for every depth drawn with them."""
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    support = draw(st.lists(_FAMILY_PARAMS[family], min_size=1, max_size=3))
+    k, n_max = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    maps = draw(st.lists(st.sampled_from(support), min_size=k + n_max + 5, max_size=k + n_max + 5))
+    return maps, k, n_max
+
+
+class TestStatedDepth:
+    @pytest.mark.parametrize("entry", sorted(_DEPTHS))
+    @settings(max_examples=60, deadline=None)
+    @given(case=_explicit_maps(), base=st.sampled_from(["m_k", "lebesgue"]))
+    def test_reads_exactly_its_stated_depth(self, entry, case, base):
+        run, past = _DEPTHS[entry]
+        maps, k, n_max = case
+        depth = k - 1 + n_max + past  # entries 1 .. depth
+        assume(depth > 1)
+        longer = run(seqs.explicit(maps), k, n_max, base).values
+        cut = run(seqs.explicit(maps[:depth]), k, n_max, base).values
+        assert np.array_equal(cut.view(np.int64), longer.view(np.int64))
+        with pytest.raises(errors.DepthError):
+            run(seqs.explicit(maps[: depth - 1]), k, n_max, base)
