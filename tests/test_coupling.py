@@ -237,46 +237,46 @@ def _poly_family(exponents, beta_prime, scales=None, depth=None):
     return family_from_tables(1, r, rows, beta=min(exponents), beta_prime=beta_prime, c_beta=1.0, c_beta_prime=1.0)
 
 
-def _reference_s_tail_dp(model, n_max):
-    """The DP as one Python step per (t, x) state, in row-major order."""
+def _reference_s_tail_dp(model, n_max, dtype=np.longdouble):
+    """The DP as one Python step per (t, x) state, in row-major order, with
+    every product and sum in ``dtype`` (the envelopes stay float64)."""
     c = model.constants
-    n0, th = c.n0, c.theta
-    rv = model.r_hat.values
-    W = np.zeros((n_max + 1, n_max + 1))
-    beyond = 0.0
+    n0 = c.n0
+    th, one_m = dtype(c.theta), dtype(1.0) - dtype(c.theta)
+    rv = model.r_hat.values.astype(dtype)
+    W = np.zeros((n_max + 1, n_max + 1), dtype=dtype)
+    beyond = dtype(0.0)
     xs = np.arange(n0, n_max + 1)
     if xs.size:
         W[0, xs] = rv[xs - n0] - rv[xs + 1 - n0]
-    beyond += float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
-    coupled = np.zeros(n_max + 1)
-    one_m = 1.0 - th
+    beyond += rv[n_max + 1 - n0] if n_max + 1 - n0 >= 0 else dtype(1.0)
+    coupled = np.zeros(n_max + 1, dtype=dtype)
     for t in range(n_max + 1):
         row = W[t]
         for x in np.nonzero(row)[0]:
-            w = float(row[x])
+            w = row[x]
             s = t + int(x)
-            env = model.conditional_tail(t, int(x), n_max - s + 1)
+            env = model.conditional_tail(t, int(x), n_max - s + 1).astype(dtype)
             if x == 0:
                 # zero increments self-loop on (t, 0); resolve geometrically
-                p0 = (1.0 - env[1]) if n0 == 0 else 0.0
-                w = w / (1.0 - one_m * p0)
+                p0 = (dtype(1.0) - env[1]) if n0 == 0 else dtype(0.0)
+                w = w / (dtype(1.0) - one_m * p0)
             coupled[s] += th * w
             hi = n_max - s - n0
             if hi >= 0:
                 probs = env[: hi + 1] - env[1 : hi + 2]
                 if n0 == 0 and x == 0:
-                    probs = probs.copy()
                     probs[0] = 0.0  # the self-loop mass was resolved above
                 W[s, n0 : n0 + hi + 1] += one_m * w * probs
-                beyond += one_m * w * float(env[hi + 1])
+                beyond += one_m * w * env[hi + 1]
             else:
                 beyond += one_m * w
-    tail = np.empty(n_max + 1)
+    tail = np.empty(n_max + 1, dtype=dtype)
     acc = beyond
     for n in range(n_max, -1, -1):
         acc += coupled[n]
         tail[n] = acc
-    return np.minimum.accumulate(np.minimum(tail, 1.0)), beyond
+    return np.minimum.accumulate(np.minimum(tail, dtype(1.0))), beyond
 
 
 def _reference_s_tail_mc(model, n_max, samples, seed):
@@ -349,11 +349,22 @@ def _lockstep_s_tail_mc(model, n_max, samples, seed):
     return empirical_tail(s, n_max, model.family.k)
 
 
+# Every row of s_tail_dp, and its beyond mass, lies within this relative
+# distance of the long double reference: the worst rows of the DP and of a
+# float64 per-state loop are both about 4e-15 on the models below.
+_DP_RTOL = 1e-14
+
+
+def _assert_within_reference(dp, values, beyond):
+    zero = values == 0.0
+    assert np.array_equal(dp.values[zero], values[zero])
+    assert np.all(np.abs(dp.values[~zero] - values[~zero]) <= _DP_RTOL * values[~zero])
+    assert abs(dp.notes["beyond"] - beyond) <= _DP_RTOL * beyond
+
+
 def _assert_dp_matches_reference(model, n_max):
     dp = s_tail_dp(model, n_max)
-    values, beyond = _reference_s_tail_dp(model, n_max)
-    assert np.array_equal(dp.values, values)
-    assert dp.notes["beyond"] == beyond
+    _assert_within_reference(dp, *_reference_s_tail_dp(model, n_max))
     return dp
 
 
@@ -468,7 +479,7 @@ def _added_in_order(coef, block):
 
 
 class TestSTailDpAgainstReference:
-    @pytest.mark.parametrize("cols", [1, 3])
+    @pytest.mark.parametrize("cols", [2, 3])
     def test_rows_are_added_in_order(self, cols):
         # 2e16 + 2 rounds back to 2e16, so adding the twos one at a time
         # loses them all, while a pairwise sum would keep them
@@ -480,7 +491,7 @@ class TestSTailDpAgainstReference:
             assert np.array_equal(_weighted_rows(coef, block), expected), block.strides
 
     @settings(max_examples=200, deadline=None)
-    @given(m=st.integers(1, 400), width=st.integers(1, 40), strided=st.booleans(),
+    @given(m=st.integers(1, 400), width=st.integers(2, 40), strided=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_weighted_rows_equal_a_loop(self, m, width, strided, seed):
         gen = np.random.default_rng(seed)
@@ -529,6 +540,40 @@ class TestSTailDpAgainstReference:
         v = dp.values
         assert np.all(np.diff(v) <= 0.0) and np.all((v >= 0.0) & (v <= 1.0))
         assert dp.notes["remainder"] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(1.1, 4.0), min_size=1, max_size=3),
+        scale=st.floats(0.05, 1.0),
+        stationary=st.booleans(),
+        theta=st.floats(0.0, 0.5, exclude_min=True),
+        n0=st.integers(0, 3),
+        K=st.floats(0.0, 1.0),
+        n_max=st.integers(1, 40),
+    )
+    def test_pushed_masses_are_nonnegative(self, exponents, scale, stationary, theta, n0, K, n_max):
+        # an anti-diagonal pushes q[l] - q[l + 1], with q a sum of nonincreasing
+        # envelope rows under nonnegative weights, which rounding keeps nonincreasing
+        rows = n_max + 10
+        if stationary:
+            family = synthetic_poly_family(exponents[0], n_rows=rows, depth=2 * rows)
+        else:
+            family = _poly_family([exponents[j % len(exponents)] for j in range(rows)], min(exponents),
+                                  [scale ** (j % 2) for j in range(rows)], depth=2 * rows)
+        model = build_model(family, make_constants(theta=theta, n0=n0, K=K), n_max)
+        pushes = []
+
+        def spy(coef, block):
+            assert np.all(coef >= 0.0) and np.all(np.diff(block, axis=1) <= 0.0)
+            q = _weighted_rows(coef, block)
+            pushes.append(q[:-1] - q[1:])
+            return q
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coupling, "_weighted_rows", spy)
+            v = _assert_dp_matches_reference(model, n_max).values
+        assert all(np.all(p >= 0.0) for p in pushes)
+        assert np.all(np.diff(v) <= 0.0) and np.all((v >= 0.0) & (v <= 1.0))
 
 
 _DIGEST_SCRIPT = """
@@ -622,6 +667,18 @@ class TestSTailMc:
         b = _lockstep_s_tail_mc(model, n_max, 10_000, seed=8)
         assert np.array_equal(a.values, b.values) and np.array_equal(a.stderr, b.stderr)
 
+    @pytest.mark.parametrize("name", ["nonstationary", "nonstationary-n0-0", "flat-run"])
+    def test_table_does_not_depend_on_the_block_size(self, name, monkeypatch):
+        if name == "flat-run":
+            model, n_max = _flat_run_model(), 120
+        else:
+            make_family, kw, horizon, n_max = _DP_MODELS[name]
+            model = build_model(make_family(), make_constants(K=0.5, **kw), horizon)
+        a = s_tail_mc(model, n_max, 10_000, seed=8)
+        monkeypatch.setattr(coupling, "_BLOCK", 101)
+        b = s_tail_mc(model, n_max, 10_000, seed=8)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.stderr, b.stderr)
+
     @pytest.mark.parametrize("name", ["poly1.5", "nonstationary-n0-0"])
     def test_same_law_as_one_walk_per_sample(self, name):
         # lock-step walkers draw their uniforms in another order, so the
@@ -708,8 +765,7 @@ class TestEnvelopeTable:
         assert len(dips) and dp_fixed > 0 and sum(fixed) > 0
         # the references, on envelopes with a full running minimum
         monkeypatch.setattr(CouplingModel, "conditional_tail", _accumulated_tail)
-        values, beyond = _reference_s_tail_dp(model, n_max)
-        assert np.array_equal(dp.values, values) and dp.notes["beyond"] == beyond
+        _assert_within_reference(dp, *_reference_s_tail_dp(model, n_max))
         monkeypatch.setattr(np.random, "default_rng", DipDraws)
         ref = _lockstep_s_tail_mc(model, n_max, 20_000, seed=5)
         assert np.array_equal(mc.values, ref.values) and np.array_equal(mc.stderr, ref.stderr)
@@ -797,9 +853,9 @@ class TestEnvelopeTable:
         assert np.array_equal(model[True]._table[horizon - x], np.concatenate([env, np.zeros(x)]))
 
     def test_stationary_dp_memory_peak(self):
-        # the envelope table, the push law and the triangle of W: about 2.6
-        # tables of (n + 2)**2 floats, where three full copies of the
-        # envelopes and a square W took 4.7
+        # the envelope table and the triangle of W: about 1.5 tables of
+        # (n + 2)**2 floats, where a push-law table beside them took 2.6, and
+        # three full copies of the envelopes and a square W 4.7
         n = 400
         family = synthetic_poly_family(2.0, n_rows=n + 10, depth=2 * n + 30)
         constants = make_constants(theta=0.25, n0=1, K=0.5)
@@ -812,9 +868,10 @@ class TestEnvelopeTable:
         assert peak <= 3.0 * 8 * (n + 2) ** 2
 
     def test_nonstationary_dp_memory_peak(self):
-        # the prefix table, the triangle of W and two anti-diagonal buffers:
-        # about 2.2 tables of (n + 2)**2 floats with the model build, where a
-        # second prefix-sized table and fresh blocks per anti-diagonal took 3.0
+        # the prefix table, the triangle of W and one anti-diagonal buffer:
+        # about 1.9 tables of (n + 2)**2 floats with the model build, where a
+        # second buffer for the push law took 2.2, and a second prefix-sized
+        # table and fresh blocks per anti-diagonal 3.0
         n = 400
         family = _poly_family([2.0 + 0.25 * (j % 3) for j in range(n + 10)], 2.0, depth=2 * n + 30)
         tracemalloc.start()
@@ -824,6 +881,38 @@ class TestEnvelopeTable:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * (n + 2) ** 2
+
+
+    def test_stationary_dp_holds_its_mass_triangle(self):
+        # with the model built, the DP holds the triangle of W, (n + 1)(n + 2) / 2
+        # floats, and a few rows per anti-diagonal; a push-law table
+        # beside it took (n + 1)**2 floats more
+        n = 1000
+        family = synthetic_poly_family(2.0, n_rows=n + 10, depth=2 * n + 30)
+        model = build_model(family, make_constants(theta=0.25, n0=1, K=0.5), n + 1)
+        tracemalloc.start()
+        try:
+            s_tail_dp(model, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * ((n + 1) * (n + 2) // 2 + 32 * (n + 2))
+
+    def test_nonstationary_mc_memory_peak(self):
+        # taus, x, t, s for every walker, and per step the live indices, their
+        # uniforms, their counts and one more walker-sized temporary: 8 arrays
+        # of int64 or float64, then the bisection's temporaries, made over
+        # blocks of walkers; at full width they took 12 arrays more
+        samples = 100_000
+        model = _bench_nonstationary_model(410)
+        s_tail_mc(model, 200, 10_000, seed=7)  # numpy imports np.random on first use
+        tracemalloc.start()
+        try:
+            s_tail_mc(model, 200, samples, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (8 * samples + 16 * coupling._BLOCK)
 
 
 class TestStailBound:
