@@ -228,10 +228,6 @@ _MODEL_KEYS = dict.fromkeys(["theta", "K", "lambda", "diam", "delta0", "beta", "
 _MODEL_KEYS.update(n0="integer", k="integer", horizon="integer", tails="string")
 
 
-def _load_model_config(path: str) -> dict:
-    return check_config(seqs._load_json(path), _MODEL_KEYS, "model config")
-
-
 def _model_from_config(cfg: dict, horizon: int):
     if cfg.get("k", 1) < 1:
         raise ConfigError(f"model config: 'k' must be >= 1, got {cfg['k']}")
@@ -277,7 +273,7 @@ def _model_from_config(cfg: dict, horizon: int):
 
 def _cmd_coupling(args) -> dict:
     check_n_max(args.n_max)
-    cfg = _load_model_config(args.model) if args.model else {}
+    cfg = check_config(seqs._load_json(args.model), _MODEL_KEYS, "model config") if args.model else {}
     if args.theta is not None:
         cfg["theta"] = args.theta
     if args.n0 is not None:

@@ -52,9 +52,9 @@ def derive_k_constants(K: float, lam: float) -> tuple[float, float]:
     """Regularity constants (K1, K2) from the distortion bound K and the
     expansion factor lambda: K2 = 2 K / (1 - 1/lambda) (strictly above the
     minimal admissible value when K > 0) and K1 = K + K2 / lambda."""
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ParamError(f"lambda must exceed 1, got {lam}")
-    if K < 0.0:
+    if not K >= 0.0:
         raise ParamError(f"K must be >= 0, got {K}")
     if K == 0.0:
         warnings.warn("K = 0 gives the degenerate choice K1 = K2 = 0", stacklevel=2)
@@ -66,15 +66,17 @@ def derive_k_constants(K: float, lam: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CouplingConstants:
+    """The chosen constants; K1, K2 and C_h = 2 exp(K2 diam_x) are derived from them."""
+
     theta: float
     n0: int
     K: float
     lam: float
-    K1: float
-    K2: float
     diam_x: float
     delta0: float
-    c_h: float
+    K1: float = field(init=False)
+    K2: float = field(init=False)
+    c_h: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 0.5):
@@ -83,13 +85,14 @@ class CouplingConstants:
             raise ParamError("n0 must be >= 0")
         if not (0.0 < self.delta0 <= 1.0):
             raise ParamError("delta0 must lie in (0, 1]")
-        if self.diam_x <= 0.0:
-            raise ParamError("diam_x must be positive")
-        if self.K > 0.0 and not self.K2 > (1.0 - 1.0 / self.lam) ** -1 * self.K - 1e-12:
-            raise ParamError("K2 must exceed K / (1 - 1/lambda)")
-        expected = 2.0 * np.exp(self.K2 * self.diam_x)
-        if abs(self.c_h - expected) > 1e-9 * expected:
-            raise ParamError("c_h must equal 2 exp(K2 diam_x)")
+        if not (0.0 < self.diam_x < np.inf):
+            raise ParamError("diam_x must be positive and finite")
+        if not (0.0 <= self.K < np.inf):
+            raise ParamError(f"K must be finite and >= 0, got {self.K}")
+        k1, k2 = derive_k_constants(self.K, self.lam) if self.K > 0.0 else (0.0, 0.0)
+        object.__setattr__(self, "K1", k1)
+        object.__setattr__(self, "K2", k2)
+        object.__setattr__(self, "c_h", 2.0 * float(np.exp(k2 * self.diam_x)))
 
 
 def make_constants(
@@ -100,18 +103,7 @@ def make_constants(
     diam_x: float = 1.0,
     delta0: float = 0.5,
 ) -> CouplingConstants:
-    k1, k2 = derive_k_constants(K, lam) if K > 0.0 else (0.0, 0.0)
-    return CouplingConstants(
-        theta=theta,
-        n0=int(n0),
-        K=K,
-        lam=lam,
-        K1=k1,
-        K2=k2,
-        diam_x=diam_x,
-        delta0=delta0,
-        c_h=2.0 * float(np.exp(k2 * diam_x)),
-    )
+    return CouplingConstants(theta=theta, n0=int(n0), K=K, lam=lam, diam_x=diam_x, delta0=delta0)
 
 
 # -- tail envelopes ----------------------------------------------------------------
@@ -128,7 +120,7 @@ def hat_envelope(r) -> TailTable:
     else:
         tail = np.asarray(r, dtype=float)
         k = 1
-    if np.any(tail < 0.0):
+    if not np.all(tail >= 0.0):
         raise ParamError("tails must be nonnegative")
     env = np.minimum.accumulate(np.minimum(tail, 1.0)) if len(tail) else tail
     return TailTable(values=np.concatenate([[1.0], env]), k=k, label="r")
@@ -143,7 +135,8 @@ class TailFamily:
     tail r, and the declared polynomial bounds they satisfy.
 
     ``h_rows[i, m]`` is h^{k+i}(m) with column 0 fixed at 1; the stationary
-    builders store one read-only row shared by every index.  The declared
+    builders store one read-only row shared by every index.  ``stationary``
+    is read off the rows: a shared row, or every row equal to the first.  The declared
     bounds h^j(n) <= C_beta (1 v (n - Theta_j j))**(-beta) and
     r(n) <= C'_beta (1 v (n - Theta_k k))**(-beta') are verified on the
     tabulated range at construction.
@@ -157,21 +150,22 @@ class TailFamily:
     c_beta: float
     c_beta_prime: float
     theta_seq: np.ndarray
-    stationary: bool = False
+    stationary: bool = field(init=False)
 
     def __post_init__(self):
         h = np.asarray(self.h_rows, dtype=float)
         object.__setattr__(self, "h_rows", h)
         th = np.asarray(self.theta_seq, dtype=float)
         object.__setattr__(self, "theta_seq", th)
-        if not (0.0 < self.beta_prime <= self.beta) or not self.beta > 1.0:
-            raise ParamError("need 0 < beta' <= beta and beta > 1")
-        if self.c_beta < 1.0 or self.c_beta_prime < 1.0:
-            raise ParamError("C_beta and C'_beta must be >= 1")
+        if not (0.0 < self.beta_prime <= self.beta < np.inf and self.beta > 1.0):
+            raise ParamError("need 0 < beta' <= beta < inf and beta > 1")
+        if not (1.0 <= self.c_beta < np.inf and 1.0 <= self.c_beta_prime < np.inf):
+            raise ParamError("C_beta and C'_beta must be finite and >= 1")
         if h.ndim != 2 or len(th) != h.shape[0]:
             raise ParamError("theta_seq must give one value per tail row")
-        if np.any((th < 0.0) | (th >= 1.0)):
+        if not np.all((th >= 0.0) & (th < 1.0)):
             raise ParamError("Theta values must lie in [0, 1)")
+        object.__setattr__(self, "stationary", h.strides[0] == 0 or all(np.array_equal(row, h[0]) for row in h))
         if float(np.max(th, initial=0.0)) > 0.2:
             warnings.warn(
                 "max Theta exceeds 0.2; the polynomial bound on the random "
@@ -181,17 +175,17 @@ class TailFamily:
         n = np.arange(1, h.shape[1], dtype=float)
         shift = th * (self.k + np.arange(len(th)))
         if np.any(shift):  # one bound per row
-            bad = [np.any(h[i, 1:] > self.c_beta * np.maximum(1.0, n - shift[i]) ** (-self.beta) + 1e-12)
+            bad = [not np.all(h[i, 1:] <= self.c_beta * np.maximum(1.0, n - shift[i]) ** (-self.beta) + 1e-12)
                    for i in range(len(th))]
-        else:  # one bound for every row, and a shared row is checked once
-            rows = h[:1] if h.strides[0] == 0 else h
-            bad = np.any(rows[:, 1:] > self.c_beta * np.maximum(1.0, n) ** (-self.beta) + 1e-12, axis=1)
+        else:  # one bound for every row, and equal rows are checked once
+            rows = h[:1] if self.stationary else h
+            bad = ~np.all(rows[:, 1:] <= self.c_beta * np.maximum(1.0, n) ** (-self.beta) + 1e-12, axis=1)
         if np.any(bad):
             raise ParamError(f"declared bound violated by tail row {self.k + int(np.argmax(bad))}")
         rv = self.r.values
         nr = np.arange(1, len(rv), dtype=float)
         rbound = self.c_beta_prime * np.maximum(1.0, nr - th[0] * self.k) ** (-self.beta_prime)
-        if np.any(rv[1:] > rbound + 1e-12):
+        if not np.all(rv[1:] <= rbound + 1e-12):
             raise ParamError("declared bound violated by the measure tail r")
 
     @property
@@ -208,7 +202,7 @@ def _stationary_family(k: int, h: np.ndarray, rvals: np.ndarray, n_rows: int,
     """Every row h, measure tail rvals, C_beta = C'_beta = 1 and Theta = 0."""
     r = TailTable(values=rvals, k=k, label="r")
     return TailFamily(k=k, r=r, h_rows=np.broadcast_to(h, (n_rows, len(h))), beta=beta, beta_prime=beta_prime,
-                      c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(n_rows), stationary=True)
+                      c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(n_rows))
 
 
 def synthetic_poly_family(
@@ -243,7 +237,6 @@ def family_from_tables(
     c_beta: float,
     c_beta_prime: float,
     theta=0.0,
-    stationary: bool | None = None,
 ) -> TailFamily:
     """Assemble a family from tabulated tails.
 
@@ -257,11 +250,9 @@ def family_from_tables(
     else:
         depth = min(len(t.values) for t in h_tables)
         rows = np.stack([t.values[:depth] for t in h_tables])
-    if stationary is None:
-        stationary = rows.strides[0] == 0 or all(np.array_equal(row, rows[0]) for row in rows)
     th = np.broadcast_to(np.asarray(theta, dtype=float), (rows.shape[0],)).copy()
     return TailFamily(k=k, r=r, h_rows=rows, beta=beta, beta_prime=beta_prime, c_beta=c_beta,
-                      c_beta_prime=c_beta_prime, theta_seq=th, stationary=stationary)
+                      c_beta_prime=c_beta_prime, theta_seq=th)
 
 
 # -- decomposition weights -------------------------------------------------------------
@@ -314,7 +305,8 @@ def memory_loss_bound(weights: WeightTable, n: int) -> float:
 
 class CouplingModel:
     """Materialized law of the random sum: r_hat plus the clamped composed-tail
-    envelopes from anti-diagonal prefix sums (one table for a stationary family)."""
+    envelopes from anti-diagonal prefix sums, which a stationary family turns
+    into one table of its envelopes."""
 
     def __init__(self, family: TailFamily, constants: CouplingConstants, horizon: int):
         if horizon < 1:
@@ -334,33 +326,28 @@ class CouplingModel:
         self.r_hat = hat_envelope(family.r)
         if len(self.r_hat.values) - 1 < horizon + 1 - constants.n0:
             raise HorizonError("measure tail r is tabulated too shallow for the horizon")
-        if family.stationary:
-            self._table = self._envelope_table()
-            return
         # prefix[i+1, c] = sum_{i'<=i} h^{k+i'}(c-i') for the rows and columns <= horizon + 1
         # that the envelopes read; h^{k+i}(m) sits in column i + m (rows and depth suffice).
         n_cols = self.horizon + 2
-        prefix = self._prefix = np.zeros((n_cols, n_cols))
+        prefix = np.zeros((n_cols, n_cols))
         for i in range(n_cols - 1):  # a cumsum down the columns, in place
             prefix[i + 1, i + 1 :] = family.h_rows[i, 1 : n_cols - i]
             prefix[i + 1] += prefix[i]
-
-    def _envelope_table(self) -> np.ndarray:
-        """Read-only; row horizon - x is the clamped base-0 envelope of shift x for
-        l = 0..horizon - x + 1, then zeros.  Raw column c = x + l is one sequential cumsum
-        of the anti-diagonal h_rows[i, c - i], i < c: the prefix table's additions in order."""
-        h, n_cols = self.horizon, self.horizon + 2
-        table = np.zeros((h + 1, n_cols))
-        flat = table.reshape(-1)
-        rev = self.family.h_rows[:, ::-1]  # rev[i, depth - m] = h^{k+i}(m)
-        for c in range(1, n_cols):  # (x, c - x) sits at flat[(h - x) n_cols + c - x]
-            np.cumsum(rev.diagonal(rev.shape[1] - 1 - c)[:c], out=flat[h * n_cols + c :: -(n_cols + 1)][:c])
-        table *= self.constants.c_h
-        table[:, 0] = 1.0
-        np.minimum(table, 1.0, out=table)
-        np.minimum.accumulate(table, axis=1, out=table)
-        table.flags.writeable = False
-        return table
+        if not family.stationary:
+            self._prefix = prefix
+            return
+        # row x + 1 shifted left by x is the raw base-0 envelope of shift x for l = 0..horizon - x + 1,
+        # then zeros; clamped, it is a read-only table, reversed so that row horizon - x holds shift x
+        rows = prefix[1:]
+        for x in range(1, n_cols - 1):
+            rows[x, : n_cols - x] = rows[x, x:]
+            rows[x, n_cols - x :] = 0.0
+        rows[:, 0] = 1.0
+        rows *= self.constants.c_h
+        np.minimum(rows, 1.0, out=rows)
+        np.minimum.accumulate(rows, axis=1, out=rows)
+        self._table = rows[::-1]
+        self._table.flags.writeable = False
 
     def _envelopes(self, rows, s: int, length: int, out=None, hhat: bool = True) -> np.ndarray:
         """env[i, l] = clamped composed tail hhat at base offset t = rows[i] (indices or a slice), shift
@@ -372,11 +359,10 @@ class CouplingModel:
         low = self._prefix[rows, cols]
         size = low.shape[0] * (length + 1)
         env = (np.empty(size) if out is None else out[:size]).reshape(-1, length + 1)
-        env[:, 0] = 1.0  # finite, so that whole rows can be scaled and clamped
+        env[:, 0] = 1.0  # finite, so that whole rows can be scaled and clamped (c_h >= 2)
         np.subtract(self._prefix[s + 1, cols], low, out=env[:, 1:])
         env *= self.constants.c_h
         np.minimum(env, 1.0, out=env)
-        env[:, 0] = 1.0  # c_h may lie below 1
         if hhat:
             _running_min(env)
         return env

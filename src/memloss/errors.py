@@ -1,5 +1,7 @@
 """Exception types, and the argument and config checks, shared across the package."""
 
+import math
+
 
 class MemlossError(Exception):
     """Base class for all package errors."""
@@ -62,10 +64,12 @@ _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "list": li
 
 
 def has_type(value, kind: str) -> bool:
-    """Whether value is a JSON `kind` (a key of _JSON_TYPES or "list of <kind>"), not a boolean."""
+    """Whether value is a JSON `kind` (a key of _JSON_TYPES or "list of <kind>"), not a boolean;
+    a number must be finite, since Python's json reads NaN and Infinity."""
     if kind.startswith("list of "):
         return isinstance(value, list) and all(has_type(v, kind[8:]) for v in value)
-    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool) and finite
 
 
 def check_config(config, kinds: dict, what: str) -> dict:

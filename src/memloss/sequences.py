@@ -75,7 +75,7 @@ def iid(support: SeqType[MapParams], probs: SeqType[float], seed: int) -> ParamS
     p = np.asarray(probs, dtype=float)
     if len(p) != len(support):
         raise ParamError("probs must match the support length")
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
+    if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
         raise ParamError("probs must be nonnegative and sum to 1 within 1e-12")
     return ParamSequence("iid", fam, tuple(support), probs=tuple(p), seed=int(seed))
 
@@ -105,10 +105,10 @@ def markov(
     t = np.asarray(transition, dtype=float)
     if t.shape != (len(support), len(support)):
         raise ParamError("transition matrix shape must match the support")
-    if np.any(t < 0.0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
+    if not (np.all(t >= 0.0) and np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-12)):
         raise ParamError("transition rows must be nonnegative and sum to 1 within 1e-12")
     law = stationary_law(t) if init is None else np.asarray(init, dtype=float)
-    if abs(law.sum() - 1.0) > 1e-10 or np.any(law < -1e-15):
+    if not (abs(law.sum() - 1.0) <= 1e-10 and np.all(law >= -1e-15)):
         raise ParamError("initial law must be a probability vector")
     return ParamSequence(
         "markov",

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,7 @@ class TestCoupling:
         pytest.param({"Theta": 0.5}, "'Theta'", id="Theta"),
         pytest.param({"C_beta": 2.0}, "'C_beta'", id="C_beta"),
         pytest.param({"C_beta_prime": 0.5}, "'C_beta_prime'", id="C_beta_prime"),
+        pytest.param({"K": -3}, "K must be", id="K-negative"),
     ])
     def test_model_key_that_cannot_act_exits_2(self, tmp_path, capsys, config, key):
         # synthetic:poly: tails have Theta 0 and C_beta = C_beta' = 1 of their own
@@ -463,6 +465,15 @@ class TestInputErrors:
         pytest.param("--config", {"kind": "markov", "family": "lsv", "support": [0.5, 0.8],
                                   "transition": [[0.5, "a"], [0.5, 0.5]], "seed": 1}, "'transition'",
                      id="transition-str"),
+        # Python's json reads NaN and Infinity; a number must be finite
+        pytest.param("--config", {"kind": "markov", "family": "lsv", "support": [0.5, 0.8],
+                                  "transition": [[0.5, math.nan], [0.5, 0.5]], "seed": 1}, "'transition'",
+                     id="transition-nan"),
+        pytest.param("--config", {**_IID, "probs": [math.nan, 1.0]}, "'probs'", id="probs-nan"),
+        pytest.param("--model", {"K": math.nan}, "'K'", id="K-nan"),
+        pytest.param("--model", {"diam": math.nan}, "'diam'", id="diam-nan"),
+        pytest.param("--model", {"diam": math.inf}, "'diam'", id="diam-inf"),
+        pytest.param("--model", {"Theta": math.nan, "tails": "file:tails.csv"}, "'Theta'", id="Theta-nan-file"),
     ])
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, flag, config, needle):
         path = tmp_path / "c.json"

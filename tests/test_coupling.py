@@ -55,14 +55,23 @@ class TestConstants:
     def test_c_h_consistency(self):
         c = make_constants(K=0.5, lam=2.0, diam_x=1.0)
         assert c.c_h == pytest.approx(2.0 * math.exp(c.K2), rel=1e-12)
-        with pytest.raises(errors.ParamError):
-            CouplingConstants(
-                theta=0.25, n0=1, K=0.5, lam=2.0, K1=1.5, K2=2.0, diam_x=1.0, delta0=0.5, c_h=3.0
-            )
+
+    def test_derived_constants_are_not_arguments(self):
+        c = CouplingConstants(theta=0.25, n0=1, K=0.5, lam=2.0, diam_x=1.0, delta0=0.5)
+        assert (c.K1, c.K2) == derive_k_constants(0.5, 2.0) and c == make_constants()
+        for key in ("K1", "K2", "c_h"):
+            with pytest.raises(TypeError):
+                CouplingConstants(theta=0.25, n0=1, K=0.5, lam=2.0, diam_x=1.0, delta0=0.5, **{key: 3.0})
 
     def test_theta_range(self):
         with pytest.raises(errors.ParamError):
             make_constants(theta=0.7)
+
+    @pytest.mark.parametrize("kw", [dict(K=-1.0), dict(K=math.nan), dict(K=math.inf), dict(lam=math.nan),
+                                    dict(diam_x=math.nan), dict(diam_x=math.inf)], ids=str)
+    def test_negative_or_non_finite_constant(self, kw):
+        with pytest.raises(errors.ParamError):
+            make_constants(**kw)
 
 
 class TestHatEnvelope:
@@ -713,6 +722,21 @@ def _flat_run_model(horizon=130):
     return build_model(family, make_constants(theta=0.25, n0=1, K=0.0), horizon)
 
 
+def _prefix_sums(h):
+    """prefix[i + 1, c] = sum of h[i', c - i'] over i' <= i with c - i' >= 1, by ``np.cumsum``."""
+    rows, depth = h.shape[0], h.shape[1] - 1
+    full = np.zeros((rows + 1, rows + depth + 1))
+    for i in range(rows):
+        full[i + 1, i + 1 : i + 1 + depth] = h[i, 1:]
+    return np.cumsum(full, axis=0)
+
+
+def _base_envelope(model, prefix, x):
+    """The clamped envelope at base offset 0, shift x, for l = 0..horizon - x + 1, from ``prefix``."""
+    raw = model.constants.c_h * (prefix[x + 1, x + 1 : model.horizon + 2] - prefix[0, x + 1 : model.horizon + 2])
+    return np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw, 1.0))])
+
+
 def _accumulated_tail(model, t, x, length):
     """``conditional_tail`` of a nonstationary model with a full running minimum."""
     cols = slice(t + x + 1, t + x + length + 1)
@@ -798,20 +822,14 @@ class TestEnvelopeTable:
     def test_prefix_holds_the_read_columns_only(self, stationary):
         horizon = 120
         model = _model(2.0, horizon=horizon) if stationary else _bench_nonstationary_model(horizon)
-        h = model.family.h_rows
-        rows, depth = h.shape[0], h.shape[1] - 1
-        full = np.zeros((rows + 1, rows + depth + 1))
-        for i in range(rows):
-            full[i + 1, i + 1 : i + 1 + depth] = h[i, 1:]
-        prefix = np.cumsum(full, axis=0)
+        prefix = _prefix_sums(model.family.h_rows)
         if stationary:
             # one read-only table: row horizon - x is the base-0 envelope of
             # shift x from the same prefix sums, then zeros
             assert not hasattr(model, "_prefix") and not model._table.flags.writeable
             for x in range(horizon + 1):
-                raw = model.constants.c_h * (prefix[x + 1, x + 1 : horizon + 2] - prefix[0, x + 1 : horizon + 2])
-                env = np.concatenate([[1.0], np.minimum.accumulate(np.minimum(raw, 1.0)), np.zeros(x)])
-                assert np.array_equal(model._table[horizon - x], env), x
+                env = _base_envelope(model, prefix, x)
+                assert np.array_equal(model._table[horizon - x], np.concatenate([env, np.zeros(x)])), x
         else:
             assert np.array_equal(model._prefix, prefix[: horizon + 2, : horizon + 2])
         assert len(model.conditional_tail(3, 5, horizon - 7)) == horizon - 6
@@ -833,8 +851,9 @@ class TestEnvelopeTable:
         K=st.floats(0.0, 1.0),
     )
     def test_table_rows_equal_the_prefix_envelopes(self, values, size, scales, horizon, at, K):
-        # a random nonincreasing row, shared or scaled per index; flagged
-        # stationary either way, since the table reads every row it is given.
+        # a random nonincreasing row, shared or scaled per index: the base-0
+        # envelope of a stationary model's table, or of a nonstationary model's
+        # prefix table, equals the one from the test's own prefix sums.
         # Small rows keep c_h times their sums below the clamp at 1, where a
         # change in the order of the additions would show.
         h = np.concatenate([[1.0], size * np.sort(values)[::-1]])
@@ -842,15 +861,14 @@ class TestEnvelopeTable:
         c_beta = max(1.0, float(np.max(n**1.01 * h[1:])))
         row = TailTable(values=h, label="r")
         tables = [row] * 70 if scales is None else [TailTable(values=a * h, label="r") for a in scales]
-        model = {flag: build_model(family_from_tables(1, row, tables, beta=1.01, beta_prime=1.01, c_beta=c_beta,
-                                                      c_beta_prime=c_beta, stationary=flag),
-                                   make_constants(K=K), horizon)
-                 for flag in (True, False)}
+        family = family_from_tables(1, row, tables, beta=1.01, beta_prime=1.01, c_beta=c_beta, c_beta_prime=c_beta)
+        assert family.stationary == (scales is None or len(set(scales)) == 1)
+        model = build_model(family, make_constants(K=K), horizon)
         x = int(at * horizon)
-        length = horizon - x + 1
-        env = model[False]._envelopes([0], x, length)[0]
-        assert np.array_equal(model[True].conditional_tail(0, x, length), env)
-        assert np.array_equal(model[True]._table[horizon - x], np.concatenate([env, np.zeros(x)]))
+        env = _base_envelope(model, _prefix_sums(family.h_rows), x)
+        assert np.array_equal(model.conditional_tail(0, x, horizon - x + 1), env)
+        if family.stationary:
+            assert np.array_equal(model._table[horizon - x], np.concatenate([env, np.zeros(x)]))
 
     def test_stationary_dp_memory_peak(self):
         # the envelope table and the triangle of W: about 1.5 tables of
@@ -1007,3 +1025,44 @@ class TestFamilyValidation:
                 c_beta_prime=4.0,
                 theta=0.3,
             )
+
+    @pytest.mark.parametrize("kw", [dict(theta_seq=np.array([0.0, math.nan])), dict(c_beta=math.nan),
+                                    dict(c_beta_prime=math.nan), dict(c_beta=math.inf), dict(beta=math.inf)],
+                             ids=["Theta-nan", "C_beta-nan", "C_beta_prime-nan", "C_beta-inf", "beta-inf"])
+    def test_nan_or_infinite_family_constant(self, kw):
+        m = np.arange(1.0, 41.0)
+        row = np.concatenate([[1.0], np.minimum(1.0, m**-2.0)])
+        args = dict(k=1, r=TailTable(values=row, label="r"), h_rows=np.stack([row, row]), beta=2.0, beta_prime=2.0,
+                    c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(2))
+        with pytest.raises(errors.ParamError):
+            TailFamily(**(args | kw))
+
+    @pytest.mark.parametrize("where", ["h", "r"])
+    def test_nan_tail_entry_violates_the_declared_bound(self, where):
+        m = np.arange(1.0, 41.0)
+        row = np.concatenate([[1.0], np.minimum(1.0, m**-2.0)])
+        bad = row.copy()
+        bad[7] = math.nan
+        h_rows, r = (np.stack([row, bad]), row) if where == "h" else (np.stack([row, row]), bad)
+        with pytest.raises(errors.ParamError, match="bound violated by tail row 2$" if where == "h" else "tail r$"):
+            TailFamily(k=1, r=TailTable(values=r, label="r"), h_rows=h_rows, beta=2.0, beta_prime=2.0,
+                       c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(1.1, 4.0), n_rows=st.integers(2, 40), layout=st.sampled_from(["shared", "tiled", "nudged"]),
+           at=st.floats(0.0, 1.0), col=st.floats(0.0, 1.0), n0=st.integers(0, 2))
+    def test_stationary_exactly_when_every_row_equals_the_first(self, beta, n_rows, layout, at, col, n0):
+        # a row nudged by one ulp makes the family nonstationary, and its DP
+        # still matches the long double reference
+        depth = 2 * n_rows + 2
+        m = np.arange(1.0, depth + 1.0)
+        h = np.concatenate([[1.0], np.minimum(1.0, m**-beta)])
+        rows = np.broadcast_to(h, (n_rows, depth + 1)) if layout == "shared" else np.tile(h, (n_rows, 1))
+        if layout == "nudged":
+            i, j = int(at * (n_rows - 1)), 1 + int(col * (depth - 1))
+            rows[i, j] = np.nextafter(rows[i, j], 0.0)
+        family = TailFamily(k=1, r=TailTable(values=h, label="r"), h_rows=rows, beta=beta, beta_prime=beta,
+                            c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(n_rows))
+        assert family.stationary == (layout != "nudged")
+        if layout == "nudged":
+            _assert_dp_matches_reference(build_model(family, make_constants(n0=n0), n_rows - 1), n_rows - 1)

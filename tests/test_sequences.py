@@ -58,6 +58,19 @@ class TestParamAt:
         with pytest.raises(errors.ParamError, match="sum to 1"):
             seqs.markov([lsv(0.4), lsv(0.9)], [[0.9, 0.2], [0.2, 0.8]], seed=1)
 
+    @pytest.mark.parametrize("probs", [[float("nan"), 1.0], [-0.5, 1.5]], ids=["nan", "negative"])
+    def test_iid_rejects_nan_or_negative_probs(self, probs):
+        with pytest.raises(errors.ParamError, match="probs must be nonnegative"):
+            seqs.iid([lsv(0.4), lsv(0.9)], probs, seed=1)
+
+    @pytest.mark.parametrize("transition,init,message", [
+        ([[float("nan"), 1.0], [0.2, 0.8]], None, "transition rows"),
+        ([[0.9, 0.1], [0.2, 0.8]], [float("nan"), 1.0], "initial law"),
+    ], ids=["transition", "init"])
+    def test_markov_rejects_nan(self, transition, init, message):
+        with pytest.raises(errors.ParamError, match=message):
+            seqs.markov([lsv(0.4), lsv(0.9)], transition, seed=1, init=init)
+
     def test_markov_defaults_to_stationary_law(self):
         t = np.array([[0.9, 0.1], [0.2, 0.8]])
         s = seqs.markov([lsv(0.4), lsv(0.9)], t, seed=3)
