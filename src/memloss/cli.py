@@ -274,10 +274,6 @@ def _model_from_config(cfg: dict, horizon: int):
 def _cmd_coupling(args) -> dict:
     check_n_max(args.n_max)
     cfg = check_config(seqs._load_json(args.model), _MODEL_KEYS, "model config") if args.model else {}
-    if args.theta is not None:
-        cfg["theta"] = args.theta
-    if args.n0 is not None:
-        cfg["n0"] = args.n0
     horizon = cfg.get("horizon", args.n_max + 2)
     if horizon < args.n_max:
         raise ConfigError(f"horizon {horizon} below n_max {args.n_max}")
@@ -324,10 +320,7 @@ def _cmd_summarize(args) -> None:
         elif kind == "frequency":
             entry["last_value"] = float(cols["value"][-1])
         out[path] = entry
-    text = json.dumps(out, sort_keys=True, indent=2)
-    print(text)
-    if args.out_json:
-        csvio._atomic_write(args.out_json, [text + "\n"])
+    print(json.dumps(out, sort_keys=True, indent=2))
 
 
 # -- parser ------------------------------------------------------------------------------
@@ -398,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coupling", help="exact and Monte Carlo tails of the coupled random sum")
     p.add_argument("--model", help="model config JSON")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--n0", type=int, default=None)
     p.add_argument("--n-max", type=int, default=300)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
@@ -410,10 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+")
     p.add_argument("--fit-lo", type=int, default=None)
     p.add_argument("--fit-hi", type=int, default=None)
-    p.add_argument("--out-json", default=None)
     p.set_defaults(func=_cmd_summarize)
     for name, p in sub.choices.items():
-        if name != "summarize":  # it prints, or writes --out-json
+        if name != "summarize":  # it prints
             p.add_argument("--out", default=".")
     return parser
 

@@ -51,17 +51,13 @@ _BLOCK = 2**14  # walkers per block of the nonstationary Monte Carlo bisection
 def derive_k_constants(K: float, lam: float) -> tuple[float, float]:
     """Regularity constants (K1, K2) from the distortion bound K and the
     expansion factor lambda: K2 = 2 K / (1 - 1/lambda) (strictly above the
-    minimal admissible value when K > 0) and K1 = K + K2 / lambda."""
+    minimal admissible value when K > 0) and K1 = K + K2 / lambda; K = 0 gives (0, 0)."""
     if not lam > 1.0:
         raise ParamError(f"lambda must exceed 1, got {lam}")
-    if not K >= 0.0:
-        raise ParamError(f"K must be >= 0, got {K}")
-    if K == 0.0:
-        warnings.warn("K = 0 gives the degenerate choice K1 = K2 = 0", stacklevel=2)
-        return (0.0, 0.0)
+    if not 0.0 <= K < np.inf:
+        raise ParamError(f"K must be finite and >= 0, got {K}")
     k2 = 2.0 * K / (1.0 - 1.0 / lam)
-    k1 = K + k2 / lam
-    return (k1, k2)
+    return (K + k2 / lam, k2)
 
 
 @dataclass(frozen=True)
@@ -87,9 +83,7 @@ class CouplingConstants:
             raise ParamError("delta0 must lie in (0, 1]")
         if not (0.0 < self.diam_x < np.inf):
             raise ParamError("diam_x must be positive and finite")
-        if not (0.0 <= self.K < np.inf):
-            raise ParamError(f"K must be finite and >= 0, got {self.K}")
-        k1, k2 = derive_k_constants(self.K, self.lam) if self.K > 0.0 else (0.0, 0.0)
+        k1, k2 = derive_k_constants(self.K, self.lam)
         object.__setattr__(self, "K1", k1)
         object.__setattr__(self, "K2", k2)
         object.__setattr__(self, "c_h", 2.0 * float(np.exp(k2 * self.diam_x)))
@@ -349,12 +343,17 @@ class CouplingModel:
         self._table = rows[::-1]
         self._table.flags.writeable = False
 
-    def _envelopes(self, rows, s: int, length: int, out=None, hhat: bool = True) -> np.ndarray:
-        """env[i, l] = clamped composed tail hhat at base offset t = rows[i] (indices or a slice), shift
-        s - t, for l = 0..length: the states of the anti-diagonal t + x = s, which read the same prefix
-        columns.  ``out`` is a flat buffer to build them in; ``hhat=False`` skips the running minimum."""
-        if s > self.horizon or s + length > self.horizon + 1:
-            raise HorizonError("conditional tail requested beyond the prefix table")
+    def _envelopes(self, rows: slice, s: int, length: int, out=None, hhat: bool = True) -> np.ndarray:
+        """env[i, l] = clamped composed tail hhat at base offset t = rows.start + i, shift s - t, for
+        l = 0..length: states of the anti-diagonal t + x = s.  A stationary model returns a read-only view
+        of its table.  A nonstationary one builds them from prefix rows, in the flat buffer ``out`` if
+        given; ``hhat=False`` skips the running minimum."""
+        x = s - rows.start
+        top = x if self.family.stationary else s  # the largest shift, or prefix row, read
+        if top > self.horizon or length > self.horizon - top + 1:
+            raise HorizonError("conditional tail requested beyond the envelope table")
+        if self.family.stationary:
+            return self._table[self.horizon - x : self.horizon - x + rows.stop - rows.start, : length + 1]
         cols = slice(s + 1, s + length + 1)
         low = self._prefix[rows, cols]
         size = low.shape[0] * (length + 1)
@@ -369,16 +368,9 @@ class CouplingModel:
 
     def conditional_tail(self, t: int, x: int, length: int) -> np.ndarray:
         """env[l] = clamped composed tail hhat at base offset t, shift x,
-        for l = 0..length (env[0] = 1).
-
-        For a stationary family the base offset is immaterial, and the
-        envelope is a read-only slice of the table built once."""
+        for l = 0..length (env[0] = 1); read-only for a stationary family."""
         if min(t, x, length) < 0:
             raise ParamError(f"conditional tail needs t, x, length >= 0, got ({t}, {x}, {length})")
-        if self.family.stationary:
-            if x > self.horizon or length > self.horizon - x + 1:
-                raise HorizonError("conditional tail requested beyond the envelope table")
-            return self._table[self.horizon - x, : length + 1]
         return self._envelopes(slice(t, t + 1), t + x, length)[0]
 
 
@@ -423,12 +415,10 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     q[l] - q[l + 1] into row s, where q = sum_t coef[t] env[t, :] over their
     envelopes (:func:`_weighted_rows`).  Every env row is nonincreasing and
     every coef >= 0, so rounding keeps q nonincreasing and no push is
-    negative.  A stationary family's envelopes depend on the shift alone,
-    so the block is a view of the model's table (shift x in row
-    horizon - x); a nonstationary one is built from prefix rows 0..s - n0,
-    in one buffer of (n_max + 3)**2 / 4 floats.  The sums are not a
-    per-state loop's: on the tests' families each row is within 1e-14
-    (relative) of a long double per-state DP's."""
+    negative.  The block comes from ``model._envelopes``: a view for a
+    stationary family, else built in one buffer of (n_max + 3)**2 / 4 floats.
+    The sums are not a per-state loop's: on the tests' families each row is
+    within 1e-14 (relative) of a long double per-state DP's."""
     check_n_max(n_max)
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
@@ -441,11 +431,8 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     xs = np.arange(n0, n_max + 1)
     W[xs] = rv[xs - n0] - rv[xs + 1 - n0]
     beyond = float(rv[n_max + 1 - n0]) if n_max + 1 - n0 >= 0 else 1.0
-    stationary = model.family.stationary
-    if stationary:
-        E = model._table[model.horizon - n_max :, : n_max + 2]
-    else:  # an anti-diagonal's block has (s - n0 + 1)(n_max - s - n0 + 2) <= (n_max + 3)**2 / 4 cells
-        env_buf = np.empty((n_max + 3) ** 2 // 4)
+    # an anti-diagonal's block has (s - n0 + 1)(n_max - s - n0 + 2) <= (n_max + 3)**2 / 4 cells
+    env_buf = None if model.family.stationary else np.empty((n_max + 3) ** 2 // 4)
     coupled = np.zeros(n_max + 1)
     for s in range(n0, n_max + 1):
         ts = np.arange(s - n0 + 1)  # states (t, s - t) with shift >= n0
@@ -457,10 +444,7 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
             W[cells] = one_m * w
             continue
         m = len(ts) - 1 if n0 == 0 else len(ts)  # (s, 0) waits for the others
-        if stationary:
-            env = E[n_max - s : n_max - s + len(ts), : hi + 2]
-        else:
-            env = model._envelopes(slice(0, len(ts)), s, hi + 1, out=env_buf)
+        env = model._envelopes(slice(0, len(ts)), s, hi + 1, out=env_buf)
         row = W[off[s] : off[s + 1]]  # W[s, x] for x = 0..n_max - s
         coef = one_m * w[:m]
         if m:

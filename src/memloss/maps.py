@@ -58,14 +58,13 @@ class Branch(enum.Enum):
 class MapParams:
     """Parameters selecting one map from one family.
 
-    ``beta`` is meaningful for Cui only, ``eta`` for GrossmannHorner only.
+    ``beta`` is meaningful for Cui only.
     Use the factory functions to get validated records.
     """
 
     family: Family
     gamma: float
     beta: float | None = None
-    eta: float | None = None
 
     @property
     def has_acip(self) -> bool | None:
@@ -96,7 +95,7 @@ def pikovsky(gamma: float) -> MapParams:
 
 def grossmann_horner() -> MapParams:
     """The fixed concrete instance: gamma = 2, eta = 1/2, T(x) = 1 - 2 sqrt(|x|)."""
-    p = MapParams(Family.GROSSMANN_HORNER, 2.0, eta=0.5)
+    p = MapParams(Family.GROSSMANN_HORNER, 2.0)
     validate_params(p)
     return p
 
@@ -117,8 +116,6 @@ def validate_params(params: MapParams) -> None:
     elif fam is Family.GROSSMANN_HORNER:
         if g != 2.0:
             raise ParamError(f"gamma must equal 2 for the concrete instance, got {g}")
-        if params.eta != 0.5:
-            raise ParamError(f"eta must equal 1/2 for the concrete instance, got {params.eta}")
     else:
         raise ParamError(f"unknown family {fam!r}")
 

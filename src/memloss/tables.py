@@ -34,10 +34,10 @@ class TailTable:
         if v.ndim != 1 or len(v) < 2:
             raise ParamError("tail table needs a 1-D value array with >= 2 entries")
         if self.label in _RETURN_LABELS | {"theta", "memloss", "mixing"}:
-            if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
+            if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-9)):  # so that NaN fails
                 raise ParamError(f"{self.label} values must lie in [0, 1]")
         if self.label in _RETURN_LABELS | {"theta"}:
-            if np.any(np.diff(v) > 1e-12):
+            if not np.all(np.diff(v) <= 1e-12):
                 raise ParamError(f"{self.label} table must be nonincreasing")
         if self.label in ("h_k", "lebesgue") and not (
             abs(v[0] - 1.0) <= 1e-12 and abs(v[1] - 1.0) <= 1e-9

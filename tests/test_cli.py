@@ -109,8 +109,14 @@ class TestMemloss:
         )
         assert code == 2
 
-    def test_usage_error_exits_2(self, tmp_path):
-        assert run_cli(["memloss", "--pair", "bogus", "--out", str(tmp_path)]) == 2
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a bad choice, and flags that are gone: the model JSON sets theta and n0,
+        # and summarize prints its JSON for the shell to redirect
+        monkeypatch.chdir(tmp_path)
+        for argv in (["memloss", "--pair", "bogus", "--out", "out"], ["coupling", "--theta", "0.3", "--out", "out"],
+                     ["coupling", "--n0", "2", "--out", "out"], ["summarize", "x.csv", "--out-json", "y"]):
+            assert run_cli(argv) == 2, argv
+            assert os.listdir(tmp_path) == [] and "Traceback" not in capsys.readouterr().err, argv
 
 
 class TestMixing:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -44,13 +45,19 @@ class TestConstants:
     def test_derive(self, K, lam, exp):
         assert derive_k_constants(K, lam) == exp
 
-    def test_degenerate_flagged(self):
-        with pytest.warns(UserWarning, match="degenerate"):
+    def test_zero_K_gives_zero_constants(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert derive_k_constants(0.0, 2.0) == (0.0, 0.0)
+            assert make_constants(K=0.0).c_h == 2.0
 
     def test_lambda_guard(self):
-        with pytest.raises(errors.ParamError):
-            derive_k_constants(1.0, 1.0)
+        # lambda is checked for every K, K = 0 included
+        for K, lam in ((1.0, 1.0), (0.0, 1.0), (0.0, math.nan)):
+            with pytest.raises(errors.ParamError):
+                derive_k_constants(K, lam)
+            with pytest.raises(errors.ParamError):
+                make_constants(K=K, lam=lam)
 
     def test_c_h_consistency(self):
         c = make_constants(K=0.5, lam=2.0, diam_x=1.0)
@@ -763,7 +770,7 @@ class TestEnvelopeTable:
         # generator through np.random.default_rng.
         dips = []
         for s in range(1, n_max + 1):
-            raw = model._envelopes(np.arange(s), s, n_max - s + 1, hhat=False)
+            raw = model._envelopes(slice(0, s), s, n_max - s + 1, hhat=False)
             dips.append(raw[:, :-1][raw[:, 1:] > raw[:, :-1]])
         dips = np.concatenate(dips)
         make_rng = np.random.default_rng
@@ -810,13 +817,15 @@ class TestEnvelopeTable:
         assert np.array_equal(up, np.flatnonzero(np.any(block[:, 1:] > block[:, :-1], axis=1)))
 
     def test_batched_rows_equal_one_row_calls(self):
-        model = _bench_nonstationary_model(210)
         n_max = 200
-        for s in (1, 2, 57, 150, 199, 200):
-            ts = np.arange(s + 1)
-            envs = model._envelopes(ts, s, n_max - s + 1)
-            for t in ts.tolist():
-                assert np.array_equal(envs[t], model.conditional_tail(t, s - t, n_max - s + 1)), (s, t)
+        for model in (_bench_nonstationary_model(210), _model(2.0, horizon=210)):
+            for s in (1, 2, 57, 150, 199, 200):
+                envs = model._envelopes(slice(0, s + 1), s, n_max - s + 1)
+                for t in range(s + 1):
+                    assert np.array_equal(envs[t], model.conditional_tail(t, s - t, n_max - s + 1)), (s, t)
+                assert np.array_equal(model._envelopes(slice(1, s + 1), s, n_max - s + 1), envs[1:])
+                if model.family.stationary:  # a view of the table
+                    assert not envs.flags.writeable and np.shares_memory(envs, model._table)
 
     @pytest.mark.parametrize("stationary", [True, False])
     def test_prefix_holds_the_read_columns_only(self, stationary):
@@ -834,10 +843,7 @@ class TestEnvelopeTable:
             assert np.array_equal(model._prefix, prefix[: horizon + 2, : horizon + 2])
         assert len(model.conditional_tail(3, 5, horizon - 7)) == horizon - 6
         with pytest.raises(errors.HorizonError):
-            if stationary:
-                model.conditional_tail(0, 1, horizon + 1)
-            else:
-                model._envelopes([0], 1, horizon + 1)
+            model._envelopes(slice(0, 1), 1, horizon + 1)
         with pytest.raises(errors.HorizonError):
             model.conditional_tail(3, 5, horizon - 6 if not stationary else 2 * horizon)
 
@@ -1043,10 +1049,13 @@ class TestFamilyValidation:
         row = np.concatenate([[1.0], np.minimum(1.0, m**-2.0)])
         bad = row.copy()
         bad[7] = math.nan
-        h_rows, r = (np.stack([row, bad]), row) if where == "h" else (np.stack([row, row]), bad)
-        with pytest.raises(errors.ParamError, match="bound violated by tail row 2$" if where == "h" else "tail r$"):
-            TailFamily(k=1, r=TailTable(values=r, label="r"), h_rows=h_rows, beta=2.0, beta_prime=2.0,
-                       c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(2))
+        if where == "r":  # a NaN measure tail fails its own table's checks, before any family
+            with pytest.raises(errors.ParamError):
+                TailTable(values=bad, label="r")
+            return
+        with pytest.raises(errors.ParamError, match="bound violated by tail row 2$"):
+            TailFamily(k=1, r=TailTable(values=row, label="r"), h_rows=np.stack([row, bad]), beta=2.0,
+                       beta_prime=2.0, c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(2))
 
     @settings(max_examples=40, deadline=None)
     @given(beta=st.floats(1.1, 4.0), n_rows=st.integers(2, 40), layout=st.sampled_from(["shared", "tiled", "nudged"]),

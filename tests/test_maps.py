@@ -158,7 +158,7 @@ class TestValidate:
 
     def test_gh_fixed_instance(self):
         with pytest.raises(errors.ParamError):
-            validate_params(MapParams(Family.GROSSMANN_HORNER, 1.5, eta=0.5))
+            validate_params(MapParams(Family.GROSSMANN_HORNER, 1.5))
 
 
 class TestProperties:

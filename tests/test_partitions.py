@@ -1,4 +1,5 @@
 import functools
+import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -393,6 +394,12 @@ class TestTailTable:
     def test_monotonicity_enforced(self):
         with pytest.raises(errors.ParamError):
             TailTable(values=np.array([1.0, 1.0, 0.5, 0.7]), label="h_k")
+        # NaN fails the range and monotonicity checks of every label that has them
+        for values, labels in (([1.0, math.nan, 0.5], ("r", "theta", "memloss", "mixing", "s_tail")),
+                               ([1.0, 1.0, math.nan, 0.5], ("h_k", "lebesgue"))):
+            for label in labels:
+                with pytest.raises(errors.ParamError):
+                    TailTable(values=np.array(values), label=label)
 
     def test_t1_enforced_for_return_tails(self):
         with pytest.raises(errors.ParamError):
