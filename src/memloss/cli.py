@@ -57,6 +57,13 @@ def _k_list(text: str) -> tuple[int, ...]:
     return ks
 
 
+def _finite(text: str) -> float:
+    """A float flag's value: finite, so every gate can fail and summaries stay strict JSON."""
+    if not np.isfinite(value := float(text)):  # argparse reports a ValueError itself
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _sequence_from_args(args) -> seqs.ParamSequence:
     if getattr(args, "config", None):
         return load_sequence(args.config)
@@ -178,7 +185,8 @@ def _cmd_mixing(args) -> dict:
         floor = metrics["floor_from_2"]
         ok = floor is not None and floor >= args.expect_floor
         _gate(summary, "floor", ok, {"expected": args.expect_floor, "actual": floor})
-    _gate(summary, "bounded_by_one", bool(metrics["max"] <= 1.0 + 1e-8), {"actual": metrics["max"]})
+    raw_max = table.notes["raw_max"]  # before mixing_mass clips at 1 + 1e-9
+    _gate(summary, "bounded_by_one", raw_max <= 1.0 + 1e-8, {"actual": raw_max})
     return summary
 
 
@@ -328,16 +336,16 @@ def _cmd_summarize(args) -> None:
 
 def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(seqs._FAMILY_NAMES), help="stationary family")
-    p.add_argument("--gamma", type=float, default=0.5, help="intermittency parameter")
-    p.add_argument("--beta", type=float, default=None, help="cui right-branch exponent")
+    p.add_argument("--gamma", type=_finite, default=0.5, help="intermittency parameter")
+    p.add_argument("--beta", type=_finite, default=None, help="cui right-branch exponent")
     p.add_argument("--config", help="sequence config JSON (overrides --family)")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fit-lo", type=int, default=None)
     p.add_argument("--fit-hi", type=int, default=None)
-    p.add_argument("--expect-slope", type=float, default=None)
-    p.add_argument("--tol", type=float, default=0.4)
+    p.add_argument("--expect-slope", type=_finite, default=None)
+    p.add_argument("--tol", type=_finite, default=0.4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--grid", type=int, default=2**15)
     p.add_argument("--pair", choices=["holder-holder", "holder-cone"], default="holder-holder")
-    p.add_argument("--cone-beta", type=float, default=0.5)
+    p.add_argument("--cone-beta", type=_finite, default=0.5)
     p.set_defaults(func=_cmd_memloss)
 
     p = sub.add_parser("mixing", help="pushforward mass on the moving reference set")
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--grid", type=int, default=2**12)
-    p.add_argument("--expect-floor", type=float, default=None)
+    p.add_argument("--expect-floor", type=_finite, default=None)
     p.set_defaults(func=_cmd_mixing)
 
     p = sub.add_parser("evolve", help="evolve a seed density and dump it")
@@ -378,15 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2**12)
     p.add_argument("--density", choices=["uniform", "holder", "cone"], default="holder")
     p.add_argument("--profile", type=int, default=1)
-    p.add_argument("--cone-beta", type=float, default=0.5)
+    p.add_argument("--cone-beta", type=_finite, default=0.5)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("frequency", help="good-map frequency window and deviation profile")
     _add_sequence_flags(p)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_finite, required=True)
     p.add_argument("--n-max", type=int, default=10_000)
-    p.add_argument("--expect-a", type=float, default=None)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--expect-a", type=_finite, default=None)
+    p.add_argument("--tol", type=_finite, default=0.05)
     p.set_defaults(func=_cmd_frequency)
 
     p = sub.add_parser("coupling", help="exact and Monte Carlo tails of the coupled random sum")

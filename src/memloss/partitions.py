@@ -223,14 +223,14 @@ def pikovsky_endpoints(seq: ParamSequence, k: int, n_max: int) -> PartitionEndpo
 # -- reference sets ----------------------------------------------------------------
 
 
-def reference_set(params: MapParams) -> list[tuple[float, float]]:
-    """The reference set the return time targets, as a list of intervals."""
+def reference_set(params: MapParams) -> tuple[float, float]:
+    """The reference set Y the return time targets: one interval (lo, hi) inside the state interval."""
     if params.family in (Family.LSV, Family.CUI):
-        return [(0.5, 1.0)]
+        return (0.5, 1.0)
     if params.family is Family.PIKOVSKY:
         a = 1.0 / (2.0 * params.gamma)
-        return [(-a, a)]
-    return [(-0.25, 0.0)]
+        return (-a, a)
+    return (-0.25, 0.0)
 
 
 # -- exact tails --------------------------------------------------------------------
@@ -327,28 +327,6 @@ def _tail(t: np.ndarray, k: int, base: str) -> TailTable:
 # -- Monte Carlo oracle ---------------------------------------------------------------
 
 
-def _sample_base(
-    intervals: list[tuple[float, float]], samples: int, gen: np.random.Generator
-) -> np.ndarray:
-    lens = np.array([hi - lo for lo, hi in intervals])
-    total = lens.sum()
-    u = gen.uniform(0.0, total, size=samples)
-    out = np.empty(samples)
-    start = 0.0
-    for (lo, hi), ln in zip(intervals, lens):
-        m = (u >= start) & (u < start + ln)
-        out[m] = lo + (u[m] - start)
-        start += ln
-    return out
-
-
-def _in_sets(x: np.ndarray, intervals: list[tuple[float, float]]) -> np.ndarray:
-    hit = np.zeros(x.shape, dtype=bool)
-    for lo, hi in intervals:
-        hit |= (x >= lo) & (x <= hi)
-    return hit
-
-
 def return_time_tail_mc(
     seq: ParamSequence,
     k: int,
@@ -357,8 +335,9 @@ def return_time_tail_mc(
     seed: int,
     base: str = "m_k",
 ) -> TailTable:
-    """Monte Carlo tail: sample the base measure, iterate maps forward,
-    record the first entry into the moving reference set.
+    """Monte Carlo tail: sample the base measure (uniform on Y_k for
+    ``base="m_k"``, on the state interval for ``"lebesgue"``), iterate maps
+    forward, record the first entry into the moving reference set Y_{k+n}.
 
     Returns the empirical tail with binomial standard errors.  Orbits not
     returned before n_max are censored there: t(n_max) = P(tau >= n_max)
@@ -369,20 +348,17 @@ def return_time_tail_mc(
     _check_tail_args(n_max, base)
     entries, ids = _materialize(seq, k, n_max)
     params = [entries[i] for i in ids]
-    sets = [reference_set(p) for p in params]
     gen = np.random.default_rng(_rng.child_seed(seed, f"return-mc-{k}-{base}"))
-    if base == "m_k":
-        x = _sample_base(sets[0], samples, gen)
-    else:
-        lo, hi = state_interval(params[0])
-        x = gen.uniform(lo, hi, size=samples)
+    lo, hi = reference_set(params[0]) if base == "m_k" else state_interval(params[0])
+    x = gen.uniform(lo, hi, size=samples)
     tau = np.full(samples, n_max + 1, dtype=np.int64)
     alive = np.arange(samples)
     for n in range(1, n_max):
         if alive.size == 0:
             break
         x = eval_map_array(params[n - 1], x)
-        hit = _in_sets(x, sets[n])
+        lo, hi = reference_set(params[n])
+        hit = (x >= lo) & (x <= hi)
         tau[alive[hit]] = n
         alive = alive[~hit]
         x = x[~hit]

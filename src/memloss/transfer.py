@@ -378,47 +378,34 @@ def memory_loss_curve(
 # -- reference-set mass under evolution -------------------------------------------
 
 
-def _snap_intervals(
-    intervals: list[tuple[float, float]], density: GridDensity
-) -> tuple[list[tuple[int, int]], float]:
-    lo, _ = density.interval
-    w = density.cell_width
-    snapped = []
-    worst = 0.0
-    for a, b in intervals:
-        ia = int(round((a - lo) / w))
-        ib = int(round((b - lo) / w))
-        worst = max(worst, abs(lo + ia * w - a), abs(lo + ib * w - b))
-        ia = min(max(ia, 0), density.n_cells)
-        ib = min(max(ib, ia), density.n_cells)
-        snapped.append((ia, ib))
-    return snapped, worst
+def _snap(interval: tuple[float, float], lo: float, w: float) -> tuple[slice, float]:
+    """The cells an interval inside the grid (left end lo, cell width w) covers, and its larger end snap."""
+    a, b = interval
+    ia, ib = int(round((a - lo) / w)), int(round((b - lo) / w))
+    return slice(ia, ib), max(abs(lo + ia * w - a), abs(lo + ib * w - b))
 
 
 def mixing_mass(seq: ParamSequence, k: int, n_max: int, n_cells: int = 2**12) -> TailTable:
     """Mass the evolved reference measure puts back on the moving
     reference set: start from the normalized indicator density of Y_k and
-    tabulate its integral over Y_{k+n} for n = 0..n_max.
+    tabulate its integral over Y_{k+n} for n = 0..n_max, clipped to [0, 1 + 1e-9].
 
-    Reference-set boundaries snap to the nearest cell edge; the worst snap
-    distance is reported in the table notes."""
+    Each Y snaps to its nearest cell edges; notes hold the worst snap and the unclipped maximum."""
     check_n_max(n_max)
     maps = _maps(seq, k, n_max + 1)
+    _check_cells(n_cells)
     lo, hi = state_interval(maps[0])
-    proto = make_density("uniform", n_cells, (lo, hi))
-    cells0, snap0 = _snap_intervals(reference_set(maps[0]), proto)
+    w = (hi - lo) / n_cells
     vals = np.zeros(n_cells)
-    for ia, ib in cells0:
-        vals[ia:ib] = 1.0
-    total = float(np.sum(vals)) * proto.cell_width
-    f = GridDensity(vals / total, (lo, hi))
+    cells, worst_snap = _snap(reference_set(maps[0]), lo, w)
+    vals[cells] = 1.0
+    f = GridDensity(vals / (float(np.sum(vals)) * w), (lo, hi))
     evolved = itertools.chain([f], _steps(maps[:n_max], f))
     out = np.empty(n_max + 1)
-    worst_snap = snap0
     for n, (pn, f) in enumerate(zip(maps, evolved)):
-        cells, snap = _snap_intervals(reference_set(pn), f)
+        cells, snap = _snap(reference_set(pn), lo, w)
         worst_snap = max(worst_snap, snap)
-        out[n] = sum(float(np.sum(f.values[ia:ib])) * f.cell_width for ia, ib in cells)
+        out[n] = float(np.sum(f.values[cells])) * w
     out = np.clip(out, 0.0, None)
     return TailTable(
         values=np.minimum(out, 1.0 + 1e-9),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import memloss
-from memloss import csvio
+from memloss import cli, csvio
 from memloss.cli import run_cli
 from memloss.tables import TailTable
 
@@ -117,6 +118,24 @@ class TestMemloss:
                      ["coupling", "--n0", "2", "--out", "out"], ["summarize", "x.csv", "--out-json", "y"]):
             assert run_cli(argv) == 2, argv
             assert os.listdir(tmp_path) == [] and "Traceback" not in capsys.readouterr().err, argv
+        # every float flag is finite, so a gate can fail and the summary stays strict JSON
+        lsv_tails = ["tails", "--family", "lsv", "--n-max", "100"]
+        lsv_mixing = ["mixing", "--family", "lsv", "--n-max", "5", "--grid", "1024"]
+        for argv in ([*lsv_tails, "--expect-slope", "-2", "--tol", "nan"],
+                     [*lsv_tails, "--expect-slope", "-9", "--tol", "inf"],
+                     [*lsv_tails, "--expect-slope=-inf"], ["tails", "--family", "lsv", "--gamma", "nan"],
+                     ["tails", "--family", "cui", "--beta", "inf"], [*lsv_mixing, "--expect-floor", "nan"],
+                     ["frequency", "--family", "lsv", "--threshold", "nan"],
+                     ["frequency", "--family", "lsv", "--threshold", "0.6", "--expect-a", "0.5", "--tol", "inf"],
+                     ["frequency", "--family", "lsv", "--threshold", "0.6", "--expect-a=-inf"],
+                     ["memloss", "--family", "lsv", "--pair", "holder-cone", "--cone-beta", "nan"],
+                     ["evolve", "--family", "lsv", "--density", "cone", "--cone-beta", "inf"]):
+            assert run_cli([*argv, "--out", "out"]) == 2, argv
+            err = capsys.readouterr().err
+            assert os.listdir(tmp_path) == [] and "Traceback" not in err, argv
+            flag, value = argv[-1].split("=") if argv[-1].startswith("--") else argv[-2:]
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"memloss {argv[0]}: error: argument {flag}: expected a finite number, got {value!r}"], argv
 
 
 class TestMixing:
@@ -129,6 +148,22 @@ class TestMixing:
         kind, cols = csvio.read_csv(str(tmp_path / "mixing.csv"))
         assert kind == "mixing"
         assert cols["mass"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_not_a_power_of_two_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["mixing", "--family", "lsv", "--n-max", "5", "--grid", "1000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cell count must be a power of two in [2**10, 2**20], got 1000\n"
+        assert os.listdir(out) == []
+
+    def test_bounded_by_one_reads_the_unclipped_maximum(self, tmp_path, monkeypatch):
+        # mixing_mass clips its values at 1 + 1e-9, so only notes["raw_max"] can exceed the gate's 1 + 1e-8
+        real = cli.mixing_mass
+        monkeypatch.setattr(cli, "mixing_mass", lambda *args, **kwargs: dataclasses.replace(
+            table := real(*args, **kwargs), notes={**table.notes, "raw_max": 1.1}))
+        assert run_cli(["mixing", "--family", "lsv", "--n-max", "5", "--grid", "1024", "--out", str(tmp_path)]) == 1
+        summary = json.loads((tmp_path / "mixing_summary.json").read_text())
+        assert summary["gates"] == [{"name": "bounded_by_one", "pass": False, "actual": 1.1}]
+        assert summary["metrics"]["max"] <= 1.0 + 1e-9
 
     def test_short_table_floor_is_null_and_fails_its_gate(self, tmp_path):
         code = run_cli(["mixing", "--family", "lsv", "--n-max", "1", "--grid", "1024",

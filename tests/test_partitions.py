@@ -42,22 +42,21 @@ def _y(ep):
 def _pullback_tail(seq, k, n, base):
     """t(n) = P(tau >= n) from one backward pass over a union of intervals,
     any family: start from the state interval, and for i = n-1 .. 1 remove
-    the reference set Y_{k+i} and pull the rest back through both inverse
+    the reference interval Y_{k+i} and pull the rest back through both inverse
     branches of T_{k+i-1}.  What is left is {tau >= n}; measure it on the base."""
     params = [seqs.param_at(seq, j) for j in range(k, k + n)]
     lo, hi = (np.array([v]) for v in state_interval(params[0]))
     for i in range(n - 1, 0, -1):
-        for c, d in reference_set(params[i]):
-            lo, hi = np.concatenate([lo, np.maximum(lo, d)]), np.concatenate([np.minimum(hi, c), hi])
-            keep = hi > lo
-            lo, hi = lo[keep], hi[keep]
+        c, d = reference_set(params[i])
+        lo, hi = np.concatenate([lo, np.maximum(lo, d)]), np.concatenate([np.minimum(hi, c), hi])
+        keep = hi > lo
+        lo, hi = lo[keep], hi[keep]
         ends = [(inverse_branch_array(params[i - 1], b, lo), inverse_branch_array(params[i - 1], b, hi))
                 for b in Branch]  # a decreasing branch swaps an interval's ends
         lo = np.concatenate([np.minimum(a, b) for a, b in ends])
         hi = np.concatenate([np.maximum(a, b) for a, b in ends])
-    sets = reference_set(params[0]) if base == "m_k" else [state_interval(params[0])]
-    inside = sum(np.sum(np.maximum(np.minimum(hi, d) - np.maximum(lo, c), 0.0)) for c, d in sets)
-    return inside / sum(d - c for c, d in sets)
+    c, d = reference_set(params[0]) if base == "m_k" else state_interval(params[0])
+    return np.sum(np.maximum(np.minimum(hi, d) - np.maximum(lo, c), 0.0)) / (d - c)
 
 
 class TestFitPowerLaw:
@@ -270,9 +269,9 @@ class TestReturnTimeTail:
 
 class TestReturnTimeTailMc:
     def test_full_return_toy(self, monkeypatch):
-        # reference sets covering the whole interval force tau = 1
+        # a reference set covering the whole interval forces tau = 1
         s = seqs.constant(lsv(0.5))
-        monkeypatch.setattr(partitions, "reference_set", lambda params: [(0.0, 1.0)])
+        monkeypatch.setattr(partitions, "reference_set", lambda params: (0.0, 1.0))
         t = return_time_tail_mc(s, 1, 10, 2000, seed=1)
         assert t.values[1] == 1.0 and t.values[2] == 0.0
 

@@ -16,7 +16,7 @@ from memloss.transfer import (
     _edge_images,
     _edge_plan,
     _SignedGrid,
-    _snap_intervals,
+    _snap,
     cone_membership,
     evolve,
     make_density,
@@ -251,6 +251,21 @@ class TestMixingMass:
         with pytest.raises(errors.ParamError):
             mixing_mass(seqs.constant(params), 1, n_max, n_cells=N)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), log2_cells=st.integers(10, 20))
+    def test_reference_interval_lies_inside_the_state_interval(self, data, log2_cells):
+        # _snap takes no clamps: Y's snapped cells must stay on every allowed grid
+        open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        params = data.draw(st.one_of(
+            open_unit.map(lsv), st.tuples(open_unit, st.floats(1.0, 1e6)).map(lambda gb: cui(*gb)),
+            st.floats(1.0, 3.0, exclude_min=True, exclude_max=True).map(pikovsky), st.just(grossmann_horner())))
+        (a, b), (lo, hi) = reference_set(params), state_interval(params)
+        assert lo <= a < b <= hi
+        w = (hi - lo) / 2**log2_cells
+        cells, snap = _snap((a, b), lo, w)
+        assert 0 <= cells.start < cells.stop <= 2**log2_cells
+        assert 0.0 <= snap <= 0.5 * w * (1.0 + 1e-12)
+
     def test_pikovsky_snap_reported(self):
         mm = mixing_mass(seqs.constant(pikovsky(1.7)), 1, 10, n_cells=N)
         assert mm.notes["worst_snap"] <= mm.values.size and mm.notes["worst_snap"] >= 0.0
@@ -315,16 +330,15 @@ def _mixing_reference(seq, k, n_max, n_cells):
     """mixing_mass as a loop of push_density."""
     p0 = seqs.param_at(seq, k)
     lo, hi = state_interval(p0)
-    proto = GridDensity(np.full(n_cells, 1.0 / (hi - lo)), (lo, hi))
+    w = (hi - lo) / n_cells
     vals = np.zeros(n_cells)
-    for ia, ib in _snap_intervals(reference_set(p0), proto)[0]:
-        vals[ia:ib] = 1.0
-    f = GridDensity(vals / (float(np.sum(vals)) * proto.cell_width), (lo, hi))
+    vals[_snap(reference_set(p0), lo, w)[0]] = 1.0
+    f = GridDensity(vals / (float(np.sum(vals)) * w), (lo, hi))
     out = []
     for n in range(n_max + 1):
         pn = seqs.param_at(seq, k + n)
-        cells, _ = _snap_intervals(reference_set(pn), f)
-        out.append(sum(float(np.sum(f.values[ia:ib])) * f.cell_width for ia, ib in cells))
+        cells, _ = _snap(reference_set(pn), lo, f.cell_width)
+        out.append(float(np.sum(f.values[cells])) * f.cell_width)
         if n < n_max:
             f = push_density(pn, f)
     return np.minimum(np.clip(np.array(out), 0.0, None), 1.0 + 1e-9)
