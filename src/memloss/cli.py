@@ -1,12 +1,15 @@
 """Reproducible command-line front end.
 
 One subcommand per experiment; JSON config in, CSV artifacts plus a JSON
-summary out.  A computing subcommand writes its CSVs and returns its
-summary; :func:`run_cli` alone adds ``command`` and ``pass`` (every gate
-passed), writes ``<command>_summary.json`` and returns the exit code: 0
-success, 1 an expectation gate failed, 2 usage or configuration error.
-All randomness flows from ``--seed`` (derived streams are keyed by
-purpose), so a config reruns to byte-identical artifacts.
+summary out.  A computing subcommand only computes: it returns its summary
+and its tables (file name -> CSV kind and columns).  :func:`run_cli` alone
+writes files: it adds ``command`` and ``pass`` (every gate passed) to the
+summary, writes the tables and then ``<command>_summary.json``, and
+returns the exit code: 0 success, 1 an expectation gate failed, 2 usage
+or configuration error, an output that cannot be written or memory that
+runs out (one ``error:`` line, never a traceback).  All randomness flows
+from ``--seed`` (derived streams are keyed by purpose), so a config
+reruns to byte-identical artifacts.
 
 Expectation gates (``--expect-slope``/``--tol`` and friends) live here,
 not in the library, so library results stay assertion-free.
@@ -69,7 +72,8 @@ def _sequence_from_args(args) -> seqs.ParamSequence:
         return load_sequence(args.config)
     if not getattr(args, "family", None):
         raise ConfigError("either --config or --family is required")
-    entry = {"gamma": args.gamma} if args.beta is None else {"gamma": args.gamma, "beta": args.beta}
+    gamma = 0.5 if args.gamma is None and args.family != "gh" else args.gamma  # gh has its one gamma
+    entry = {key: value for key, value in (("gamma", gamma), ("beta", args.beta)) if value is not None}
     return seqs.sequence_from_config({"kind": "periodic", "family": args.family, "cycle": [entry]})
 
 
@@ -110,42 +114,41 @@ def _gate(summary: dict, name: str, ok: bool, detail: dict) -> None:
     summary.setdefault("gates", []).append({"name": name, "pass": bool(ok), **detail})
 
 
-def _slope_gate(summary: dict, name: str, slope: float, args) -> None:
-    if args.expect_slope is not None:
-        ok = abs(slope - args.expect_slope) <= args.tol
-        _gate(summary, name, ok, {"expected": args.expect_slope, "tol": args.tol, "actual": slope})
+def _near_gate(summary: dict, name: str, actual: float, expected: float | None, tol: float) -> None:
+    """The gate |actual - expected| <= tol, added when an expectation is set."""
+    if expected is not None:
+        _gate(summary, name, abs(actual - expected) <= tol, {"expected": expected, "tol": tol, "actual": actual})
+
+
+def _indexed(kind: str, values: np.ndarray, *rest) -> tuple[str, list]:
+    """A table whose first column is n = 0 .. len(values) - 1."""
+    return kind, [np.arange(len(values), dtype=float), values, *rest]
 
 
 # -- subcommand implementations -------------------------------------------------------
+# Each returns (summary, tables): tables map a file name in --out to (CSV kind, columns).
 
 
-def _cmd_tails(args) -> dict:
+def _cmd_tails(args):
     seq = _sequence_from_args(args)
     base = {"mk": "m_k", "lebesgue": "lebesgue"}[args.base]
-    ks = args.k
-    out_paths = {}
-    exacts = _return_time_tails(seq, ks, args.n_max, base=base)
-    mcs = [None] * len(ks)
-    if args.mc_samples:
-        mcs = [return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)
-               for k in ks]
-    summary = {"base": args.base, "n_max": args.n_max, "k": list(ks)}
-    for k, exact, mc in zip(ks, exacts, mcs):  # every fit before any CSV
+    exacts = _return_time_tails(seq, args.k, args.n_max, base=base)
+    names = {k: f"tails_k{k}_{args.base}" for k in args.k}
+    summary = {"base": args.base, "n_max": args.n_max, "k": list(args.k),
+               "artifacts": [f"{names[k]}.csv" for k in args.k]}
+    tables = {}
+    for k, exact in sorted(zip(args.k, exacts), key=lambda job: job[0]):
         summary[f"k{k}"] = _fit_metrics(exact.values, args.fit_lo, args.fit_hi)
-        if mc is not None:
+        tables[f"{names[k]}.csv"] = _indexed("tails", exact.values, exact.stderr)
+        if args.mc_samples:
+            mc = return_time_tail_mc(seq, k, args.n_max, args.mc_samples, args.seed, base=base)
             summary[f"k{k}"]["max_mc_z"] = _max_mc_z(exact, mc)
-    for k, exact, mc in sorted(zip(ks, exacts, mcs), key=lambda job: job[0]):
-        path = os.path.join(args.out, f"tails_k{k}_{args.base}.csv")
-        csvio.write_tail_csv(path, exact)
-        out_paths[k] = path
-        if mc is not None:
-            csvio.write_tail_csv(os.path.join(args.out, f"tails_k{k}_{args.base}_mc.csv"), mc)
-        _slope_gate(summary, f"slope_k{k}", summary[f"k{k}"]["slope"], args)
-    summary["artifacts"] = [os.path.basename(out_paths[k]) for k in ks]
-    return summary
+            tables[f"{names[k]}_mc.csv"] = _indexed("tails", mc.values, mc.stderr)
+        _near_gate(summary, f"slope_k{k}", summary[f"k{k}"]["slope"], args.expect_slope, args.tol)
+    return summary, tables
 
 
-def _cmd_memloss(args) -> dict:
+def _cmd_memloss(args):
     seq = _sequence_from_args(args)
     lo, hi = state_interval(param_at(seq, 1))
     f = make_density("holder", args.grid, (lo, hi), profile=1)
@@ -154,32 +157,21 @@ def _cmd_memloss(args) -> dict:
     else:
         g = make_density("cone", args.grid, (lo, hi), beta=args.cone_beta)
     curve = memory_loss_curve(seq, f, g, args.n_max)
-    metrics = _fit_metrics(curve.values, args.fit_lo, args.fit_hi)  # before the CSV
-    path = os.path.join(args.out, "memloss.csv")
-    csvio.write_columns(path, "memloss", [np.arange(len(curve.values), dtype=float), curve.values])
-    summary = {
-        "pair": args.pair,
-        "grid": args.grid,
-        "n_max": args.n_max,
-        "artifacts": [os.path.basename(path)],
-        "metrics": metrics,
-    }
-    _slope_gate(summary, "slope", summary["metrics"]["slope"], args)
-    return summary
+    metrics = _fit_metrics(curve.values, args.fit_lo, args.fit_hi)
+    summary = {"pair": args.pair, "grid": args.grid, "n_max": args.n_max, "metrics": metrics}
+    _near_gate(summary, "slope", metrics["slope"], args.expect_slope, args.tol)
+    return summary, {"memloss.csv": _indexed("memloss", curve.values)}
 
 
-def _cmd_mixing(args) -> dict:
+def _cmd_mixing(args):
     seq = _sequence_from_args(args)
     table = mixing_mass(seq, args.k, args.n_max, n_cells=args.grid)
-    path = os.path.join(args.out, "mixing.csv")
-    csvio.write_columns(path, "mixing", [np.arange(len(table.values), dtype=float), table.values])
     metrics = _mixing_metrics(table.values)
     summary = {
         "k": args.k,
         "n_max": args.n_max,
         "grid": args.grid,
         "metrics": {**metrics, "worst_snap": table.notes["worst_snap"]},
-        "artifacts": [os.path.basename(path)],
     }
     if args.expect_floor is not None:
         floor = metrics["floor_from_2"]
@@ -187,33 +179,24 @@ def _cmd_mixing(args) -> dict:
         _gate(summary, "floor", ok, {"expected": args.expect_floor, "actual": floor})
     raw_max = table.notes["raw_max"]  # before mixing_mass clips at 1 + 1e-9
     _gate(summary, "bounded_by_one", raw_max <= 1.0 + 1e-8, {"actual": raw_max})
-    return summary
+    return summary, {"mixing.csv": _indexed("mixing", table.values)}
 
 
-def _cmd_evolve(args) -> dict:
+def _cmd_evolve(args):
     seq = _sequence_from_args(args)
     lo, hi = state_interval(param_at(seq, 1))
     out = evolve(seq, make_density(args.density, args.grid, (lo, hi), profile=args.profile,
                                    beta=args.cone_beta), args.steps)  # held nowhere else: freed after step 1
-    path = os.path.join(args.out, "density.csv")
-    csvio.write_columns(path, "density", [out.midpoints(), out.values])
-    summary = {
-        "steps": args.steps,
-        "grid": args.grid,
-        "metrics": {"mass": out.mass, "sup": float(np.max(out.values))},
-        "artifacts": [os.path.basename(path)],
-    }
+    summary = {"steps": args.steps, "grid": args.grid,
+               "metrics": {"mass": out.mass, "sup": float(np.max(out.values))}}
     _gate(summary, "mass_conserved", abs(out.mass - 1.0) <= 1e-8, {"actual": out.mass})
-    return summary
+    return summary, {"density.csv": ("density", [out.midpoints(), out.values])}
 
 
-def _cmd_frequency(args) -> dict:
+def _cmd_frequency(args):
     seq = _sequence_from_args(args)
     window = check_frequency(seq, args.threshold, args.n_max)
     prof = theta_profile(seq, args.threshold, window.a, args.n_max)
-    good = seqs._running_frequency(seq, args.threshold, args.n_max)
-    path = os.path.join(args.out, "frequency.csv")
-    csvio.write_columns(path, "frequency", [np.arange(1, args.n_max + 1, dtype=float), good])
     summary = {
         "threshold": args.threshold,
         "n_max": args.n_max,
@@ -223,38 +206,30 @@ def _cmd_frequency(args) -> dict:
             "N": window.N,
             "theta_sup_tail_last": float(prof.values[-1]),
         },
-        "artifacts": [os.path.basename(path)],
     }
-    if args.expect_a is not None:
-        ok = abs(window.a - args.expect_a) <= args.tol
-        _gate(summary, "a", ok, {"expected": args.expect_a, "tol": args.tol, "actual": window.a})
-    return summary
+    _near_gate(summary, "a", window.a, args.expect_a, args.tol)
+    good = seqs._running_frequency(seq, args.threshold, args.n_max)
+    return summary, {"frequency.csv": ("frequency", [np.arange(1, args.n_max + 1, dtype=float), good])}
 
 
 _MODEL_KEYS = dict.fromkeys(["theta", "K", "lambda", "diam", "delta0", "beta", "beta_prime",
                              "C_beta", "C_beta_prime", "Theta"], "number")
 _MODEL_KEYS.update(n0="integer", k="integer", horizon="integer", tails="string")
+_CONSTANT_ARGS = {"theta": "theta", "n0": "n0", "K": "K", "lambda": "lam", "diam": "diam_x", "delta0": "delta0"}
 
 
 def _model_from_config(cfg: dict, horizon: int):
     if cfg.get("k", 1) < 1:
         raise ConfigError(f"model config: 'k' must be >= 1, got {cfg['k']}")
-    constants = make_constants(
-        theta=cfg.get("theta", 0.25),
-        n0=cfg.get("n0", 1),
-        K=cfg.get("K", 0.5),
-        lam=cfg.get("lambda", 2.0),
-        diam_x=cfg.get("diam", 1.0),
-        delta0=cfg.get("delta0", 0.5),
-    )
+    constants = make_constants(**{arg: cfg[key] for key, arg in _CONSTANT_ARGS.items() if key in cfg})
     beta = cfg.get("beta", 2.0)
     beta_prime = cfg.get("beta_prime", beta)
     spec = cfg.get("tails", f"synthetic:poly:{beta}")
     if spec.startswith("synthetic:poly:"):
         try:
-            b = float(spec.split(":")[2])
+            b = float(spec.removeprefix("synthetic:poly:"))
         except ValueError:
-            raise ConfigError(f"tails spec {spec!r} needs a number after 'synthetic:poly:'") from None
+            raise ConfigError(f"tails spec {spec!r} needs exactly one number after 'synthetic:poly:'") from None
         for key, own in {"Theta": 0.0, "C_beta": 1.0, "C_beta_prime": 1.0}.items():  # the family's own
             if cfg.get(key, own) != own:
                 raise ConfigError(f"model config: {key!r} must be {own} or absent with {spec!r} tails")
@@ -279,7 +254,7 @@ def _model_from_config(cfg: dict, horizon: int):
     return build_model(fam, constants, horizon), beta_prime
 
 
-def _cmd_coupling(args) -> dict:
+def _cmd_coupling(args):
     check_n_max(args.n_max)
     cfg = check_config(seqs._load_json(args.model), _MODEL_KEYS, "model config") if args.model else {}
     horizon = cfg.get("horizon", args.n_max + 2)
@@ -290,10 +265,6 @@ def _cmd_coupling(args) -> dict:
     mc = s_tail_mc(model, args.n_max, args.samples, args.seed)
     theta_star = float(np.max(model.family.theta_seq, initial=0.0))
     report = check_stail_bound(dp, beta_prime, theta_star, model.family.k)
-    ratios = np.concatenate([[np.nan], report.ratios])
-    path = os.path.join(args.out, "coupling.csv")
-    n = np.arange(len(dp.values), dtype=float)
-    csvio.write_columns(path, "coupling", [n, dp.values, mc.values, mc.stderr, ratios])
     max_z = _max_mc_z(dp, mc)
     summary = {
         "n_max": args.n_max,
@@ -305,15 +276,15 @@ def _cmd_coupling(args) -> dict:
             "max_mc_z": max_z,
             "dp_remainder": dp.notes["remainder"],
         },
-        "artifacts": [os.path.basename(path)],
     }
     _gate(summary, "dp_mc_agree", max_z is not None and max_z <= 4.0, {"actual": max_z})
     if args.check_plateau:
         _gate(summary, "plateau", report.plateau(), {"argmax_n": report.argmax_n, "n_max": args.n_max})
-    return summary
+    ratios = np.concatenate([[np.nan], report.ratios])
+    return summary, {"coupling.csv": _indexed("coupling", dp.values, mc.values, mc.stderr, ratios)}
 
 
-def _cmd_summarize(args) -> None:
+def _cmd_summarize(args) -> None:  # prints; returns no summary
     out = {}
     for path in args.paths:
         kind, cols = csvio.read_csv(path)
@@ -336,7 +307,7 @@ def _cmd_summarize(args) -> None:
 
 def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(seqs._FAMILY_NAMES), help="stationary family")
-    p.add_argument("--gamma", type=_finite, default=0.5, help="intermittency parameter")
+    p.add_argument("--gamma", type=_finite, default=None, help="intermittency parameter (default 0.5; gh: 2)")
     p.add_argument("--beta", type=_finite, default=None, help="cui right-branch exponent")
     p.add_argument("--config", help="sequence config JSON (overrides --family)")
 
@@ -424,21 +395,24 @@ def run_cli(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         if getattr(args, "out", None):
-            os.makedirs(args.out, exist_ok=True)
-    except OSError as e:
-        print(f"error: cannot create --out directory: {e}", file=sys.stderr)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"cannot create --out directory: {e}") from None
+        result = args.func(args)
+        if result is None:  # summarize prints its own output
+            return 0
+        summary, tables = result
+        summary.setdefault("artifacts", list(tables))
+        summary["command"] = args.command
+        summary["pass"] = all(g["pass"] for g in summary.get("gates", []))
+        for name, (kind, columns) in tables.items():
+            csvio.write_columns(os.path.join(args.out, name), kind, columns)
+        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        csvio._atomic_write(os.path.join(args.out, f"{args.command}_summary.json"), [text])
+    except (MemlossError, OSError, MemoryError) as e:  # MemoryError: a size the machine cannot hold
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
-    try:
-        summary = args.func(args)
-    except MemlossError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if summary is None:  # summarize prints its own output
-        return 0
-    summary["command"] = args.command
-    summary["pass"] = all(g["pass"] for g in summary.get("gates", []))
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    csvio._atomic_write(os.path.join(args.out, f"{args.command}_summary.json"), [text])
     return 0 if summary["pass"] else 1
 
 

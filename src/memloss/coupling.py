@@ -167,13 +167,13 @@ class TailFamily:
                 stacklevel=2,
             )
         n = np.arange(1, h.shape[1], dtype=float)
-        shift = th * (self.k + np.arange(len(th)))
-        if np.any(shift):  # one bound per row
-            bad = [not np.all(h[i, 1:] <= self.c_beta * np.maximum(1.0, n - shift[i]) ** (-self.beta) + 1e-12)
-                   for i in range(len(th))]
-        else:  # one bound for every row, and equal rows are checked once
-            rows = h[:1] if self.stationary else h
-            bad = ~np.all(rows[:, 1:] <= self.c_beta * np.maximum(1.0, n) ** (-self.beta) + 1e-12, axis=1)
+        shift = th * (self.k + np.arange(len(th)))  # one bound per distinct shift; all 0 skips the sort
+        shifts, which = np.unique(shift, return_inverse=True) if np.any(shift) else (shift[:1], np.zeros(len(th), int))
+        bounds = self.c_beta * np.maximum(1.0, n - shifts[:, None]) ** (-self.beta) + 1e-12
+        if self.stationary:  # the one row against each distinct bound
+            bad = ~np.all(h[0, 1:] <= bounds, axis=1)[which]
+        else:  # one shared bound broadcasts over the rows
+            bad = ~np.all(h[:, 1:] <= (bounds[which] if len(shifts) > 1 else bounds), axis=1)
         if np.any(bad):
             raise ParamError(f"declared bound violated by tail row {self.k + int(np.argmax(bad))}")
         rv = self.r.values

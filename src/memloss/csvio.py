@@ -21,7 +21,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FormatError
-from .tables import TailTable
 
 _FMT = "%.17g"
 _BLOCK = 2**14
@@ -61,11 +60,6 @@ def write_columns(path: str, kind: str, columns: list[np.ndarray | None]) -> Non
     blocks = (np.column_stack([c[i : i + _BLOCK] for c in data]) for i in range(0, len(data[0]), _BLOCK))
     text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
     _atomic_write(path, itertools.chain([",".join(header) + "\n"], text))
-
-
-def write_tail_csv(path: str, table: TailTable) -> None:
-    n = np.arange(len(table.values), dtype=float)
-    write_columns(path, "tails", [n, table.values, table.stderr])
 
 
 def read_csv(path: str) -> tuple[str, dict[str, np.ndarray]]:

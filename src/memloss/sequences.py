@@ -257,6 +257,8 @@ def _entry_to_params(entry, family: Family) -> MapParams:
             return cui(values["gamma"], values["beta"])
         if family is Family.PIKOVSKY:
             return pikovsky(values["gamma"])
+        if values.get("gamma", 2.0) != 2.0:  # the family's one map
+            raise ConfigError(f"sequence entry {entry!r}: a gh map has gamma 2, got {values['gamma']}")
         return grossmann_horner()
     except KeyError as e:
         raise ConfigError(f"sequence entry {entry!r} is missing key {e}") from None

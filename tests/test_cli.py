@@ -17,7 +17,6 @@ from hypothesis import given, settings
 import memloss
 from memloss import cli, csvio
 from memloss.cli import run_cli
-from memloss.tables import TailTable
 
 
 def _hash_dir(path):
@@ -26,6 +25,15 @@ def _hash_dir(path):
         with open(os.path.join(path, name), "rb") as fh:
             out[name] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def _strict_json(text):
+    """The parsed summary; NaN or Infinity in it fails."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 _FAMILY_ARGS = [["--family", "lsv"], ["--family", "cui", "--beta", "2"],
@@ -242,7 +250,8 @@ class TestCoupling:
         # synthetic:poly: tails have Theta 0 and C_beta = C_beta' = 1 of their own
         if config.get("tails") == "file:":
             tails = str(tmp_path / "tails.csv")
-            csvio.write_tail_csv(tails, TailTable(values=np.concatenate([[1.0], np.arange(1.0, 60.0) ** -2.0])))
+            values = np.concatenate([[1.0], np.arange(1.0, 60.0) ** -2.0])
+            csvio.write_columns(tails, "tails", [np.arange(60.0), values, None])
             config = {**config, "tails": "file:" + tails}
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(config))
@@ -281,12 +290,7 @@ class TestNoComparableMcRow:
     ], ids=["coupling", "tails"])
     def test_max_mc_z_is_null(self, tmp_path, argv, code, section):
         assert run_cli([*argv, "--out", str(tmp_path)]) == code
-        text = (tmp_path / f"{argv[0]}_summary.json").read_text()
-
-        def reject(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
-        summary = json.loads(text, parse_constant=reject)
+        summary = _strict_json((tmp_path / f"{argv[0]}_summary.json").read_text())
         assert summary[section]["max_mc_z"] is None
         if argv[0] == "coupling":
             assert summary["gates"] == [{"name": "dp_mc_agree", "pass": False, "actual": None}]
@@ -494,6 +498,10 @@ class TestInputErrors:
         pytest.param("--model", {"k": True}, "'k'", id="k-bool"),
         pytest.param("--model", {"horizon": 30.0}, "'horizon'", id="horizon-float"),
         pytest.param("--model", {"tails": "synthetic:poly:abc"}, "'synthetic:poly:abc'", id="tails-spec"),
+        pytest.param("--model", {"tails": "synthetic:poly:2.0:junk", "horizon": 40}, "'synthetic:poly:2.0:junk'",
+                     id="tails-spec-junk"),
+        pytest.param("--config", {"kind": "periodic", "family": "gh", "cycle": [0.7]}, "gh map has gamma 2",
+                     id="gh-gamma"),
         pytest.param("--config", {**_IID, "seed": "abc"}, "'seed'", id="seed-str"),
         pytest.param("--config", {**_IID, "seed": 1.7}, "'seed'", id="seed-float"),
         pytest.param("--config", {**_IID, "seed": False}, "'seed'", id="seed-bool"),
@@ -526,6 +534,16 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
         assert os.listdir(out) == []
+
+    def test_gh_gamma_other_than_2_exits_2_and_2_keeps_the_artifacts(self, tmp_path, capsys):
+        argv = ["tails", "--family", "gh", "--n-max", "50"]
+        assert run_cli([*argv, "--gamma", "2.7", "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "gh map has gamma 2, got 2.7" in err
+        assert os.listdir(tmp_path / "bad") == []
+        assert run_cli([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert run_cli([*argv, "--gamma", "2", "--out", str(tmp_path / "b")]) == 0
+        assert _hash_dir(tmp_path / "a") == _hash_dir(tmp_path / "b")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = run_cli(["memloss", "--config", str(tmp_path / "nope.json"), "--n-max", "10",
@@ -562,6 +580,8 @@ _FINISH_RUNS = {
                   "--n-max", "200"],
     "coupling": ["coupling", "--n-max", "40", "--samples", "10000", "--seed", "3"],
 }
+_FIRST_CSV = {"tails": "tails_k1_mk.csv", "memloss": "memloss.csv", "mixing": "mixing.csv",
+              "evolve": "density.csv", "frequency": "frequency.csv", "coupling": "coupling.csv"}
 _FAILING_GATES = {
     "tails": ["--expect-slope", "99"],
     "memloss": ["--expect-slope", "99"],
@@ -588,6 +608,36 @@ class TestFinishPath:
         assert code == (0 if summary["pass"] else 1)
         if failing:
             assert summary["pass"] is False
+
+    @pytest.mark.parametrize("command", sorted(_FINISH_RUNS))
+    def test_an_artifact_that_cannot_be_written_exits_2_without_a_summary(self, tmp_path, capsys, command):
+        (tmp_path / _FIRST_CSV[command]).mkdir()
+        assert run_cli([*_FINISH_RUNS[command], "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == [_FIRST_CSV[command]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coupling", "--model", "m.json", "--n-max", "10", "--samples", "10000"],  # a 74.5 GiB prefix table
+    ["tails", "--family", "lsv", "--gamma", "0.5", "--n-max", "1000000000"],  # 7.45 GiB of indices
+], ids=["coupling-horizon", "tails-n-max"])
+def test_a_size_the_machine_cannot_hold_exits_2_with_one_line(tmp_path, argv):
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 * 10**9 if hard == resource.RLIM_INFINITY else min(2 * 10**9, hard)
+
+    def limit_address_space():  # the child's own limit: without it these sizes can fill the host
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    (tmp_path / "m.json").write_text(json.dumps({"horizon": 100000}))
+    src = os.path.dirname(os.path.dirname(memloss.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "memloss", *argv, "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300, preexec_fn=limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert os.listdir(tmp_path / "out") == []
 
 
 _GAMMAS = {"lsv": st.floats(0.2, 0.9), "pikovsky": st.floats(1.2, 2.8)}
@@ -642,6 +692,84 @@ def _tiny_size_runs(draw):
     return argv
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.3, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0, 1e300, -1.0,
+                                math.nan, math.inf, -math.inf])
+_HUGE_INTS = st.sampled_from([0, 1, -1, 2**31, 2**63, 2**64 + 5, -(2**70)])
+_MODEL_FUZZ = {
+    **dict.fromkeys(["theta", "K", "lambda", "diam", "delta0", "beta", "beta_prime", "C_beta", "C_beta_prime",
+                     "Theta"], _EDGE_FLOATS),
+    "n0": st.integers(-2, 3), "k": st.integers(-1, 3), "horizon": st.integers(-1, 40),
+    "tails": st.sampled_from(["synthetic:poly:2.0", "synthetic:poly:1.5", "synthetic:poly:", "synthetic:poly:2:3",
+                              "synthetic:poly:nan", "synthetic:poly:1e400", "file:missing.csv", "poly"]),
+}
+
+
+_VALID_ENTRIES = {"lsv": st.floats(0.05, 0.95), "pikovsky": st.floats(1.05, 2.95), "gh": st.just(2.0),
+                  "cui": st.fixed_dictionaries({"gamma": st.floats(0.05, 0.95), "beta": st.floats(1.0, 3.0)})}
+
+
+def _mostly(draw, valid, edge):
+    """A draw from valid seven times in eight, else from edge."""
+    return draw(valid if draw(st.integers(0, 7)) else edge)
+
+
+@st.composite
+def _sequence_configs(draw):
+    """A sequence config of at most three entries; an eighth of its values are drawn from edge cases."""
+    size = draw(st.integers(1, 3))
+    family = _mostly(draw, st.sampled_from(sorted(_VALID_ENTRIES)), st.just("tent"))
+    kind = _mostly(draw, st.sampled_from(["periodic", "explicit", "iid", "markov"]), st.just("other"))
+    entry = st.one_of(_EDGE_FLOATS, st.fixed_dictionaries({"gamma": _EDGE_FLOATS}, optional={"beta": _EDGE_FLOATS}))
+    weights = st.lists(_EDGE_FLOATS, min_size=size, max_size=size)
+    uniform = st.just([1.0 / size] * size)
+    config = {"kind": kind, "family": family,
+              "cycle" if kind in ("periodic", "explicit") else "support":
+                  [_mostly(draw, _VALID_ENTRIES.get(family, entry), entry) for _ in range(size)],
+              "probs": _mostly(draw, uniform, weights),
+              "transition": [_mostly(draw, uniform, weights) for _ in range(size)],
+              "seed": draw(_HUGE_INTS)}
+    if not draw(st.integers(0, 7)):
+        del config[draw(st.sampled_from(sorted(config)))]
+    return config
+
+
+@st.composite
+def _fuzzed_runs(draw):
+    """(argv, config flag, config) of a small run on a drawn sequence or model config (None: no flag)."""
+    command = draw(st.sampled_from(sorted(_SIZE_FLAGS)))
+    if command == "coupling":
+        argv = ["coupling", "--n-max", str(draw(st.integers(1, 20))), "--samples", "10000",
+                "--seed", str(draw(_HUGE_INTS))]
+        keys = draw(st.none() | st.sets(st.sampled_from(sorted(_MODEL_FUZZ)), max_size=3))
+        return argv, "--model", None if keys is None else {key: draw(_MODEL_FUZZ[key]) for key in keys}
+    argv = [command]
+    argv += {
+        "tails": ["--n-max", str(draw(st.integers(1, 30))), "--mc-samples", draw(st.sampled_from(["0", "1000"])),
+                  "--seed", str(draw(_HUGE_INTS)), "--k", draw(st.sampled_from(["1", "2,1"]))],
+        "memloss": ["--n-max", str(draw(st.integers(1, 8))), "--grid", "1024"],
+        "mixing": ["--n-max", str(draw(st.integers(1, 8))), "--grid", "1024"],
+        "evolve": ["--steps", str(draw(st.integers(1, 3))), "--grid", "1024"],
+        "frequency": ["--n-max", str(draw(st.integers(1, 60))), f"--threshold={draw(_EDGE_FLOATS)!r}"],
+    }[command]
+    return argv, "--config", draw(_sequence_configs())
+
+
+def _assert_exit_contract(argv, out):
+    """The run exits 0/1 with a strict JSON summary, or 2 with no summary and one
+    ``error:`` line (argparse's usage errors print the usage too)."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli([*argv, "--out", out])
+    assert code in (0, 1, 2)
+    path = os.path.join(out, f"{argv[0]}_summary.json")
+    if code == 2:
+        assert not os.path.exists(path)
+        if not err.getvalue().startswith("usage:"):
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        with open(path) as fh:
+            _strict_json(fh.read())
+
+
 class TestCliProperties:
     @settings(max_examples=30, deadline=None)
     @given(run=_fitted_runs())
@@ -662,5 +790,15 @@ class TestCliProperties:
     @given(argv=_tiny_size_runs())
     def test_tiny_and_negative_sizes_exit_0_1_or_2(self, argv):
         with tempfile.TemporaryDirectory() as out:
-            with contextlib.redirect_stderr(io.StringIO()):
-                assert run_cli([*argv, "--out", out]) in (0, 1, 2)
+            _assert_exit_contract(argv, out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=_fuzzed_runs())
+    def test_random_configs_exit_0_1_or_2_with_strict_json_or_no_summary(self, run):
+        argv, flag, config = run
+        with tempfile.TemporaryDirectory() as out:
+            if config is not None:
+                argv = [*argv, flag, os.path.join(out, "config.json")]
+                with open(argv[-1], "w") as fh:
+                    json.dump(config, fh)  # NaN and Infinity as Python's json writes them
+            _assert_exit_contract(argv, out)

@@ -1016,6 +1016,44 @@ class TestFamilyValidation:
             TailFamily(k=5, r=TailTable(values=good, label="r"), h_rows=rows, beta=2.0, beta_prime=2.0,
                        c_beta=1.0, c_beta_prime=1.0, theta_seq=np.zeros(6))
 
+    def test_shared_row_names_the_first_row_whose_own_bound_it_breaks(self):
+        # row 1 has shift 0.2 and meets its bound; row 2 has shift 0 and breaks it
+        m = np.arange(1.0, 41.0)
+        good = np.concatenate([[1.0], np.minimum(1.0, m**-2.0)])
+        row = np.concatenate([[1.0], np.minimum(1.0, np.maximum(1.0, m - 0.1) ** -2.0)])
+        with pytest.raises(errors.ParamError, match="violated by tail row 2$"):
+            TailFamily(k=1, r=TailTable(values=good, label="r"), h_rows=np.broadcast_to(row, (3, 41)), beta=2.0,
+                       beta_prime=2.0, c_beta=1.0, c_beta_prime=1.0, theta_seq=np.array([0.2, 0.0, 0.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 5), n_rows=st.integers(1, 12), beta=st.floats(1.1, 3.0), c_beta=st.floats(1.0, 2.0),
+           layout=st.sampled_from(["shared", "tiled", "rows"]), data=st.data())
+    def test_declared_bound_check_equals_a_per_row_loop(self, k, n_rows, beta, c_beta, layout, data):
+        depth = 30
+        m = np.arange(1.0, depth + 1.0)
+        thetas = st.sampled_from([0.0, 1e-9, 0.01, 0.05, 0.2])
+        theta = np.array(data.draw(st.lists(thetas, min_size=n_rows, max_size=n_rows) | thetas.map(
+            lambda t: [t] * n_rows)))
+        # a row shifted by s meets the bound of every row whose shift Theta_j j is at least s
+        shifted = st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.5, 1.5]).map(
+            lambda s: np.concatenate([[1.0], np.minimum(1.0, c_beta * np.maximum(1.0, m - s) ** -beta)]))
+        if layout == "rows":
+            rows = np.stack(data.draw(st.lists(shifted, min_size=n_rows, max_size=n_rows)))
+        else:
+            row = data.draw(shifted)
+            rows = np.broadcast_to(row, (n_rows, depth + 1)) if layout == "shared" else np.tile(row, (n_rows, 1))
+        n = np.arange(1, depth + 1, dtype=float)
+        first_bad = next((k + i for i in range(n_rows) if not np.all(
+            rows[i, 1:] <= c_beta * np.maximum(1.0, n - theta[i] * (k + i)) ** (-beta) + 1e-12)), None)
+        r = TailTable(values=np.concatenate([[1.0], np.minimum(1.0, m**-beta)]), label="r")
+        args = dict(k=k, r=r, h_rows=rows, beta=beta, beta_prime=beta, c_beta=c_beta, c_beta_prime=1.0,
+                    theta_seq=theta)
+        if first_bad is None:
+            assert TailFamily(**args).stationary == (layout != "rows" or bool(np.all(rows == rows[0])))
+        else:
+            with pytest.raises(errors.ParamError, match=f"violated by tail row {first_bad}$"):
+                TailFamily(**args)
+
     def test_large_theta_warns(self):
         m = np.arange(4.0)
         rows = np.ones((2, 4))

@@ -296,6 +296,13 @@ class TestConfig:
         s = seqs.sequence_from_config({"kind": "periodic", "family": family, "cycle": cycle})
         assert seqs.param_at(s, 1).family.value == family
 
+    @pytest.mark.parametrize("entry", [0.7, {"gamma": 2.7}, {"gamma": 1.0}], ids=["number", "object", "one"])
+    def test_gh_entry_takes_gamma_2_or_none(self, entry):
+        assert seqs.param_at(seqs.sequence_from_config({"kind": "periodic", "family": "gh", "cycle": [{}]}),
+                             1).gamma == 2.0
+        with pytest.raises(errors.ConfigError, match="gh map has gamma 2, got"):
+            seqs.sequence_from_config({"kind": "periodic", "family": "gh", "cycle": [entry]})
+
     def test_invalid_param_surfaces_as_config_error(self):
         with pytest.raises(errors.ConfigError, match=r"\(0,1\)"):
             seqs.sequence_from_config({"kind": "periodic", "family": "lsv", "cycle": [1.5]})
