@@ -167,8 +167,8 @@ class TailFamily:
                 stacklevel=2,
             )
         n = np.arange(1, h.shape[1], dtype=float)
-        shift = th * (self.k + np.arange(len(th)))  # one bound per distinct shift; all 0 skips the sort
-        shifts, which = np.unique(shift, return_inverse=True) if np.any(shift) else (shift[:1], np.zeros(len(th), int))
+        shift = th * (self.k + np.arange(len(th)))  # one bound per distinct shift; all 0: one, and no sort
+        shifts, which = np.unique(shift, return_inverse=True) if np.any(shift) else (shift[:1], [0])
         bounds = self.c_beta * np.maximum(1.0, n - shifts[:, None]) ** (-self.beta) + 1e-12
         if self.stationary:  # the one row against each distinct bound
             bad = ~np.all(h[0, 1:] <= bounds, axis=1)[which]
