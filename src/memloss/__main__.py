@@ -1,8 +1,6 @@
 """``python -m memloss``: the ``memloss`` command line."""
 
-import sys
-
-from .cli import main
+from .cli import run_cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(run_cli())

@@ -4,10 +4,10 @@ One subcommand per experiment; JSON config in, CSV artifacts plus a JSON
 summary out.  A computing subcommand only computes: it returns its summary
 and its tables (file name -> CSV kind and columns).  :func:`run_cli` alone
 writes files: it adds ``command`` and ``pass`` (every gate passed) to the
-summary, writes the tables and then ``<command>_summary.json``, and
-returns the exit code: 0 success, 1 an expectation gate failed, 2 usage
-or configuration error, an output that cannot be written or memory that
-runs out (one ``error:`` line, never a traceback).  All randomness flows
+summary, writes the tables and then ``<command>_summary.json`` (all or
+none), and returns the exit code: 0 success, 1 an expectation gate failed,
+2 usage or configuration error, an output that cannot be written or memory
+that runs out (one ``error:`` line, never a traceback).  All randomness flows
 from ``--seed`` (derived streams are keyed by purpose), so a config
 reruns to byte-identical artifacts.
 
@@ -387,6 +387,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_run(out: str, files: dict) -> None:
+    """Write a run's files (name -> CSV kind and columns, or text) into ``out``,
+    all or none: each to a temporary name, unless its own name is a directory,
+    then each to its own name.  A failure removes every file the run wrote and
+    raises OSError("cannot write <file>: <reason>")."""
+    paths = [os.path.join(out, name) for name in files]
+    written = []
+    try:
+        for path, content in zip(paths, files.values()):
+            if os.path.isdir(path):
+                raise IsADirectoryError("Is a directory")
+            written.append(temp := f"{path}.{os.getpid()}.tmp")
+            if isinstance(content, str):
+                csvio._write(temp, [content])
+            else:
+                csvio.write_columns(temp, *content)
+        for i, path in enumerate(paths):
+            os.replace(written[i], path)
+            written[i] = path
+    except BaseException as e:
+        for done in filter(os.path.exists, written):
+            os.unlink(done)
+        if isinstance(e, OSError):
+            raise OSError(f"cannot write {path}: {e.strerror or e}") from None
+        raise
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
@@ -406,19 +433,13 @@ def run_cli(argv=None) -> int:
         summary.setdefault("artifacts", list(tables))
         summary["command"] = args.command
         summary["pass"] = all(g["pass"] for g in summary.get("gates", []))
-        for name, (kind, columns) in tables.items():
-            csvio.write_columns(os.path.join(args.out, name), kind, columns)
         text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-        csvio._atomic_write(os.path.join(args.out, f"{args.command}_summary.json"), [text])
+        _write_run(args.out, {**tables, f"{args.command}_summary.json": text})
     except (MemlossError, OSError, MemoryError) as e:  # MemoryError: a size the machine cannot hold
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
     return 0 if summary["pass"] else 1
 
 
-def main(argv=None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

@@ -1,5 +1,5 @@
-"""CSV artifacts: fixed headers, 17 significant digits, atomic writes,
-rows formatted and parsed in blocks of 2**14.
+"""CSV artifacts: fixed headers, 17 significant digits, rows formatted and
+parsed in blocks of 2**14.
 
 Formats (one header row, '.' decimal separator, '\\n' line endings):
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import tempfile
 from typing import Iterable
 
 import numpy as np
@@ -35,21 +34,14 @@ HEADERS = {
 }
 
 
-def _atomic_write(path: str, parts: Iterable[str]) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write(path: str, parts: Iterable[str]) -> None:
+    """Write ``parts`` to ``path``, created as ``open`` creates one: mode 0o666 less the umask."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(parts)
 
 
 def write_columns(path: str, kind: str, columns: list[np.ndarray | None]) -> None:
-    """Write a ``kind`` CSV; a None column is written as empty cells."""
+    """Write a ``kind`` CSV to ``path``; a None column is written as empty cells."""
     header = HEADERS[kind]
     if len(columns) != len(header):
         raise ValueError(f"{kind} needs {len(header)} columns")
@@ -59,7 +51,7 @@ def write_columns(path: str, kind: str, columns: list[np.ndarray | None]) -> Non
     row = ",".join("" if c is None else _FMT for c in columns) + "\n"
     blocks = (np.column_stack([c[i : i + _BLOCK] for c in data]) for i in range(0, len(data[0]), _BLOCK))
     text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], text))
+    _write(path, itertools.chain([",".join(header) + "\n"], text))
 
 
 def read_csv(path: str) -> tuple[str, dict[str, np.ndarray]]:

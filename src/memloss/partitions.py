@@ -365,9 +365,9 @@ def return_time_tail_mc(
     return empirical_tail(tau, n_max, k)
 
 
-def mc_zscores(exact: TailTable, mc: TailTable, min_tail: float | None = None) -> np.ndarray:
+def mc_zscores(exact: TailTable, mc: TailTable) -> np.ndarray:
     """z-scores of an MC tail against an exact one, NaN where the exact
-    tail is outside (min_tail, 1 - min_tail) and the comparison is
+    tail is outside (10 / samples, 1 - 10 / samples) and the comparison is
     Poisson-noisy or trivially clamped."""
     samples = mc.notes.get("samples")
     if samples is None:
@@ -375,8 +375,7 @@ def mc_zscores(exact: TailTable, mc: TailTable, min_tail: float | None = None) -
     n = min(exact.n_max, mc.n_max)
     p = exact.values[: n + 1]
     q = mc.values[: n + 1]
-    if min_tail is None:
-        min_tail = 10.0 / samples
+    min_tail = 10.0 / samples
     se = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / samples)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = (q - p) / se

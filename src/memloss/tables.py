@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthError, ParamError
+from .errors import ParamError
 
 _RETURN_LABELS = {"h_k", "lebesgue", "r", "s_tail"}
 
@@ -47,17 +47,6 @@ class TailTable:
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
-
-    def value(self, n: int) -> float:
-        if not (0 <= n <= self.n_max):
-            raise DepthError(f"tail tabulated to n = {self.n_max}, asked for {n}")
-        return float(self.values[n])
-
-    def __getitem__(self, n: int) -> float:
-        return self.value(n)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def empirical_tail(times: np.ndarray, n_max: int, k: int = 1) -> TailTable:

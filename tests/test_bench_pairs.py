@@ -60,3 +60,65 @@ def test_modes_need_a_gap_wider_than_either_cluster():
     assert len(bench_pairs.modes([1.0, 1.1, 5.0])) == 1  # too few runs to split
     assert len(bench_pairs.modes([1.0, 1.1, 1.2, 9.0])) == 1  # a lone outlier is not a cluster
     assert bench_pairs.modes([1.0, 1.2, 2.0, 2.3]) == [(1.1, 2), (2.15, 2)]
+
+
+def test_the_parent_alternates_first_and_last_and_the_others_swap_every_second_seed():
+    assert [bench_pairs.run_order(s, ("parent", "change")) for s in (1, 2, 3, 4)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent")]
+    sides = ("parent", "change", "repeat")
+    assert [bench_pairs.run_order(s, sides) for s in (1, 2, 3, 4)] == [
+        ("parent", "change", "repeat"), ("repeat", "change", "parent"),
+        ("parent", "repeat", "change"), ("change", "repeat", "parent")]
+
+
+def _triples(sweep, rss, pinned_rss=None):
+    """Records of an A/A batch: per side a list of ``sweep_s`` and of ``peak_rss_mb``
+    values, and optionally of the pinned runs' ``peak_rss_mb``."""
+    records = []
+    for i in range(len(sweep["parent"])):
+        record = {"seed": i + 1}
+        for side in ("parent", "change", "repeat"):
+            record[side] = {"sweep_s": sweep[side][i], "peak_rss_mb": rss[side][i]}
+            if pinned_rss is not None:
+                record[side + " pinned"] = {"sweep_s": sweep[side][i], "peak_rss_mb": pinned_rss[side][i]}
+        records.append(record)
+    return records
+
+
+_FLAT_RSS = {side: [60.0] * 4 for side in ("parent", "change", "repeat")}
+
+
+def test_an_aa_batch_gets_an_aa_row_after_each_metric():
+    sweep = {"parent": [1.0, 1.1, 1.2, 1.3], "change": [0.9, 1.0, 1.1, 1.2], "repeat": [1.3, 1.2, 1.1, 1.0]}
+    rows = bench_pairs.batch_rows(_triples(sweep, _FLAT_RSS))
+    assert list(rows) == ["sweep_s", "sweep_s A/A", "peak_rss_mb", "peak_rss_mb A/A"]
+    assert rows["sweep_s"]["sides"] == ("parent", "change") and rows["sweep_s"]["lower"] == 4
+    aa = rows["sweep_s A/A"]
+    assert aa["sides"] == ("parent", "repeat") and aa["lower"] == 2 and aa["relative"] == 0.0
+    assert not aa["resolved"]
+    text = bench_pairs.format_summary("title", rows)
+    assert "sweep_s A/A" in text and " 2/4 " in text and " 4/4 " in text
+
+
+def test_pinned_runs_add_peak_rss_rows_beside_the_default_ones():
+    sweep = {side: [1.0] * 4 for side in ("parent", "change", "repeat")}
+    rss = {**_FLAT_RSS, "parent": [56.5, 60.3, 56.4, 60.2]}
+    pinned = {"parent": [53.0, 53.2, 53.1, 53.3], "change": [52.9, 53.0, 53.1, 53.0],
+              "repeat": [53.1, 53.0, 53.2, 53.1]}
+    rows = bench_pairs.batch_rows(_triples(sweep, rss, pinned))
+    assert list(rows) == ["sweep_s", "sweep_s A/A", "peak_rss_mb", "peak_rss_mb A/A",
+                          "peak_rss_mb pinned", "peak_rss_mb pinned A/A"]
+    pin = rows["peak_rss_mb pinned"]
+    assert pin["sides"] == ("parent pinned", "change pinned")
+    assert pin["parent pinned"] == pytest.approx(bench_pairs.quartiles(pinned["parent"]))
+    assert pin["lower"] == 3
+    assert rows["peak_rss_mb pinned A/A"]["sides"] == ("parent pinned", "repeat pinned")
+    text = bench_pairs.format_summary("title", rows)
+    assert "parent modes: 56.45 (x2), 60.25 (x2)" in text and "pinned modes" not in text
+
+
+def test_only_a_pinned_child_gets_the_mmap_threshold(monkeypatch):
+    monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+    env = bench_pairs.pinned_env(131072)
+    assert env["MALLOC_MMAP_THRESHOLD_"] == "131072" and env["PATH"] == os.environ["PATH"]
+    assert "MALLOC_MMAP_THRESHOLD_" not in os.environ

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -613,9 +614,57 @@ class TestFinishPath:
     def test_an_artifact_that_cannot_be_written_exits_2_without_a_summary(self, tmp_path, capsys, command):
         (tmp_path / _FIRST_CSV[command]).mkdir()
         assert run_cli([*_FINISH_RUNS[command], "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / _FIRST_CSV[command]}: Is a directory\n"
         assert os.listdir(tmp_path) == [_FIRST_CSV[command]]
+
+    @pytest.mark.parametrize("earlier, blocked", [
+        (["tails", "--family", "lsv", "--n-max", "40"], "tails_k2_mk.csv"),  # a table after one it rewrites
+        (_FINISH_RUNS["evolve"], "tails_summary.json"),  # the summary, moved into place last
+    ], ids=["later-table", "summary"])
+    def test_a_failed_run_leaves_out_as_it_found_it(self, tmp_path, capsys, earlier, blocked):
+        assert run_cli([*earlier, "--out", str(tmp_path)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        (tmp_path / blocked).mkdir()
+        argv = ["tails", "--family", "lsv", "--n-max", "50", "--k", "2,1", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, blocked])
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("stage", ["write", "move"])
+    def test_a_failure_midway_removes_what_the_run_wrote(self, tmp_path, capsys, monkeypatch, stage):
+        write_columns, replace = csvio.write_columns, os.replace
+
+        def write_part_of_k2(path, kind, columns):
+            if "_k2_" not in path:
+                return write_columns(path, kind, columns)
+            with open(path, "w") as fh:  # part of the table
+                fh.write("n,value,stderr\n0,")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def refuse_the_summary(src, dst):
+            if dst.endswith("_summary.json"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            replace(src, dst)
+
+        if stage == "write":
+            monkeypatch.setattr(csvio, "write_columns", write_part_of_k2)
+        else:
+            monkeypatch.setattr(os, "replace", refuse_the_summary)
+        argv = ["tails", "--family", "lsv", "--n-max", "50", "--k", "2,1", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        name, code = ("tails_k2_mk.csv", errno.ENOSPC) if stage == "write" else ("tails_summary.json", errno.EACCES)
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / name}: {os.strerror(code)}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_artifacts_follow_the_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            assert run_cli([*_FINISH_RUNS["tails"], "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"tails_k1_mk.csv": 0o644, "tails_summary.json": 0o644}
 
 
 @pytest.mark.parametrize("argv", [

@@ -305,12 +305,11 @@ class TestReturnTimeTailMc:
         assert np.nanmax(np.abs(mc_zscores(exact, a))) <= 4.0
         assert np.nanmax(np.abs(mc_zscores(exact, b))) <= 4.0
 
-    @pytest.mark.parametrize("min_tail", [None, 1e-4])
-    def test_zscores_need_a_sample_count(self, min_tail):
+    def test_zscores_need_a_sample_count(self):
         exact = TailTable(values=np.array([1.0, 1.0, 0.5]), label="h_k")
         mc = TailTable(values=np.array([1.0, 1.0, 0.49]), label="mc")
         with pytest.raises(errors.ParamError, match="sample count"):
-            mc_zscores(exact, mc, min_tail=min_tail)
+            mc_zscores(exact, mc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,11 +384,6 @@ class TestMaterialize:
 
 
 class TestTailTable:
-    def test_depth_error(self):
-        t = TailTable(values=np.array([1.0, 1.0, 0.5]), label="h_k")
-        with pytest.raises(errors.DepthError):
-            t.value(3)
-
     def test_monotonicity_enforced(self):
         with pytest.raises(errors.ParamError):
             TailTable(values=np.array([1.0, 1.0, 0.5, 0.7]), label="h_k")

@@ -1,6 +1,7 @@
 """Run alternating parent/change pairs of ``bench/run.py`` and summarize them.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload W --seeds 1-10 [--held-out 21-23]
+                                 [--aa] [--mmap-threshold BYTES]
 
 Each revision is exported with ``git archive`` into ``parent`` and
 ``change`` under one fresh directory, so the two checkout paths have the
@@ -15,6 +16,15 @@ fall into two clusters (as ``peak_rss_mb`` can, with heap layout), the
 median and size of each cluster are printed too. The held-out seeds are
 summarized on their own. Passing the same revision twice gives an A/A batch:
 the drift of the host under the same rotation.
+
+``--aa`` exports the parent a second time, as ``repeat``, and runs it in
+the same rotation (the parent first at odd seeds and last at even ones,
+the change and the repeat swapping places every second seed); each metric
+then gets an ``A/A`` row, the repeat against the parent, so every batch
+carries its own drift.  ``--mmap-threshold BYTES`` runs every checkout a
+second time with ``MALLOC_MMAP_THRESHOLD_=BYTES`` in the child's
+environment only, which fixes glibc's mmap threshold, and prints the
+``peak_rss_mb`` of those runs as a ``pinned`` row beside the default one.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
+AA = "repeat"  # the parent's second export: its path is as long as the other two
+PINNED = " pinned"  # suffix of a run whose child pins glibc's mmap threshold
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -59,35 +71,61 @@ def modes(values) -> list[tuple[float, int]]:
     return [(statistics.median(v), len(v))]
 
 
-def summarize(records: list[dict]) -> dict[str, dict]:
-    """Per metric, from records ``{"parent": {metric: value}, "change": {...}}``
+def run_order(seed: int, sides) -> tuple[str, ...]:
+    """The parent first at odd seeds and last at even ones; the other sides
+    in their given order, swapped every second seed."""
+    others = list(sides[1:])
+    if seed // 2 % 2:
+        others.reverse()
+    return (sides[0], *others) if seed % 2 else (*others, sides[0])
+
+
+def summarize(records: list[dict], base: str = "parent", other: str = "change") -> dict[str, dict]:
+    """Per metric, from records ``{base: {metric: value}, other: {...}}``
     (one per seed): each side's quartiles and modes, the number of pairs in
-    which the change is lower, and the relative change of the medians."""
+    which ``other`` is lower, and the relative change of the medians."""
     out = {}
-    for name in records[0]["parent"]:
-        pairs = [(r["parent"][name], r["change"][name]) for r in records]
-        side = {s: [p[i] for p in pairs] for i, s in enumerate(SIDES)}
-        (p1, pm, p3), (c1, cm, c3) = (quartiles(side[s]) for s in SIDES)
+    for name in records[0][base]:
+        pairs = [(r[base][name], r[other][name]) for r in records]
+        side = {s: [p[i] for p in pairs] for i, s in enumerate((base, other))}
+        (p1, pm, p3), (c1, cm, c3) = (quartiles(side[s]) for s in (base, other))
         out[name] = {
-            "parent": (p1, pm, p3),
-            "change": (c1, cm, c3),
+            "sides": (base, other),
+            base: (p1, pm, p3),
+            other: (c1, cm, c3),
             "lower": sum(c < p for p, c in pairs),
             "pairs": len(pairs),
             "relative": (cm - pm) / pm if pm else (0.0 if cm == pm else float("inf")),
             "resolved": abs(cm - pm) > p3 - p1,
-            "modes": {s: modes(side[s]) for s in SIDES},
+            "modes": {s: modes(side[s]) for s in (base, other)},
         }
     return out
 
 
+def batch_rows(records: list[dict]) -> dict[str, dict]:
+    """The rows of one batch: per metric the change against the parent, then,
+    where the records hold them, the repeat against the parent (``A/A``) and,
+    for ``peak_rss_mb``, the pinned runs of each side (``pinned``,
+    ``pinned A/A``)."""
+    rows = {"": summarize(records)}
+    if AA in records[0]:
+        rows[" A/A"] = summarize(records, other=AA)
+    if "parent" + PINNED in records[0]:
+        rss = [{s: {"peak_rss_mb": v["peak_rss_mb"]} for s, v in r.items() if s != "seed"} for r in records]
+        rows[PINNED] = summarize(rss, "parent" + PINNED, "change" + PINNED)
+        if AA in records[0]:
+            rows[PINNED + " A/A"] = summarize(rss, "parent" + PINNED, AA + PINNED)
+    return {name + label: row[name] for name in rows[""] for label, row in rows.items() if name in row}
+
+
 def format_summary(title: str, summary: dict[str, dict]) -> str:
-    lines = [title, f"  {'metric':20s} {'parent median (q1-q3)':>28s} {'change median (q1-q3)':>28s}"
+    lines = [title, f"  {'metric':22s} {'parent median (q1-q3)':>28s} {'other median (q1-q3)':>28s}"
                     "  lower  relative  resolved"]
     for name, m in summary.items():
-        cells = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (m["parent"], m["change"])]
-        lines.append(f"  {name:20s} {cells[0]:>28s} {cells[1]:>28s}  {m['lower']:2d}/{m['pairs']:<2d}"
+        cells = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (m[s] for s in m["sides"])]
+        lines.append(f"  {name:22s} {cells[0]:>28s} {cells[1]:>28s}  {m['lower']:2d}/{m['pairs']:<2d}"
                      f"  {m['relative']:+8.1%}  {'yes' if m['resolved'] else 'no'}")
-        for s in SIDES:
+        for s in m["sides"]:
             if len(m["modes"][s]) > 1:
                 lines.append(f"    {s} modes: " + ", ".join(f"{c:.4g} (x{k})" for c, k in m["modes"][s]))
     return "\n".join(lines)
@@ -101,11 +139,17 @@ def export(rev: str, path: str) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def pinned_env(mmap_threshold: int) -> dict[str, str]:
+    """A copy of this process's environment that pins glibc's mmap threshold,
+    for a bench child."""
+    return {**os.environ, "MALLOC_MMAP_THRESHOLD_": str(mmap_threshold)}
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float, env=None) -> dict[str, float]:
     """The end-to-end metrics of one fresh ``bench/run.py`` process, plus its failure count."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, check=True)
+                          cwd=root, env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {**{k: v["value"] for k, v in result["metrics"].items()}, "failed": result["failed"]}
 
@@ -117,24 +161,33 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--held-out", type=parse_seeds, default=[])
+    parser.add_argument("--aa", action="store_true", help="run a second export of the parent too")
+    parser.add_argument("--mmap-threshold", type=int, metavar="BYTES",
+                        help="run every checkout again with MALLOC_MMAP_THRESHOLD_=BYTES")
     args = parser.parse_args(argv)
+    revs = {"parent": args.parent, "change": args.change, **({AA: args.parent} if args.aa else {})}
+    envs = {"": None}
+    if args.mmap_threshold is not None:
+        envs[PINNED] = pinned_env(args.mmap_threshold)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
-        roots = {s: os.path.join(work, s) for s in SIDES}
-        for s in SIDES:
-            export(getattr(args, s), roots[s])
+        roots = {s: os.path.join(work, s) for s in revs}
+        for s, rev in revs.items():
+            export(rev, roots[s])
         with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
             seconds = json.load(fh)["run_seconds"]
         records = []
         for seed in args.seeds + args.held_out:
-            order = SIDES if seed % 2 else SIDES[::-1]
-            record = {"seed": seed, **{s: run_bench(roots[s], args.workload, seed, seconds) for s in order}}
+            record = {"seed": seed}
+            for s in run_order(seed, tuple(revs)):
+                for suffix, env in envs.items():
+                    record[s + suffix] = run_bench(roots[s], args.workload, seed, seconds, env)
             print(json.dumps(record), flush=True)
             records.append(record)
     main_runs = [r for r in records if r["seed"] in args.seeds]
-    print(format_summary(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}", summarize(main_runs)))
+    print(format_summary(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}", batch_rows(main_runs)))
     held = [r for r in records if r["seed"] not in args.seeds]
     if held:
-        print(format_summary(f"{args.workload}, held-out seeds {[r['seed'] for r in held]}", summarize(held)))
+        print(format_summary(f"{args.workload}, held-out seeds {[r['seed'] for r in held]}", batch_rows(held)))
     return 0
 
 
