@@ -389,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_run(out: str, files: dict) -> None:
     """Write a run's files (name -> CSV kind and columns, or text) into ``out``,
-    all or none: each to a temporary name, unless its own name is a directory,
-    then each to its own name.  A failure removes every file the run wrote and
-    raises OSError("cannot write <file>: <reason>")."""
+    all or none: each under a temporary name once its own name is checked not
+    to be a directory, then all under their own names.  A failure removes every
+    file the run wrote and raises OSError("cannot write <file>: <reason>")."""
     paths = [os.path.join(out, name) for name in files]
     written = []
     try:

@@ -37,7 +37,6 @@ import subprocess
 import sys
 import tempfile
 
-SIDES = ("parent", "change")
 AA = "repeat"  # the parent's second export: its path is as long as the other two
 PINNED = " pinned"  # suffix of a run whose child pins glibc's mmap threshold
 
@@ -165,8 +164,9 @@ def main(argv=None) -> int:
     parser.add_argument("--mmap-threshold", type=int, metavar="BYTES",
                         help="run every checkout again with MALLOC_MMAP_THRESHOLD_=BYTES")
     args = parser.parse_args(argv)
-    revs = {"parent": args.parent, "change": args.change, **({AA: args.parent} if args.aa else {})}
-    envs = {"": None}
+    revs, envs = {"parent": args.parent, "change": args.change}, {"": None}
+    if args.aa:
+        revs[AA] = args.parent
     if args.mmap_threshold is not None:
         envs[PINNED] = pinned_env(args.mmap_threshold)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
