@@ -372,6 +372,8 @@ def mc_zscores(exact: TailTable, mc: TailTable) -> np.ndarray:
     samples = mc.notes.get("samples")
     if samples is None:
         raise ParamError("the MC table has no sample count (notes['samples'])")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ParamError(f"the MC table's sample count must be a positive integer, got {samples!r}")
     n = min(exact.n_max, mc.n_max)
     p = exact.values[: n + 1]
     q = mc.values[: n + 1]

@@ -305,9 +305,12 @@ class TestReturnTimeTailMc:
         assert np.nanmax(np.abs(mc_zscores(exact, a))) <= 4.0
         assert np.nanmax(np.abs(mc_zscores(exact, b))) <= 4.0
 
-    def test_zscores_need_a_sample_count(self):
+    @pytest.mark.parametrize("samples", [None, 1e-4])
+    def test_zscores_need_a_sample_count(self, samples):
+        # None: no notes["samples"]; 1e-4: not a whole number of samples.
+        notes = {} if samples is None else {"samples": samples}
         exact = TailTable(values=np.array([1.0, 1.0, 0.5]), label="h_k")
-        mc = TailTable(values=np.array([1.0, 1.0, 0.49]), label="mc")
+        mc = TailTable(values=np.array([1.0, 1.0, 0.49]), label="mc", notes=notes)
         with pytest.raises(errors.ParamError, match="sample count"):
             mc_zscores(exact, mc)
 
