@@ -86,7 +86,11 @@ class CouplingConstants:
         k1, k2 = derive_k_constants(self.K, self.lam)
         object.__setattr__(self, "K1", k1)
         object.__setattr__(self, "K2", k2)
-        object.__setattr__(self, "c_h", 2.0 * float(np.exp(k2 * self.diam_x)))
+        with np.errstate(over="ignore"):
+            c_h = 2.0 * float(np.exp(k2 * self.diam_x))
+        if not c_h < np.inf:
+            raise ParamError(f"C_h = 2 exp(K2 diam_x) overflows: K2 = {k2}, diam_x = {self.diam_x}")
+        object.__setattr__(self, "c_h", c_h)
 
 
 def make_constants(
@@ -327,7 +331,12 @@ class CouplingModel:
         for i in range(n_cols - 1):  # a cumsum down the columns, in place
             prefix[i + 1, i + 1 :] = family.h_rows[i, 1 : n_cols - i]
             prefix[i + 1] += prefix[i]
-        if not family.stationary:
+        if not family.stationary:  # _rise[s] is Delta_s of s_tail_mc, with R over the h values read
+            h = family.h_rows[: n_cols - 1, 1:n_cols]
+            up = h[:, 1:] > h[:, :-1]
+            most = np.bincount(np.nonzero(up)[0], h[:, 1:][up] - h[:, :-1][up], minlength=1).max()
+            s = np.arange(n_cols - 1)
+            self._rise = 2.0 * constants.c_h * ((2 * s + 3) * 2.0**-52 * np.diagonal(prefix)[1:] + (s + 1) * most)
             self._prefix = prefix
             return
         # row x + 1 shifted left by x is the raw base-0 envelope of shift x for l = 0..horizon - x + 1,
@@ -339,15 +348,14 @@ class CouplingModel:
         rows[:, 0] = 1.0
         rows *= self.constants.c_h
         np.minimum(rows, 1.0, out=rows)
-        np.minimum.accumulate(rows, axis=1, out=rows)
+        _running_min(rows)
         self._table = rows[::-1]
         self._table.flags.writeable = False
 
-    def _envelopes(self, rows: slice, s: int, length: int, out=None, hhat: bool = True) -> np.ndarray:
+    def _envelopes(self, rows: slice, s: int, length: int, out=None) -> np.ndarray:
         """env[i, l] = clamped composed tail hhat at base offset t = rows.start + i, shift s - t, for
         l = 0..length: states of the anti-diagonal t + x = s.  A stationary model returns a read-only view
-        of its table.  A nonstationary one builds them from prefix rows, in the flat buffer ``out`` if
-        given; ``hhat=False`` skips the running minimum."""
+        of its table.  A nonstationary one builds them from prefix rows, in the flat buffer ``out`` if given."""
         x = s - rows.start
         top = x if self.family.stationary else s  # the largest shift, or prefix row, read
         if top > self.horizon or length > self.horizon - top + 1:
@@ -362,8 +370,7 @@ class CouplingModel:
         np.subtract(self._prefix[s + 1, cols], low, out=env[:, 1:])
         env *= self.constants.c_h
         np.minimum(env, 1.0, out=env)
-        if hhat:
-            _running_min(env)
+        _running_min(env)
         return env
 
     def conditional_tail(self, t: int, x: int, length: int) -> np.ndarray:
@@ -477,11 +484,15 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     All live walkers move in lock step: each step draws one uniform per
     live walker, in walker order, and inverts the envelope of its state:
     one ``searchsorted`` per distinct shift x for stationary families.
-    Nonstationary walkers bisect their raw rows c_h (P[s+1, s+l] -
-    P[t, s+l]) of the prefix table P, _BLOCK walkers at a time once the
-    step's uniforms are drawn, exact where a row does not rise (the clamp
-    at 1 decides no comparison with u < 1); the states whose row rises are
-    found by one sweep and searched on hhat."""
+    Nonstationary walkers bisect their raw rows r(l) = c_h (P[s+1, s+l] -
+    P[t, s+l]) of the prefix table P, _BLOCK walkers at a time.  With u < 1,
+    the count c found, where r(c) > u, is hhat's unless r(l) <= u for an
+    l < c: a rise of at least r(c) - u.  No computed row of anti-diagonal s
+    rises that far when r(c) - u > Delta_s = 2 c_h ((2s + 3) 2**-52 P[s+1, s+1]
+    + (s + 1) R), twice the exact rise, at most c_h (s + 1) R for R the
+    largest total rise of an h row, plus two entry errors of at most c_h
+    (2s + 3) 2**-53 P[s+1, s+1] each (Higham's bound for a sum of s + 1 terms
+    added in order).  The other walkers recount on hhat."""
     check_n_max(n_max)
     if n_max > model.horizon:
         raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
@@ -498,11 +509,6 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     s = x.copy()
     over = n_max + 1
     env_rev: dict[int, np.ndarray] = {}  # shift -> env[1:] reversed
-    rising: dict[int, np.ndarray] = {}  # t * over + s -> hhat[1:] of a state whose raw row rises
-    for sv in () if stationary else range(n0, over):
-        env = model._envelopes(slice(0, sv - n0 + 1), sv, over - sv, hhat=False)
-        rising.update((tv * over + sv, env[tv, 1:].copy()) for tv in _running_min(env).tolist())
-    rising_keys = np.fromiter(rising, dtype=np.int64, count=len(rising))
     step = 1
     live = np.nonzero((taus > step) & (s <= n_max))[0]
     while live.size:
@@ -520,16 +526,10 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
                 idx = order[a:b]
                 counts[idx] = len(env_rev[key]) - env_rev[key].searchsorted(u[idx], side="right")
         else:
-            flat, width, counts = model._prefix.reshape(-1), model._prefix.shape[1], np.zeros_like(live)
+            counts = np.empty_like(live)
             for a in range(0, live.size, _BLOCK):  # so that the temporaries are block-sized
                 b = slice(a, a + _BLOCK)
-                tl, sl, ub, cb = t[live[b]], s[live[b]], u[b], counts[b]
-                length, hi, lo = over - sl, (sl + 1) * width + sl, tl * width + sl
-                for k in range(int(length.max()).bit_length() - 1, -1, -1):
-                    at = np.minimum(cb + (1 << k), length)  # cb <= the count < cb + 2**(k + 1), unless the row rises
-                    np.copyto(cb, at, where=c.c_h * (flat[hi + at] - flat[lo + at]) > ub)
-                for i in np.flatnonzero(np.isin(tl * over + sl, rising_keys)).tolist():
-                    cb[i] = np.count_nonzero(rising[int(tl[i] * over + sl[i])] > ub[i])
+                counts[b] = _walk_counts(model, t[live[b]], s[live[b]], u[b], over)
         nxt = n0 + counts
         moved = nxt <= n_max - s[live]
         s[live[~moved]] = over
@@ -540,6 +540,19 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
         step += 1
         live = live[(taus[live] > step) & (s[live] <= n_max)]
     return empirical_tail(s, n_max, model.family.k)
+
+
+def _walk_counts(model: CouplingModel, t: np.ndarray, s: np.ndarray, u: np.ndarray, over: int) -> np.ndarray:
+    """#{l = 1..over - s: hhat(t, s - t)(l) > u} per walker: see :func:`s_tail_mc`."""
+    flat, width, c_h = model._prefix.reshape(-1), model._prefix.shape[1], model.constants.c_h
+    counts, length, hi, lo = np.zeros_like(t), over - s, (s + 1) * width + s, t * width + s
+    for k in range(int(length.max()).bit_length() - 1, -1, -1):
+        at = np.minimum(counts + (1 << k), length)  # counts <= the count < counts + 2**(k + 1), if r falls
+        np.copyto(counts, at, where=c_h * (flat[hi + at] - flat[lo + at]) > u)
+    doubt = (counts > 0) & (c_h * (flat[hi + counts] - flat[lo + counts]) - u <= model._rise[s])
+    for i in np.flatnonzero(doubt).tolist():
+        counts[i] = np.count_nonzero(model.conditional_tail(t[i], s[i] - t[i], length[i])[1:] > u[i])
+    return counts
 
 
 # -- polynomial bound check ---------------------------------------------------------------
@@ -562,7 +575,9 @@ def check_stail_bound(
     table: TailTable, beta_prime: float, theta_star: float, k: int
 ) -> StailBoundReport:
     ns = np.arange(1, table.n_max + 1, dtype=float)
-    scale = (theta_star * k + 1.0) ** beta_prime
-    ratios = ns**beta_prime * table.values[1:] / scale
+    with np.errstate(all="ignore"):
+        ratios = ns**beta_prime * table.values[1:] / (theta_star * k + 1.0) ** beta_prime
+    if not np.all(np.isfinite(ratios)):
+        raise ParamError(f"n**beta' P(S >= n) / (theta* k + 1)**beta' is not finite for beta' = {beta_prime}")
     arg = int(np.argmax(ratios)) + 1
     return StailBoundReport(sup_ratio=float(np.max(ratios)), argmax_n=arg, ratios=ratios)

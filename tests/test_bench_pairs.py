@@ -60,6 +60,9 @@ def test_modes_need_a_gap_wider_than_either_cluster():
     assert len(bench_pairs.modes([1.0, 1.1, 5.0])) == 1  # too few runs to split
     assert len(bench_pairs.modes([1.0, 1.1, 1.2, 9.0])) == 1  # a lone outlier is not a cluster
     assert bench_pairs.modes([1.0, 1.2, 2.0, 2.3]) == [(1.1, 2), (2.15, 2)]
+    # three clusters: the widest gap alone leaves a left side wider than itself
+    record = [56.0, 56.3, 56.8, 58.7, 59.2, 59.5, 59.8, 60.1, 60.3, 60.5, 62.5, 62.6, 62.6]
+    assert bench_pairs.modes(record) == [(56.3, 3), (59.8, 7), (62.6, 3)]
 
 
 def test_the_parent_alternates_first_and_last_and_the_others_swap_every_second_seed():

@@ -524,6 +524,10 @@ class TestInputErrors:
         pytest.param("--model", {"diam": math.nan}, "'diam'", id="diam-nan"),
         pytest.param("--model", {"diam": math.inf}, "'diam'", id="diam-inf"),
         pytest.param("--model", {"Theta": math.nan, "tails": "file:tails.csv"}, "'Theta'", id="Theta-nan-file"),
+        # finite numbers whose C_h = 2 exp(K2 diam) or n**beta' overflows
+        pytest.param("--model", {"beta": 1e300}, "is not finite", id="beta-overflow"),
+        pytest.param("--model", {"diam": 1e300}, "C_h = 2 exp(K2 diam_x) overflows", id="diam-overflow"),
+        pytest.param("--model", {"K": 1e300}, "C_h = 2 exp(K2 diam_x) overflows", id="K-overflow"),
     ])
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, flag, config, needle):
         path = tmp_path / "c.json"

@@ -10,7 +10,7 @@ import warnings
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import memloss
 from memloss import coupling, errors
@@ -75,7 +75,8 @@ class TestConstants:
             make_constants(theta=0.7)
 
     @pytest.mark.parametrize("kw", [dict(K=-1.0), dict(K=math.nan), dict(K=math.inf), dict(lam=math.nan),
-                                    dict(diam_x=math.nan), dict(diam_x=math.inf)], ids=str)
+                                    dict(diam_x=math.nan), dict(diam_x=math.inf),
+                                    dict(K=1e300), dict(diam_x=1e300)], ids=str)  # the last two: C_h overflows
     def test_negative_or_non_finite_constant(self, kw):
         with pytest.raises(errors.ParamError):
             make_constants(**kw)
@@ -707,6 +708,37 @@ class TestSTailMc:
         gate = se > 0
         assert np.max(np.abs(a - b)[gate] / se[gate]) <= 5.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.integers(2, 40), levels=st.integers(1, 12), scale=st.floats(1e-3, 0.3),
+           bumps=st.floats(0.0, 0.5), rises=st.floats(0.0, 0.3), K=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certified_bisection_counts_on_hhat(self, n_rows, levels, scale, bumps, rises, K, seed):
+        # nonincreasing rows with flat runs, some entries raised by an ulp and
+        # some by up to TailTable's 1e-12, so that raw rows rise; uniforms drawn
+        # uniformly and at raw-row values, where a rise can mislead the bisection
+        gen = np.random.default_rng(seed)
+        n_max = n_rows - 1
+        h = scale * np.sort(gen.integers(0, levels + 1, size=(n_rows, n_max + 3)) / levels, axis=1)[:, ::-1]
+        bump = gen.uniform(size=h.shape) < bumps
+        h[bump] = np.nextafter(h[bump], 1.0)
+        up = gen.uniform(size=h.shape) < rises
+        h[up] += gen.uniform(0.0, 0.99e-12, size=np.count_nonzero(up))
+        h[:, 0] = 1.0
+        c_beta = max(1.0, float(np.max(np.arange(1.0, h.shape[1]) ** 1.01 * h[:, 1:])))
+        tables = [TailTable(values=row, label="r") for row in h]
+        family = family_from_tables(1, tables[0], tables, beta=1.01, beta_prime=1.01, c_beta=c_beta,
+                                    c_beta_prime=c_beta)
+        assume(not family.stationary)
+        model = build_model(family, make_constants(K=K), n_max)
+        s, t = (np.repeat(a, 4) for a in np.tril_indices(n_max + 1))  # every state t <= s <= n_max, 4 times
+        u = gen.uniform(size=len(t))
+        at = s + 1 + gen.integers(0, n_max + 1 - s)  # a column s + l, l = 1..n_max + 1 - s
+        raw = model.constants.c_h * (model._prefix[s + 1, at] - model._prefix[t, at])
+        u[1::2] = np.where(raw[1::2] < 1.0, raw[1::2], u[1::2])
+        got = coupling._walk_counts(model, t, s, u, n_max + 1)
+        for i in range(len(t)):
+            assert got[i] == np.count_nonzero(model.conditional_tail(t[i], s[i] - t[i], n_max - s[i] + 1)[1:] > u[i])
+
 
 def _bench_nonstationary_model(horizon):
     """Row j has tail min(1, m**-(2 + 0.25 (j mod 3))), j >= 1, with the
@@ -770,7 +802,8 @@ class TestEnvelopeTable:
         # generator through np.random.default_rng.
         dips = []
         for s in range(1, n_max + 1):
-            raw = model._envelopes(slice(0, s), s, n_max - s + 1, hhat=False)
+            cols = slice(s + 1, n_max + 2)
+            raw = np.minimum(model.constants.c_h * (model._prefix[s + 1, cols] - model._prefix[:s, cols]), 1.0)
             dips.append(raw[:, :-1][raw[:, 1:] > raw[:, :-1]])
         dips = np.concatenate(dips)
         make_rng = np.random.default_rng

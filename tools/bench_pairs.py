@@ -59,15 +59,21 @@ def quartiles(values) -> tuple[float, float, float]:
 
 
 def modes(values) -> list[tuple[float, int]]:
-    """(median, size) of each cluster: two when the widest gap between sorted
-    values is wider than the range of the values on either side of it, each
-    side holding at least two of them; else one."""
+    """(median, size) of each cluster of the sorted values.  The gaps between
+    neighbours are cut from the widest down, every gap at least as wide as the
+    current one at once.  The clusters are those of the first such cut in which
+    every cut gap is wider than the range of the cluster on either side of it,
+    unless a cluster would first hold fewer than two values; else one."""
     v = sorted(values)
-    if len(v) >= 4:
-        gap, cut = max((v[i] - v[i - 1], i) for i in range(2, len(v) - 1))
-        if gap > max(v[cut - 1] - v[0], v[-1] - v[cut]):
-            return [(statistics.median(v[:cut]), cut), (statistics.median(v[cut:]), len(v) - cut)]
-    return [(statistics.median(v), len(v))]
+    gaps, best = [v[i] - v[i - 1] for i in range(1, len(v))], [0, len(v)]
+    for width in sorted(set(gaps), reverse=True):
+        cuts = [0, *(i + 1 for i, gap in enumerate(gaps) if gap >= width), len(v)]
+        if min(b - a for a, b in zip(cuts, cuts[1:])) < 2:
+            break
+        if all(v[i] - v[i - 1] > max(v[i - 1] - v[a], v[b - 1] - v[i]) for a, i, b in zip(cuts, cuts[1:], cuts[2:])):
+            best = cuts
+            break
+    return [(statistics.median(v[a:b]), b - a) for a, b in zip(best, best[1:])]
 
 
 def run_order(seed: int, sides) -> tuple[str, ...]:
