@@ -575,9 +575,11 @@ def check_stail_bound(
     table: TailTable, beta_prime: float, theta_star: float, k: int
 ) -> StailBoundReport:
     ns = np.arange(1, table.n_max + 1, dtype=float)
-    with np.errstate(all="ignore"):
-        ratios = ns**beta_prime * table.values[1:] / (theta_star * k + 1.0) ** beta_prime
-    if not np.all(np.isfinite(ratios)):
-        raise ParamError(f"n**beta' P(S >= n) / (theta* k + 1)**beta' is not finite for beta' = {beta_prime}")
+    with np.errstate(all="ignore"):  # numpy's power, where a float's raises OverflowError
+        scale = np.float64(theta_star * k + 1.0) ** beta_prime
+        ratios = ns**beta_prime * table.values[1:] / scale
+    if not (scale < np.inf and np.all(np.isfinite(ratios))):
+        raise ParamError(f"n**beta' P(S >= n) / (theta* k + 1)**beta' overflows: beta' = {beta_prime}, "
+                         f"theta* k = {theta_star * k}")
     arg = int(np.argmax(ratios)) + 1
     return StailBoundReport(sup_ratio=float(np.max(ratios)), argmax_n=arg, ratios=ratios)

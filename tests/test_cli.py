@@ -525,7 +525,7 @@ class TestInputErrors:
         pytest.param("--model", {"diam": math.inf}, "'diam'", id="diam-inf"),
         pytest.param("--model", {"Theta": math.nan, "tails": "file:tails.csv"}, "'Theta'", id="Theta-nan-file"),
         # finite numbers whose C_h = 2 exp(K2 diam) or n**beta' overflows
-        pytest.param("--model", {"beta": 1e300}, "is not finite", id="beta-overflow"),
+        pytest.param("--model", {"beta": 1e300}, "(theta* k + 1)**beta' overflows", id="beta-overflow"),
         pytest.param("--model", {"diam": 1e300}, "C_h = 2 exp(K2 diam_x) overflows", id="diam-overflow"),
         pytest.param("--model", {"K": 1e300}, "C_h = 2 exp(K2 diam_x) overflows", id="K-overflow"),
     ])

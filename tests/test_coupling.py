@@ -996,6 +996,14 @@ class TestStailBound:
         assert np.all(np.diff(rep.ratios[arg - 1 :]) <= 1e-9)
 
 
+    @pytest.mark.parametrize("beta_prime,theta_star,k", [(1e300, 0.0, 1), (300.0, 0.19, 1000)])
+    def test_ratios_that_overflow_are_a_param_error(self, beta_prime, theta_star, k):
+        # n**beta', and (theta* k + 1)**beta' (a float power would raise OverflowError)
+        table = TailTable(values=np.array([1.0, 0.5, 0.25]), label="s_tail")
+        with pytest.raises(errors.ParamError, match="overflows"):
+            check_stail_bound(table, beta_prime, theta_star, k)
+
+
 class TestEndToEnd:
     def test_lsv_tails_through_the_dp(self):
         # stationary LSV gamma = 1/2: return tails of order n**-2 feed the
