@@ -63,6 +63,8 @@ def test_modes_need_a_gap_wider_than_either_cluster():
     # three clusters: the widest gap alone leaves a left side wider than itself
     record = [56.0, 56.3, 56.8, 58.7, 59.2, 59.5, 59.8, 60.1, 60.3, 60.5, 62.5, 62.6, 62.6]
     assert bench_pairs.modes(record) == [(56.3, 3), (59.8, 7), (62.6, 3)]
+    # equal runs (ru_maxrss counts whole KiB) are no cluster on their own
+    assert len(bench_pairs.modes([55.359375] * 4 + [55.4296875] * 2 + [55.5] * 2 + [55.578125] * 2)) == 1
 
 
 def test_the_parent_alternates_first_and_last_and_the_others_swap_every_second_seed():

@@ -61,16 +61,18 @@ def quartiles(values) -> tuple[float, float, float]:
 def modes(values) -> list[tuple[float, int]]:
     """(median, size) of each cluster of the sorted values.  The gaps between
     neighbours are cut from the widest down, every gap at least as wide as the
-    current one at once.  The clusters are those of the first such cut in which
-    every cut gap is wider than the range of the cluster on either side of it,
-    unless a cluster would first hold fewer than two values; else one."""
+    current one at once, until a cluster would hold one value only (once or
+    more).  The clusters are those of the first such cut whose gaps are at
+    least twice the widest gap left uncut and wider than the range of the
+    cluster on either side; else one."""
     v = sorted(values)
     gaps, best = [v[i] - v[i - 1] for i in range(1, len(v))], [0, len(v)]
     for width in sorted(set(gaps), reverse=True):
         cuts = [0, *(i + 1 for i, gap in enumerate(gaps) if gap >= width), len(v)]
-        if min(b - a for a, b in zip(cuts, cuts[1:])) < 2:
+        if any(v[a] == v[b - 1] for a, b in zip(cuts, cuts[1:])):
             break
-        if all(v[i] - v[i - 1] > max(v[i - 1] - v[a], v[b - 1] - v[i]) for a, i, b in zip(cuts, cuts[1:], cuts[2:])):
+        if width >= 2 * max((gap for gap in gaps if gap < width), default=0.0) and all(
+                v[i] - v[i - 1] > max(v[i - 1] - v[a], v[b - 1] - v[i]) for a, i, b in zip(cuts, cuts[1:], cuts[2:])):
             best = cuts
             break
     return [(statistics.median(v[a:b]), b - a) for a, b in zip(best, best[1:])]
