@@ -33,7 +33,6 @@ from .coupling import (
     family_from_tables,
     hat_envelope,
     make_constants,
-    memory_loss_bound,
     s_tail_dp,
     s_tail_mc,
     synthetic_poly_family,
@@ -44,7 +43,6 @@ from .maps import (
     MapParams,
     cui,
     derivative,
-    eval_map,
     grossmann_horner,
     inverse_branch,
     lsv,
@@ -80,9 +78,7 @@ from .sequences import (
 )
 from .tables import TailTable
 from .transfer import (
-    ConeReport,
     GridDensity,
-    cone_membership,
     evolve,
     make_density,
     memory_loss_curve,

@@ -288,16 +288,6 @@ def alpha_weights(r_hat: TailTable, n0: int, j_max: int) -> WeightTable:
     )
 
 
-def memory_loss_bound(weights: WeightTable, n: int) -> float:
-    """2 * (sum of alpha_j over j > n, residual included): the total
-    variation bound after n steps implied by the decomposition."""
-    if n >= weights.j_max:
-        return 2.0 * weights.residual
-    start = max(n + 1, weights.j_first)
-    tail = float(np.sum(weights.alphas[start - weights.j_first :]))
-    return 2.0 * (tail + weights.residual)
-
-
 # -- the coupled random sum -------------------------------------------------------------
 
 
@@ -381,16 +371,14 @@ class CouplingModel:
         return self._envelopes(slice(t, t + 1), t + x, length)[0]
 
 
-def _running_min(block: np.ndarray) -> np.ndarray:
+def _running_min(block: np.ndarray) -> None:
     """``np.minimum.accumulate(block, axis=1)`` in place, run only on the rows
-    that rise: a nonincreasing row is its own running minimum, exactly.
-    Returns the indices of those rows."""
+    that rise: a nonincreasing row is its own running minimum, exactly."""
     flat, rise = block.reshape(-1), np.empty(block.shape, dtype=bool)
     np.greater(flat[1:], flat[:-1], out=rise.reshape(-1)[:-1])
     rise[:, -1] = False  # the next row's head against this row's end
     up = np.flatnonzero(rise.any(axis=1))
     block[up] = np.minimum.accumulate(block[up], axis=1)
-    return up
 
 
 def build_model(family: TailFamily, constants: CouplingConstants, horizon: int) -> CouplingModel:

@@ -250,15 +250,6 @@ def _at(kernel, *args) -> float:
 # -- forward evaluation --------------------------------------------------------
 
 
-def eval_map(params: MapParams, x: float) -> float:
-    """T(x).  Raises DomainError outside the state interval and
-    SingularPoint at the jump point x = 0 of Pikovsky/GH maps."""
-    _check_state(params, x)
-    if x == 0.0 and params.family in (Family.PIKOVSKY, Family.GROSSMANN_HORNER):
-        raise SingularPoint("x = 0 is a jump discontinuity")
-    return _at(eval_map_array, params, x)
-
-
 def eval_map_array(params: MapParams, x: np.ndarray) -> np.ndarray:
     """Elementwise T(x); assumes x valid and nonzero for Pikovsky/GH."""
     x = np.asarray(x, dtype=float)

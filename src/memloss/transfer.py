@@ -35,7 +35,6 @@ Total variation here is half the L1 distance of densities, so it lies in
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator
@@ -154,69 +153,6 @@ def make_density(
         d = GridDensity(vals, interval)
         return GridDensity(vals / d.mass, interval)
     raise ParamError(f"unknown density kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    """Outcome of the four decreasing-cone conditions on grid data.
-
-    Monotonicity violations up to one grid cell's share of the quantity's
-    range are attributed to discretization.
-    """
-
-    nonnegative: bool
-    nonincreasing: bool
-    weighted_nondecreasing: bool
-    pointwise_bound: bool
-    worst_negative: float
-    worst_increase: float
-    worst_weighted_decrease: float
-    worst_bound_excess: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.nonnegative
-            and self.nonincreasing
-            and self.weighted_nondecreasing
-            and self.pointwise_bound
-        )
-
-
-def cone_membership(f: GridDensity, beta: float, a_beta: float) -> ConeReport:
-    """Check membership in the cone of decreasing densities with pointwise
-    bound f(x) <= a_beta * x**(-beta) * mass, on cell midpoints."""
-    if a_beta <= 2.0**beta * (beta + 2.0):
-        warnings.warn(
-            f"a_beta = {a_beta} is not above 2**beta * (beta + 2); "
-            "the cone may not contain the family's invariant densities",
-            stacklevel=2,
-        )
-    v = f.values
-    x = f.midpoints()
-    worst_negative = float(max(0.0, -np.min(v)))
-    slack = (np.max(v) - np.min(v)) / f.n_cells + 1e-12
-    incr = np.diff(v)
-    worst_increase = float(max(0.0, np.max(incr, initial=0.0)))
-    weighted = x ** (beta + 1.0) * v
-    wslack = (np.max(weighted) - np.min(weighted)) / f.n_cells + 1e-12
-    decr = -np.diff(weighted)
-    worst_weighted_decrease = float(max(0.0, np.max(decr, initial=0.0)))
-    left = f.edges()[:-1]
-    with np.errstate(divide="ignore"):
-        bound = a_beta * np.where(left > 0.0, left ** (-beta), np.inf) * f.mass
-    excess = v - bound
-    worst_bound_excess = float(max(0.0, np.max(excess, initial=0.0)))
-    return ConeReport(
-        nonnegative=worst_negative <= 1e-12,
-        nonincreasing=worst_increase <= slack,
-        weighted_nondecreasing=worst_weighted_decrease <= wslack,
-        pointwise_bound=worst_bound_excess <= 1e-9,
-        worst_negative=worst_negative,
-        worst_increase=worst_increase,
-        worst_weighted_decrease=worst_weighted_decrease,
-        worst_bound_excess=worst_bound_excess,
-    )
 
 
 # -- transfer steps --------------------------------------------------------------

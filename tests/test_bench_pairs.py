@@ -122,6 +122,28 @@ def test_pinned_runs_add_peak_rss_rows_beside_the_default_ones():
     assert "parent modes: 56.45 (x2), 60.25 (x2)" in text and "pinned modes" not in text
 
 
+@pytest.mark.parametrize("repeat,resolved", [(0.85, False), (0.97, True)])
+def test_a_resolved_row_must_also_move_further_than_its_aa_row(repeat, resolved):
+    # the change moves the medians by 0.1, past the parent's q1-q3 width; the repeat by 0.15 or 0.03
+    parent = [1.0, 1.02, 0.98, 1.01]
+    sweep = {"parent": parent, "change": [v - 0.1 for v in parent], "repeat": [v - 1.0 + repeat for v in parent]}
+    pinned = {"parent": [53.0] * 4, "change": [52.9] * 4, "repeat": [52.0 + repeat] * 4}
+    records = _triples(sweep, _FLAT_RSS, pinned)
+    assert bench_pairs.summarize(records)["sweep_s"]["resolved"]
+    rows = bench_pairs.batch_rows(records)
+    assert rows["sweep_s"]["resolved"] is resolved
+    assert rows["peak_rss_mb pinned"]["resolved"] is resolved
+    # the A/A row itself keeps the plain rule
+    assert rows["sweep_s A/A"] == bench_pairs.summarize(records, other="repeat")["sweep_s"]
+
+
+def test_without_a_repeat_side_resolved_keeps_the_plain_rule():
+    parent = [1.0, 1.02, 0.98, 1.01]
+    records = _records(parent, [v - 0.1 for v in parent], "sweep_s")
+    assert bench_pairs.batch_rows(records) == bench_pairs.summarize(records)
+    assert bench_pairs.batch_rows(records)["sweep_s"]["resolved"]
+
+
 def test_only_a_pinned_child_gets_the_mmap_threshold(monkeypatch):
     monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
     env = bench_pairs.pinned_env(131072)

@@ -19,6 +19,7 @@ from memloss import sequences as seqs
 from memloss.coupling import (
     CouplingConstants,
     CouplingModel,
+    StailBoundReport,
     TailFamily,
     _running_min,
     _weighted_rows,
@@ -30,7 +31,6 @@ from memloss.coupling import (
     family_from_tables,
     hat_envelope,
     make_constants,
-    memory_loss_bound,
     s_tail_dp,
     s_tail_mc,
     synthetic_poly_family,
@@ -214,26 +214,6 @@ class TestAlphaWeights:
         bad = TailTable(values=np.array([1.0, 0.4, 0.2]), label="r")
         with pytest.raises(errors.NotNormalized):
             alpha_weights(bad, 1, 2)
-
-
-class TestMemoryLossBound:
-    def test_examples(self):
-        rh = hat_envelope(np.minimum(1.0, 1.0 / np.arange(1.0, 60.0)))
-        w = alpha_weights(rh, 1, 40)
-        assert memory_loss_bound(w, 2) == pytest.approx(1.0, abs=1e-14)
-        assert memory_loss_bound(w, 40) == pytest.approx(2.0 * w.residual, abs=1e-15)
-        assert memory_loss_bound(w, 100) == pytest.approx(2.0 * w.residual, abs=1e-15)
-
-    def test_monotone_and_telescoping(self):
-        rng = np.random.default_rng(2)
-        raw = np.concatenate([[1.0], np.sort(rng.uniform(0, 1, size=80))[::-1]])
-        rh = hat_envelope(raw)
-        w = alpha_weights(rh, 1, 60)
-        vals = [memory_loss_bound(w, n) for n in range(1, 70)]
-        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-        # independent recomputation: bound(n) = 2 rhat(n + 1 - n0) inside range
-        for n in range(1, 60):
-            assert vals[n - 1] == pytest.approx(2.0 * rh.values[n], abs=1e-12)
 
 
 def _model(beta_prime, theta=0.25, n0=1, horizon=250):
@@ -818,10 +798,15 @@ class TestEnvelopeTable:
             def uniform(self, size):
                 return dips[self.gen.integers(len(dips), size=size)]
 
-        fixed = []  # rows each _running_min call fixed
+        fixed = []  # rows each _running_min call fixed: the rows that rise
         running_min = coupling._running_min
+
+        def counting_running_min(block):
+            fixed.append(np.count_nonzero(np.any(block[:, 1:] > block[:, :-1], axis=1)))
+            running_min(block)
+
         with monkeypatch.context() as patch:
-            patch.setattr(coupling, "_running_min", lambda block: fixed.append(len(up := running_min(block))) or up)
+            patch.setattr(coupling, "_running_min", counting_running_min)
             dp = s_tail_dp(model, n_max)
             dp_fixed, fixed[:] = sum(fixed), []
             patch.setattr(np.random, "default_rng", DipDraws)
@@ -845,9 +830,8 @@ class TestEnvelopeTable:
         block[bump] = np.nextafter(block[bump], 2.0)
         expected = np.minimum.accumulate(block, axis=1)
         got = block.copy()
-        up = _running_min(got)
+        assert _running_min(got) is None
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(up, np.flatnonzero(np.any(block[:, 1:] > block[:, :-1], axis=1)))
 
     def test_batched_rows_equal_one_row_calls(self):
         n_max = 200
@@ -994,6 +978,12 @@ class TestStailBound:
         assert rep.plateau()
         arg = rep.argmax_n
         assert np.all(np.diff(rep.ratios[arg - 1 :]) <= 1e-9)
+
+    @pytest.mark.parametrize("size", [10, 11])
+    def test_plateau_allows_an_argmax_up_to_the_middle(self, size):
+        report = lambda arg: StailBoundReport(sup_ratio=1.0, argmax_n=arg, ratios=np.zeros(size))
+        assert report(size // 2).plateau()
+        assert not report(size // 2 + 1).plateau()
 
 
     @pytest.mark.parametrize("beta_prime,theta_star,k", [(1e300, 0.0, 1), (300.0, 0.19, 1000)])

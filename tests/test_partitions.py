@@ -80,6 +80,12 @@ class TestFitPowerLaw:
         fit = fit_power_law(TailTable(values=vals, label="mc"), 10, 1000)
         assert -2.05 <= fit.slope <= -1.95
 
+    @pytest.mark.parametrize("value,n_min,n_max", [(1.0, 1, 50), (0.5, 3, 4)])
+    def test_constant_window_fits_exactly(self, value, n_min, n_max):
+        # log t(n) is constant, so the flat line fits with no residual
+        fit = fit_power_law(TailTable(values=np.full(n_max + 1, value), label="r"), n_min, n_max)
+        assert fit.slope == pytest.approx(0.0, abs=1e-12) and fit.r_squared == 1.0
+
     def test_nonpositive(self):
         vals = np.array([1.0, 0.5, 0.0, 0.0])
         with pytest.raises(errors.NonPositiveValue):
@@ -304,6 +310,14 @@ class TestReturnTimeTailMc:
         assert not np.array_equal(a.values, b.values)
         assert np.nanmax(np.abs(mc_zscores(exact, a))) <= 4.0
         assert np.nanmax(np.abs(mc_zscores(exact, b))) <= 4.0
+
+    def test_zscores_mask_rows_within_ten_samples_of_zero_or_one(self):
+        # 1000 samples: the band is (0.01, 0.99); 0.005 and 0.995 are over one sample from either end
+        exact = TailTable(values=np.array([1.0, 1.0, 0.995, 0.989, 0.5, 0.011, 0.005]), label="h_k")
+        mc = TailTable(values=np.array([1.0, 1.0, 0.99, 0.985, 0.49, 0.012, 0.004]), label="mc",
+                       notes={"samples": 1000})
+        z = mc_zscores(exact, mc)
+        assert np.array_equal(np.isnan(z), [True, True, True, False, False, False, True])
 
     @pytest.mark.parametrize("samples", [None, 1e-4])
     def test_zscores_need_a_sample_count(self, samples):

@@ -17,7 +17,6 @@ from memloss.transfer import (
     _edge_plan,
     _SignedGrid,
     _snap,
-    cone_membership,
     evolve,
     make_density,
     memory_loss_curve,
@@ -70,9 +69,11 @@ class TestMakeDensity:
         assert not np.all(d.values == d.values[0])
 
     def test_cone_sample_in_cone(self):
+        # nonincreasing, and under a_beta * x**(-beta) at each cell's left edge
         d = make_density("cone", N, beta=0.5)
         a_beta = 2.0**0.5 * 2.5 + 1.0
-        assert cone_membership(d, 0.5, a_beta).passed
+        assert np.all(np.diff(d.values) <= 0.0)
+        assert np.all(d.values[1:] <= a_beta * d.edges()[1:-1] ** -0.5)
 
     def test_unknown_kind(self):
         with pytest.raises(errors.ParamError):
@@ -91,24 +92,6 @@ class TestMakeDensity:
         # profile 0 would be the uniform density and -p the same as p
         with pytest.raises(errors.ParamError, match="profile"):
             make_density("holder", N, profile=profile)
-
-
-class TestConeMembership:
-    def test_constant_passes(self):
-        d = GridDensity(np.ones(N), (0.0, 1.0))
-        rep = cone_membership(d, 0.5, 4.0)
-        assert rep.passed
-
-    def test_increasing_fails_decreasing_flag(self):
-        vals = np.linspace(0.5, 1.5, N)
-        d = GridDensity(vals / GridDensity(vals).mass, (0.0, 1.0))
-        rep = cone_membership(d, 0.5, 4.0)
-        assert not rep.nonincreasing and rep.worst_increase > 0
-
-    def test_low_a_beta_warns(self):
-        d = GridDensity(np.ones(N), (0.0, 1.0))
-        with pytest.warns(UserWarning):
-            cone_membership(d, 0.5, 1.0)
 
 
 class TestPushDensity:
@@ -270,6 +253,14 @@ class TestMixingMass:
         mm = mixing_mass(seqs.constant(pikovsky(1.7)), 1, 10, n_cells=N)
         assert mm.notes["worst_snap"] <= mm.values.size and mm.notes["worst_snap"] >= 0.0
         assert mm.values[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_worst_snap_covers_every_map(self):
+        # gamma 2's Y = (-1/4, 1/4) lies on cell edges; gamma 1.5's (-1/3, 1/3) does not
+        seq = seqs.periodic([pikovsky(2.0), pikovsky(1.5)])
+        edges = np.linspace(-1.0, 1.0, 2**12 + 1)
+        assert np.min(np.abs(edges - 0.25)) == 0.0
+        third = max(np.min(np.abs(edges - 1.0 / 3.0)), np.min(np.abs(edges + 1.0 / 3.0)))
+        assert mixing_mass(seq, 1, 2, n_cells=2**12).notes["worst_snap"] == pytest.approx(third, rel=1e-12)
 
 
 # -- the shared stepping path against a loop of push_density -----------------------

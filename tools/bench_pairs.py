@@ -21,10 +21,14 @@ the drift of the host under the same rotation.
 the same rotation (the parent first at odd seeds and last at even ones,
 the change and the repeat swapping places every second seed); each metric
 then gets an ``A/A`` row, the repeat against the parent, so every batch
-carries its own drift.  ``--mmap-threshold BYTES`` runs every checkout a
+carries its own drift.  A change row of such a batch is ``resolved`` only
+if its medians also move further apart than its A/A row's do: a move no
+larger than the host's drift between two exports of one revision is no
+evidence.  ``--mmap-threshold BYTES`` runs every checkout a
 second time with ``MALLOC_MMAP_THRESHOLD_=BYTES`` in the child's
 environment only, which fixes glibc's mmap threshold, and prints the
-``peak_rss_mb`` of those runs as a ``pinned`` row beside the default one.
+``peak_rss_mb`` of those runs as a ``pinned`` row beside the default one,
+resolved against its own ``pinned A/A`` row.
 """
 
 from __future__ import annotations
@@ -109,19 +113,34 @@ def summarize(records: list[dict], base: str = "parent", other: str = "change") 
     return out
 
 
+def _move(row: dict) -> float:
+    """How far apart a row's two medians are."""
+    base, other = row["sides"]
+    return abs(row[other][1] - row[base][1])
+
+
+def _past_drift(rows: dict[str, dict], aa: dict[str, dict]) -> None:
+    """Keep ``resolved`` only where the medians move further than the A/A row's."""
+    for name, row in rows.items():
+        row["resolved"] = row["resolved"] and _move(row) > _move(aa[name])
+
+
 def batch_rows(records: list[dict]) -> dict[str, dict]:
     """The rows of one batch: per metric the change against the parent, then,
     where the records hold them, the repeat against the parent (``A/A``) and,
     for ``peak_rss_mb``, the pinned runs of each side (``pinned``,
-    ``pinned A/A``)."""
+    ``pinned A/A``).  With an A/A row, a change row must also move further
+    than it to be resolved."""
     rows = {"": summarize(records)}
     if AA in records[0]:
         rows[" A/A"] = summarize(records, other=AA)
+        _past_drift(rows[""], rows[" A/A"])
     if "parent" + PINNED in records[0]:
         rss = [{s: {"peak_rss_mb": v["peak_rss_mb"]} for s, v in r.items() if s != "seed"} for r in records]
         rows[PINNED] = summarize(rss, "parent" + PINNED, "change" + PINNED)
         if AA in records[0]:
             rows[PINNED + " A/A"] = summarize(rss, "parent" + PINNED, AA + PINNED)
+            _past_drift(rows[PINNED], rows[PINNED + " A/A"])
     return {name + label: row[name] for name in rows[""] for label, row in rows.items() if name in row}
 
 
