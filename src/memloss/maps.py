@@ -26,9 +26,10 @@ decreasing.
 
 All operations are pure functions of immutable parameter records and are
 safe to call concurrently.  The ``*_array`` kernels operate elementwise on
-numpy arrays and assume their inputs are valid.  Each scalar entry point is
-a domain check plus its array kernel on a one-element array, so it returns
-the float the kernel returns for that element in any batch.
+numpy arrays and assume their inputs are valid.  Each scalar entry point
+(:func:`derivative`, :func:`inverse_branch`) is a domain check plus its array
+kernel on a one-element array, so it returns the float the kernel returns for
+that element in any batch.  Evaluation has only its kernel, :func:`eval_map_array`.
 """
 
 from __future__ import annotations

@@ -981,9 +981,9 @@ class TestStailBound:
 
     @pytest.mark.parametrize("size", [10, 11])
     def test_plateau_allows_an_argmax_up_to_the_middle(self, size):
-        report = lambda arg: StailBoundReport(sup_ratio=1.0, argmax_n=arg, ratios=np.zeros(size))
-        assert report(size // 2).plateau()
-        assert not report(size // 2 + 1).plateau()
+        middle = size // 2
+        assert StailBoundReport(sup_ratio=1.0, argmax_n=middle, ratios=np.zeros(size)).plateau()
+        assert not StailBoundReport(sup_ratio=1.0, argmax_n=middle + 1, ratios=np.zeros(size)).plateau()
 
 
     @pytest.mark.parametrize("beta_prime,theta_star,k", [(1e300, 0.0, 1), (300.0, 0.19, 1000)])

@@ -312,7 +312,7 @@ class TestReturnTimeTailMc:
         assert np.nanmax(np.abs(mc_zscores(exact, b))) <= 4.0
 
     def test_zscores_mask_rows_within_ten_samples_of_zero_or_one(self):
-        # 1000 samples: the band is (0.01, 0.99); 0.005 and 0.995 are over one sample from either end
+        # 1000 samples: the band is (0.01, 0.99); 0.005 and 0.995 lie 5 samples from an end, 0.011 and 0.989 11
         exact = TailTable(values=np.array([1.0, 1.0, 0.995, 0.989, 0.5, 0.011, 0.005]), label="h_k")
         mc = TailTable(values=np.array([1.0, 1.0, 0.99, 0.985, 0.49, 0.012, 0.004]), label="mc",
                        notes={"samples": 1000})
