@@ -35,7 +35,7 @@ from .coupling import (
     s_tail_mc,
     synthetic_poly_family,
 )
-from .errors import ConfigError, MemlossError, check_config, check_n_max
+from .errors import ConfigError, FormatError, MemlossError, check_config, check_n_max
 from .maps import state_interval
 from .partitions import (
     _return_time_tails,
@@ -284,6 +284,13 @@ def _cmd_coupling(args):
     return summary, {"coupling.csv": _indexed("coupling", dp.values, mc.values, mc.stderr, ratios)}
 
 
+def _finite_column(path: str, cols: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """Column ``name`` of the CSV read from ``path``; FormatError if a cell is empty or not finite."""
+    if not np.isfinite(cols[name]).all():
+        raise FormatError(f"{path}: a {name} cell is empty or not finite")
+    return cols[name]
+
+
 def _cmd_summarize(args) -> None:  # prints; returns no summary
     out = {}
     for path in args.paths:
@@ -292,12 +299,14 @@ def _cmd_summarize(args) -> None:  # prints; returns no summary
         if kind in ("tails", "memloss"):  # fit the value column
             entry.update(_fit_metrics(cols[csvio.HEADERS[kind][1]], args.fit_lo, args.fit_hi))
         elif kind == "mixing":
-            entry.update(_mixing_metrics(cols["mass"]))
+            entry.update(_mixing_metrics(_finite_column(path, cols, "mass")))
         elif kind == "coupling":
+            if np.isnan(cols["ratio"]).all():  # row n = 0 has none
+                raise FormatError(f"{path}: every ratio cell is empty")
             entry["max_ratio"] = float(np.nanmax(cols["ratio"]))
             entry["argmax_n"] = int(np.nanargmax(cols["ratio"]))
         elif kind == "frequency":
-            entry["last_value"] = float(cols["value"][-1])
+            entry["last_value"] = float(_finite_column(path, cols, "value")[-1])
         out[path] = entry
     print(json.dumps(out, sort_keys=True, indent=2))
 

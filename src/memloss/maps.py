@@ -7,7 +7,7 @@ Families and state intervals
     T(x) = x (1 + 2**g * x**g)   on [0, 1/2)        (neutral fixed point at 0)
     T(x) = 2 (x - 1/2)           on [1/2, 1]
 
-``Cui`` on [0, 1］: left branch as LSV, right branch ``2**b (x - 1/2)**b``
+``Cui`` on [0, 1]: left branch as LSV, right branch ``2**b (x - 1/2)**b``
 with b >= 1, which contracts near the critical point 1/2 when b > 1.
 
 ``Pikovsky`` on [-1, 1]: odd, both branches increasing, defined implicitly

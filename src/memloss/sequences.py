@@ -108,6 +108,8 @@ def markov(
     if not (np.all(t >= 0.0) and np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-12)):
         raise ParamError("transition rows must be nonnegative and sum to 1 within 1e-12")
     law = stationary_law(t) if init is None else np.asarray(init, dtype=float)
+    if law.shape != (len(support),):
+        raise ParamError("initial law must match the support length")
     if not (abs(law.sum() - 1.0) <= 1e-10 and np.all(law >= -1e-15)):
         raise ParamError("initial law must be a probability vector")
     return ParamSequence(

@@ -374,6 +374,22 @@ class TestSummarize:
         assert entry["floor_from_2"] is None and entry["max"] == pytest.approx(1.0)
         assert captured.err == ""
 
+    @pytest.mark.parametrize("text,needle", [
+        ("n,p_dp,p_mc,stderr,ratio\n0,1,1,0,\n1,0.5,0.5,0.01,\n", "{path}: every ratio cell is empty"),
+        ("n,mass\n0,1\n1,\n2,0.5\n", "{path}: a mass cell is empty or not finite"),
+        ("n,value\n1,1\n2,\n", "{path}: a value cell is empty or not finite"),
+        # the fit window of this tails table holds an empty cell
+        ("n,value,stderr\n" + "".join(f"{n},{'' if n == 59 else (n + 1) ** -0.5},\n" for n in range(301)),
+         "fit window contains values that are not > 0"),
+    ], ids=["coupling", "mixing", "frequency", "tails"])
+    def test_summarize_of_a_csv_with_empty_cells_exits_2(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "run.csv"
+        path.write_text(text)
+        assert run_cli(["summarize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle.format(path=path) in captured.err
+
     def test_empty_csv_is_format_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -520,6 +536,9 @@ class TestInputErrors:
                                   "transition": [[0.5, math.nan], [0.5, 0.5]], "seed": 1}, "'transition'",
                      id="transition-nan"),
         pytest.param("--config", {**_IID, "probs": [math.nan, 1.0]}, "'probs'", id="probs-nan"),
+        pytest.param("--config", {"kind": "markov", "family": "lsv", "support": [0.5, 0.8], "init": [0.2, 0.3, 0.5],
+                                  "transition": [[0.5, 0.5], [0.5, 0.5]], "seed": 1},
+                     "initial law must match the support length", id="init-length"),
         pytest.param("--model", {"K": math.nan}, "'K'", id="K-nan"),
         pytest.param("--model", {"diam": math.nan}, "'diam'", id="diam-nan"),
         pytest.param("--model", {"diam": math.inf}, "'diam'", id="diam-inf"),

@@ -71,6 +71,11 @@ class TestParamAt:
         with pytest.raises(errors.ParamError, match=message):
             seqs.markov([lsv(0.4), lsv(0.9)], transition, seed=1, init=init)
 
+    @pytest.mark.parametrize("init", [[0.2, 0.3, 0.5], [1.0]], ids=["longer", "shorter"])
+    def test_markov_rejects_an_initial_law_of_another_length(self, init):
+        with pytest.raises(errors.ParamError, match="initial law must match the support length"):
+            seqs.markov([lsv(0.4), lsv(0.9)], [[0.9, 0.1], [0.2, 0.8]], seed=1, init=init)
+
     def test_markov_defaults_to_stationary_law(self):
         t = np.array([[0.9, 0.1], [0.2, 0.8]])
         s = seqs.markov([lsv(0.4), lsv(0.9)], t, seed=3)

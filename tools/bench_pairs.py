@@ -1,7 +1,7 @@
-"""Run alternating parent/change pairs of ``bench/run.py`` and summarize them.
+"""Run alternating parent/change pairs of ``bench/run.py`` and give each metric a verdict.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload W --seeds 1-10 [--held-out 21-23]
-                                 [--aa] [--mmap-threshold BYTES]
+                                 [--mmap-threshold BYTES]
 
 Each revision is exported with ``git archive`` into ``parent`` and
 ``change`` under one fresh directory, so the two checkout paths have the
@@ -9,26 +9,29 @@ same length (timings follow the checkout path). For every seed both
 checkouts run ``bench/run.py --trace 0`` in a fresh process, for the
 ``run_seconds`` of the parent's ``BENCHMARK.json``: the parent first at odd
 seeds, the change first at even ones. Per end-to-end metric the summary
-gives each side's median and q1-q3, how many pairs the change read lower,
-and the relative change of the medians; ``resolved`` says whether the
-medians differ by more than the parent's q1-q3 width. When one side's runs
-fall into two clusters (as ``peak_rss_mb`` can, with heap layout), the
-median and size of each cluster are printed too. The held-out seeds are
-summarized on their own. Passing the same revision twice gives an A/A batch:
-the drift of the host under the same rotation.
+gives each side's median and q1-q3, how many pairs the change read better,
+the relative change of the medians and one verdict, by the ``better`` and
+``bound`` that the parent's ``BENCHMARK.json`` gives the metric:
 
-``--aa`` exports the parent a second time, as ``repeat``, and runs it in
-the same rotation (the parent first at odd seeds and last at even ones,
-the change and the repeat swapping places every second seed); each metric
-then gets an ``A/A`` row, the repeat against the parent, so every batch
-carries its own drift.  A change row of such a batch is ``resolved`` only
-if its medians also move further apart than its A/A row's do: a move no
-larger than the host's drift between two exports of one revision is no
-evidence.  ``--mmap-threshold BYTES`` runs every checkout a
-second time with ``MALLOC_MMAP_THRESHOLD_=BYTES`` in the child's
-environment only, which fixes glibc's mmap threshold, and prints the
-``peak_rss_mb`` of those runs as a ``pinned`` row beside the default one,
-resolved against its own ``pinned A/A`` row.
+* ``gain``: the change reads better in at least 9/10 of the pairs (ties
+  count for neither side), and its median is further from the parent's, in
+  the better direction, than the parent's q1-q3 width;
+* ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median (``failed``: the change failed more
+  runs in total);
+* ``unresolved``: neither, and the parent's q1-q3 width is more than
+  ``bound`` times its median, unless every change run reads better than
+  every parent run;
+* ``within bound``: anything else.
+
+When one side's runs fall into two clusters (as ``peak_rss_mb`` can, with
+heap layout), the median and size of each cluster are printed too. The
+held-out seeds are summarized on their own. Passing the same revision
+twice gives an A/A batch: the drift of the host under the same rotation.
+``--mmap-threshold BYTES`` runs every checkout a second time with
+``MALLOC_MMAP_THRESHOLD_=BYTES`` in the child's environment only, which
+fixes glibc's mmap threshold, and prints the ``peak_rss_mb`` of those runs
+as a ``pinned`` row, with its own verdict, beside the default one.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import subprocess
 import sys
 import tempfile
 
-AA = "repeat"  # the parent's second export: its path is as long as the other two
 PINNED = " pinned"  # suffix of a run whose child pins glibc's mmap threshold
+FAILED = {"better": "lower", "bound": None}  # a count: worse when the change fails more runs in total
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -82,75 +85,69 @@ def modes(values) -> list[tuple[float, int]]:
     return [(statistics.median(v[a:b]), b - a) for a, b in zip(best, best[1:])]
 
 
-def run_order(seed: int, sides) -> tuple[str, ...]:
-    """The parent first at odd seeds and last at even ones; the other sides
-    in their given order, swapped every second seed."""
-    others = list(sides[1:])
-    if seed // 2 % 2:
-        others.reverse()
-    return (sides[0], *others) if seed % 2 else (*others, sides[0])
+def run_order(seed: int) -> tuple[str, str]:
+    """The parent first at odd seeds, the change first at even ones."""
+    return ("parent", "change") if seed % 2 else ("change", "parent")
 
 
-def summarize(records: list[dict], base: str = "parent", other: str = "change") -> dict[str, dict]:
+def verdict(pairs: list[tuple[float, float]], bound: float | None) -> str:
+    """The verdict of the (parent, change) pairs of a metric that reads better
+    lower, with ``bound`` None for a count of failed runs; see the module
+    docstring."""
+    parent, change = ([p[i] for p in pairs] for i in (0, 1))
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    if 10 * sum(c < p for p, c in pairs) >= 9 * len(pairs) and pm - cm > p3 - p1:
+        return "gain"
+    if (sum(change) > sum(parent)) if bound is None else (cm - pm > bound * abs(pm)):
+        return "worse"
+    if bound is not None and p3 - p1 > bound * abs(pm) and max(change) >= min(parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(records: list[dict], specs: dict[str, dict], base: str = "parent",
+              other: str = "change") -> dict[str, dict]:
     """Per metric, from records ``{base: {metric: value}, other: {...}}``
-    (one per seed): each side's quartiles and modes, the number of pairs in
-    which ``other`` is lower, and the relative change of the medians."""
+    (one per seed) and the metric's ``better`` and ``bound`` in ``specs``:
+    each side's quartiles and modes, the number of pairs in which ``other``
+    reads better, the relative change of the medians and the verdict."""
     out = {}
     for name in records[0][base]:
         pairs = [(r[base][name], r[other][name]) for r in records]
         side = {s: [p[i] for p in pairs] for i, s in enumerate((base, other))}
         (p1, pm, p3), (c1, cm, c3) = (quartiles(side[s]) for s in (base, other))
+        sign = 1.0 if specs[name]["better"] == "lower" else -1.0
+        lower = [(sign * p, sign * c) for p, c in pairs]  # so that lower reads better
         out[name] = {
             "sides": (base, other),
             base: (p1, pm, p3),
             other: (c1, cm, c3),
-            "lower": sum(c < p for p, c in pairs),
+            "better": sum(c < p for p, c in lower),
             "pairs": len(pairs),
             "relative": (cm - pm) / pm if pm else (0.0 if cm == pm else float("inf")),
-            "resolved": abs(cm - pm) > p3 - p1,
+            "verdict": verdict(lower, specs[name]["bound"]),
             "modes": {s: modes(side[s]) for s in (base, other)},
         }
     return out
 
 
-def _move(row: dict) -> float:
-    """How far apart a row's two medians are."""
-    base, other = row["sides"]
-    return abs(row[other][1] - row[base][1])
-
-
-def _past_drift(rows: dict[str, dict], aa: dict[str, dict]) -> None:
-    """Keep ``resolved`` only where the medians move further than the A/A row's."""
-    for name, row in rows.items():
-        row["resolved"] = row["resolved"] and _move(row) > _move(aa[name])
-
-
-def batch_rows(records: list[dict]) -> dict[str, dict]:
-    """The rows of one batch: per metric the change against the parent, then,
-    where the records hold them, the repeat against the parent (``A/A``) and,
-    for ``peak_rss_mb``, the pinned runs of each side (``pinned``,
-    ``pinned A/A``).  With an A/A row, a change row must also move further
-    than it to be resolved."""
-    rows = {"": summarize(records)}
-    if AA in records[0]:
-        rows[" A/A"] = summarize(records, other=AA)
-        _past_drift(rows[""], rows[" A/A"])
+def batch_rows(records: list[dict], specs: dict[str, dict]) -> dict[str, dict]:
+    """The rows of one batch: per metric the change against the parent and,
+    where the records hold pinned runs, a ``peak_rss_mb pinned`` row of them."""
+    rows = {"": summarize(records, specs)}
     if "parent" + PINNED in records[0]:
         rss = [{s: {"peak_rss_mb": v["peak_rss_mb"]} for s, v in r.items() if s != "seed"} for r in records]
-        rows[PINNED] = summarize(rss, "parent" + PINNED, "change" + PINNED)
-        if AA in records[0]:
-            rows[PINNED + " A/A"] = summarize(rss, "parent" + PINNED, AA + PINNED)
-            _past_drift(rows[PINNED], rows[PINNED + " A/A"])
+        rows[PINNED] = summarize(rss, specs, "parent" + PINNED, "change" + PINNED)
     return {name + label: row[name] for name in rows[""] for label, row in rows.items() if name in row}
 
 
 def format_summary(title: str, summary: dict[str, dict]) -> str:
-    lines = [title, f"  {'metric':22s} {'parent median (q1-q3)':>28s} {'other median (q1-q3)':>28s}"
-                    "  lower  relative  resolved"]
+    lines = [title, f"  {'metric':22s} {'parent median (q1-q3)':>28s} {'change median (q1-q3)':>28s}"
+                    "  better  relative  verdict"]
     for name, m in summary.items():
         cells = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (m[s] for s in m["sides"])]
-        lines.append(f"  {name:22s} {cells[0]:>28s} {cells[1]:>28s}  {m['lower']:2d}/{m['pairs']:<2d}"
-                     f"  {m['relative']:+8.1%}  {'yes' if m['resolved'] else 'no'}")
+        lines.append(f"  {name:22s} {cells[0]:>28s} {cells[1]:>28s}  {m['better']:2d}/{m['pairs']:<2d} "
+                     f"  {m['relative']:+8.1%}  {m['verdict']}")
         for s in m["sides"]:
             if len(m["modes"][s]) > 1:
                 lines.append(f"    {s} modes: " + ", ".join(f"{c:.4g} (x{k})" for c, k in m["modes"][s]))
@@ -187,13 +184,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--held-out", type=parse_seeds, default=[])
-    parser.add_argument("--aa", action="store_true", help="run a second export of the parent too")
     parser.add_argument("--mmap-threshold", type=int, metavar="BYTES",
                         help="run every checkout again with MALLOC_MMAP_THRESHOLD_=BYTES")
     args = parser.parse_args(argv)
     revs, envs = {"parent": args.parent, "change": args.change}, {"": None}
-    if args.aa:
-        revs[AA] = args.parent
     if args.mmap_threshold is not None:
         envs[PINNED] = pinned_env(args.mmap_threshold)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
@@ -201,20 +195,21 @@ def main(argv=None) -> int:
         for s, rev in revs.items():
             export(rev, roots[s])
         with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
-            seconds = json.load(fh)["run_seconds"]
+            bench = json.load(fh)
+        seconds, specs = bench["run_seconds"], {**{m["name"]: m for m in bench["end_to_end"]}, "failed": FAILED}
         records = []
         for seed in args.seeds + args.held_out:
             record = {"seed": seed}
-            for s in run_order(seed, tuple(revs)):
+            for s in run_order(seed):
                 for suffix, env in envs.items():
                     record[s + suffix] = run_bench(roots[s], args.workload, seed, seconds, env)
             print(json.dumps(record), flush=True)
             records.append(record)
     main_runs = [r for r in records if r["seed"] in args.seeds]
-    print(format_summary(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}", batch_rows(main_runs)))
+    print(format_summary(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}", batch_rows(main_runs, specs)))
     held = [r for r in records if r["seed"] not in args.seeds]
     if held:
-        print(format_summary(f"{args.workload}, held-out seeds {[r['seed'] for r in held]}", batch_rows(held)))
+        print(format_summary(f"{args.workload}, held-out seeds {[r['seed'] for r in held]}", batch_rows(held, specs)))
     return 0
 
 
