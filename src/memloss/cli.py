@@ -35,7 +35,7 @@ from .coupling import (
     s_tail_mc,
     synthetic_poly_family,
 )
-from .errors import ConfigError, FormatError, MemlossError, check_config, check_n_max
+from .errors import ConfigError, FormatError, MemlossError, NonPositiveValue, check_config, check_n_max
 from .maps import state_interval
 from .partitions import (
     _return_time_tails,
@@ -297,12 +297,17 @@ def _cmd_summarize(args) -> None:  # prints; returns no summary
         kind, cols = csvio.read_csv(path)
         entry = {"kind": kind}
         if kind in ("tails", "memloss"):  # fit the value column
-            entry.update(_fit_metrics(cols[csvio.HEADERS[kind][1]], args.fit_lo, args.fit_hi))
+            try:
+                entry.update(_fit_metrics(cols[csvio.HEADERS[kind][1]], args.fit_lo, args.fit_hi))
+            except NonPositiveValue as e:
+                raise NonPositiveValue(f"{path}: {e}") from None
         elif kind == "mixing":
             entry.update(_mixing_metrics(_finite_column(path, cols, "mass")))
         elif kind == "coupling":
             if np.isnan(cols["ratio"]).all():  # row n = 0 has none
                 raise FormatError(f"{path}: every ratio cell is empty")
+            if np.isinf(cols["ratio"]).any():  # an empty cell is NaN
+                raise FormatError(f"{path}: a ratio cell is not finite")
             entry["max_ratio"] = float(np.nanmax(cols["ratio"]))
             entry["argmax_n"] = int(np.nanargmax(cols["ratio"]))
         elif kind == "frequency":

@@ -30,7 +30,7 @@ class DepthError(MemlossError, IndexError):
 
 
 class NonPositiveValue(MemlossError, ValueError):
-    """A log-log fit window contains values that are not strictly positive."""
+    """A log-log fit window contains values that are not finite and strictly positive."""
 
 
 class ShapeMismatch(MemlossError, ValueError):

@@ -190,25 +190,17 @@ def _pik_forward_array(x: np.ndarray, gamma: float) -> np.ndarray:
 def _lsv_left_inverse_array(y: np.ndarray, gamma) -> np.ndarray:
     g = np.full_like(y, gamma)
     g1 = 1.0 + np.asarray(gamma, dtype=float)
-    # Newton calls df and then f at the same point; f takes over df's
-    # (2u)**g and turns it into its own value in place.
-    last = [None, None]
 
-    def df(u):
-        last[:] = u, (2.0 * u) ** g
-        d = g1 * last[1]
+    def fdf(u):
+        p = (2.0 * u) ** g
+        d = g1 * p
         d += 1.0
-        return d
-
-    def f(u):
-        p = last[1] if u is last[0] else (2.0 * u) ** g
-        last[:] = None, None
         p += 1.0
         p *= u
         p -= y
-        return p
+        return p, d
     x0 = np.minimum(np.maximum(y, 0.0), 0.5)
-    return vec_newton_from_above(f, df, x0, 0.0)
+    return vec_newton_from_above(fdf, x0, 0.0)
 
 
 def _lsv_left_chain(y: float, gammas: list[float], n: int) -> list[float]:

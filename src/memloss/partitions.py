@@ -70,8 +70,8 @@ def fit_power_law(table: TailTable, n_min: int, n_max: int) -> PowerLawFit:
     if not (1 <= n_min < n_max <= table.n_max):
         raise ParamError(f"need 1 <= n_min < n_max <= {table.n_max}")
     vals = table.values[n_min : n_max + 1]
-    if not np.all(vals > 0.0):  # NaN fails too
-        raise NonPositiveValue("fit window contains values that are not > 0")
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
+        raise NonPositiveValue("fit window contains values that are not > 0 or not finite")
     x = np.log(np.arange(n_min, n_max + 1, dtype=float))
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)

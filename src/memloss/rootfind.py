@@ -44,20 +44,20 @@ def vec_bisect_newton(
     for _ in range(BISECTIONS):
         w = 0.5 * w
         lo += (f(lo + w) <= 0.0) * w
-    return vec_newton_from_above(f, df, lo + w, lo)
+    return vec_newton_from_above(lambda x: (f(x), df(x)), lo + w, lo)
 
 
 def vec_newton_from_above(
-    f: Callable[[np.ndarray], np.ndarray],
-    df: Callable[[np.ndarray], np.ndarray],
+    fdf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     lo: np.ndarray | float,
 ) -> np.ndarray:
-    """Elementwise Newton for increasing convex f started where f(x0) >= 0.
+    """Elementwise Newton for increasing convex f started where f(x0) >= 0;
+    ``fdf(x)`` returns ``(f(x), f'(x))``, called once per iteration.
 
     An element moves while its derivative is positive and its iterate,
     kept >= ``lo`` against rounding, decreases; it stops the first time
-    either fails (a zero or NaN derivative included).  f and df must act
+    either fails (a zero or NaN derivative included).  fdf must act
     elementwise: a stopped element is evaluated again at the same point,
     so it stays stopped.  The loop ends when no element moves, or after
     ``MAX_ITER`` iterations.
@@ -65,8 +65,8 @@ def vec_newton_from_above(
     x = np.array(x0, dtype=float, copy=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_ITER):
-            d = df(x)
-            x_new = np.divide(f(x), d)
+            fx, d = fdf(x)
+            x_new = np.divide(fx, d)
             np.subtract(x, x_new, out=x_new)
             np.maximum(x_new, lo, out=x_new)
             move = x_new < x

@@ -139,9 +139,7 @@ def make_density(
         t = (np.arange(n_cells) + 0.5) / n_cells
         base = 0.5 * (1.0 + np.cos(2.0 * np.pi * profile * t))
         vals = 1.0 + 0.5 * base
-        d = GridDensity(vals, interval)
-        return GridDensity(vals / d.mass, interval)
-    if kind == "cone":
+    elif kind == "cone":
         if interval != (0.0, 1.0):
             raise ParamError("cone densities live on (0, 1]")
         if not (0.0 < beta < 1.0):
@@ -150,9 +148,10 @@ def make_density(
         q = 1.0 - beta
         cell_ints = np.diff(e**q) / q
         vals = cell_ints / (1.0 / n_cells)
-        d = GridDensity(vals, interval)
-        return GridDensity(vals / d.mass, interval)
-    raise ParamError(f"unknown density kind {kind!r}")
+    else:
+        raise ParamError(f"unknown density kind {kind!r}")
+    mass = float(np.sum(vals)) * ((hi - lo) / n_cells)  # GridDensity(vals, interval).mass
+    return GridDensity(vals / mass, interval)
 
 
 # -- transfer steps --------------------------------------------------------------

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,21 +82,21 @@ def test_a_median_worse_by_more_than_the_bound_is_worse():
 
 
 def test_a_higher_is_better_metric_reverses_the_comparisons():
-    parent = [0.5, 0.51, 0.49, 0.5]
+    parent = [0.5, 0.51, 0.49, 0.5, 0.52, 0.48, 0.5, 0.51, 0.49, 0.5]
     m = _row(parent, [v + 0.2 for v in parent], "cpu_per_wall")
-    assert m["better"] == 4 and m["verdict"] == "gain"
+    assert m["better"] == 10 and m["verdict"] == "gain"
     assert _row(parent, [v - 0.2 for v in parent], "cpu_per_wall")["verdict"] == "worse"
 
 
 @pytest.mark.parametrize("change,expected", [
-    ([0.95, 1.3, 0.9, 1.25, 1.0, 1.2], "unresolved"),
-    ([0.6, 0.55, 0.58, 0.5, 0.52, 0.56], "gain"),
+    ([0.95, 1.3, 0.9, 1.25, 1.0, 1.2, 1.05, 1.3, 0.95, 1.2], "unresolved"),
+    ([0.6, 0.55, 0.58, 0.5, 0.52, 0.56, 0.57, 0.54, 0.51, 0.59], "gain"),
     # every change run below every parent run, the medians closer than the parent's width
-    ([0.7, 0.71, 0.72, 0.73, 0.74, 0.75], "within bound"),
+    ([0.7, 0.71, 0.72, 0.73, 0.74, 0.75, 0.76, 0.77, 0.78, 0.79], "within bound"),
 ], ids=["inside-the-spread", "gain", "every-run-better"])
 def test_a_parent_spread_wider_than_the_bound_is_unresolved(change, expected):
-    # q1-q3 width 0.55 against 0.25 x the median 1.2
-    parent = [1.0, 1.5, 0.8, 1.4, 0.9, 1.6]
+    # q1-q3 width 0.51 against 0.25 x the median 1.23
+    parent = [1.0, 1.5, 0.8, 1.4, 0.9, 1.6, 1.1, 1.45, 0.85, 1.35]
     assert _row(parent, change, "sweep_s")["verdict"] == expected
 
 
@@ -119,7 +121,16 @@ def test_a_failed_row_is_worse_when_the_change_fails_more_runs_in_total():
     assert _row([0, 0, 0, 0], [0, 0, 1, 0], "failed")["verdict"] == "worse"
     assert _row([1, 0, 0, 0], [0, 1, 1, 0], "failed")["verdict"] == "worse"
     assert _row([1, 0, 0, 0], [0, 0, 1, 0], "failed")["verdict"] == "within bound"
-    assert _row([1, 1, 1, 1], [0, 0, 0, 0], "failed")["verdict"] == "gain"
+    assert _row([1] * 10, [0] * 10, "failed")["verdict"] == "gain"
+
+
+def test_fewer_than_ten_pairs_make_no_gain():
+    # a held-out block of seeds 21-22: -10.0%, better in both pairs
+    m = _row([1.0, 1.02], [0.9, 0.918], "sweep_s")
+    assert m["better"] == 2 and m["relative"] == pytest.approx(-0.1) and m["verdict"] == "within bound"
+    parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    assert _row(parent[:9], [0.8] * 9, "sweep_s")["verdict"] == "within bound"
+    assert _row(parent, [0.8] * 10, "sweep_s")["verdict"] == "gain"
 
 
 def test_modes_need_a_gap_wider_than_either_cluster():
@@ -184,20 +195,30 @@ def test_main_alternates_the_sides_and_prints_records_and_verdicts(monkeypatch, 
 
     monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
-    argv = ["--parent", "OLD", "--change", "NEW", "--workload", "w", "--seeds", "1-4", "--held-out", "21",
+    argv = ["--parent", "OLD", "--change", "NEW", "--workload", "w", "--seeds", "1-10", "--held-out", "21",
             "--mmap-threshold", "4096"]
     assert bench_pairs.main(argv) == 0
     odd, even = ("parent", "change"), ("change", "parent")
-    assert calls == [(seed, side + pin) for seed, sides in zip((1, 2, 3, 4, 21), (odd, even, odd, even, odd))
+    seeds = [*range(1, 11), 21]
+    assert calls == [(seed, side + pin) for seed, sides in zip(seeds, [odd, even] * 5 + [odd])
                      for side in sides for pin in ("", " pinned")]
     lines = capsys.readouterr().out.splitlines()
-    records = [json.loads(line) for line in lines[:5]]
-    assert [r["seed"] for r in records] == [1, 2, 3, 4, 21]
+    records = [json.loads(line) for line in lines[:11]]
+    assert [r["seed"] for r in records] == seeds
     assert records[1] == {"seed": 2, "change": {"sweep_s": 0.78125, "peak_rss_mb": 50.0, "failed": 0},
                           "change pinned": {"sweep_s": 0.78125, "peak_rss_mb": 51.0, "failed": 0},
                           "parent": {"sweep_s": 1.03125, "peak_rss_mb": 50.0, "failed": 0},
                           "parent pinned": {"sweep_s": 1.03125, "peak_rss_mb": 51.0, "failed": 0}}
-    assert len(lines) == 17 and lines[5] == "w, seeds 1..4" and lines[11] == "w, held-out seeds [21]"
-    for block in (lines[7:11], lines[13:17]):
+    assert len(lines) == 23 and lines[11] == "w, seeds 1..10" and lines[17] == "w, held-out seeds [21]"
+    for block in (lines[13:17], lines[19:23]):
         assert [line[:24].strip() for line in block] == ["sweep_s", "peak_rss_mb", "peak_rss_mb pinned", "failed"]
-        assert block[0].endswith("  gain") and all(line.endswith("  within bound") for line in block[1:])
+        assert all(line.endswith("  within bound") for line in block[1:])
+    # one held-out pair is no gain
+    assert lines[13].endswith("  gain") and lines[19].endswith("  within bound")
+
+
+def test_outside_a_git_checkout_export_fails_with_one_line(tmp_path):
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path.parent)}
+    argv = [sys.executable, _PATH, "--parent", "HEAD", "--change", "HEAD", "--workload", "w", "--seeds", "1"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode != 0 and proc.stdout == "" and proc.stderr == "git archive HEAD failed\n"

@@ -381,7 +381,12 @@ class TestSummarize:
         # the fit window of this tails table holds an empty cell
         ("n,value,stderr\n" + "".join(f"{n},{'' if n == 59 else (n + 1) ** -0.5},\n" for n in range(301)),
          "fit window contains values that are not > 0"),
-    ], ids=["coupling", "mixing", "frequency", "tails"])
+        # present but infinite cells, which the package never writes
+        ("n,p_dp,p_mc,stderr,ratio\n0,1,1,0,\n1,0.5,0.5,0.01,inf\n2,0.25,0.25,0.01,1\n",
+         "{path}: a ratio cell is not finite"),
+        ("n,value,stderr\n" + "".join(f"{n},{'inf' if n == 59 else (n + 1) ** -0.5},\n" for n in range(301)),
+         "{path}: fit window contains values that are not > 0 or not finite"),
+    ], ids=["coupling", "mixing", "frequency", "tails", "coupling-inf", "tails-inf"])
     def test_summarize_of_a_csv_with_empty_cells_exits_2(self, tmp_path, capsys, text, needle):
         path = tmp_path / "run.csv"
         path.write_text(text)

@@ -93,6 +93,9 @@ class TestFitPowerLaw:
         # an empty CSV cell reads as NaN, which no comparison with 0 catches
         with pytest.raises(errors.NonPositiveValue):
             fit_power_law(TailTable(values=np.array([1.0, 0.5, np.nan, 0.25]), label="mc"), 1, 3)
+        # an "inf" cell passes the > 0 test but makes the slope NaN
+        with pytest.raises(errors.NonPositiveValue):
+            fit_power_law(TailTable(values=np.array([1.0, 0.5, np.inf, 0.25]), label="mc"), 1, 3)
 
     def test_default_window(self):
         lo, hi = default_fit_window(10_000)

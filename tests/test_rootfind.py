@@ -108,16 +108,13 @@ class TestStopRule:
         # f(x) = x**2 - 1/4 from x0 = 1; element 0 gets a bad derivative.
         calls = []
 
-        def f(x):
+        def fdf(x):
             calls.append(1)
-            return x * x - 0.25
-
-        def df(x):
             d = 2.0 * x
             d[0] = bad
-            return d
+            return x * x - 0.25, d
 
-        x = vec_newton_from_above(f, df, np.ones(3), 0.0)
+        x = vec_newton_from_above(fdf, np.ones(3), 0.0)
         assert len(calls) <= 10
         assert x[0] == 1.0
         assert np.all(np.abs(x[1:] - 0.5) <= 1e-16)

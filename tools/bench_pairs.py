@@ -13,9 +13,10 @@ gives each side's median and q1-q3, how many pairs the change read better,
 the relative change of the medians and one verdict, by the ``better`` and
 ``bound`` that the parent's ``BENCHMARK.json`` gives the metric:
 
-* ``gain``: the change reads better in at least 9/10 of the pairs (ties
-  count for neither side), and its median is further from the parent's, in
-  the better direction, than the parent's q1-q3 width;
+* ``gain``: there are at least ten pairs (the acceptance rule's minimum),
+  the change reads better in at least 9/10 of them (ties count for neither
+  side), and its median is further from the parent's, in the better
+  direction, than the parent's q1-q3 width;
 * ``worse``: the change's median is worse than the parent's by more than
   ``bound`` times the parent's median (``failed``: the change failed more
   runs in total);
@@ -46,6 +47,7 @@ import tempfile
 
 PINNED = " pinned"  # suffix of a run whose child pins glibc's mmap threshold
 FAILED = {"better": "lower", "bound": None}  # a count: worse when the change fails more runs in total
+MIN_PAIRS = 10  # no gain from fewer pairs
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -96,7 +98,7 @@ def verdict(pairs: list[tuple[float, float]], bound: float | None) -> str:
     docstring."""
     parent, change = ([p[i] for p in pairs] for i in (0, 1))
     (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
-    if 10 * sum(c < p for p, c in pairs) >= 9 * len(pairs) and pm - cm > p3 - p1:
+    if len(pairs) >= MIN_PAIRS and 10 * sum(c < p for p, c in pairs) >= 9 * len(pairs) and pm - cm > p3 - p1:
         return "gain"
     if (sum(change) > sum(parent)) if bound is None else (cm - pm > bound * abs(pm)):
         return "worse"
@@ -156,10 +158,10 @@ def format_summary(title: str, summary: dict[str, dict]) -> str:
 
 def export(rev: str, path: str) -> None:
     os.makedirs(path)
-    archive = subprocess.Popen(["git", "archive", rev], stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", path], stdin=archive.stdout, check=True)
-    if archive.wait():
+    archive = subprocess.run(["git", "archive", rev], capture_output=True)
+    if archive.returncode:
         raise SystemExit(f"git archive {rev} failed")
+    subprocess.run(["tar", "-x", "-C", path], input=archive.stdout, check=True)
 
 
 def pinned_env(mmap_threshold: int) -> dict[str, str]:
