@@ -1,5 +1,7 @@
-"""CSV artifacts: fixed headers, 17 significant digits, rows formatted and
-parsed in blocks of 2**14.
+"""CSV artifacts: fixed headers, 17 significant digits, rows formatted in
+blocks of 2**14 and parsed by numpy's C parser into one table, or, in a file
+it refuses (an empty cell, a ragged row, a cell that is not a number), in
+blocks of 2**14.
 
 Formats (one header row, '.' decimal separator, '\\n' line endings):
 
@@ -55,34 +57,43 @@ def write_columns(path: str, kind: str, columns: list[np.ndarray | None]) -> Non
 
 
 def read_csv(path: str) -> tuple[str, dict[str, np.ndarray]]:
-    """Read a CSV produced by this package; returns (kind, columns).
+    """Read a CSV produced by this package; returns (kind, columns), each
+    column a view of one (rows, columns) table.
 
     Blank lines are skipped and an empty cell reads as NaN.  Raises
     FormatError for empty files, headers this package never writes, ragged
     rows, cells that are not numbers and files with no data rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = (ln.rstrip("\n") for ln in fh)
-            header_line = next((ln for ln in lines if ln), None)
+            lines = iter(fh.readline, "")  # not iter(fh), which turns fh.tell() off
+            header_line = next((ln.rstrip("\n") for ln in lines if ln != "\n"), None)
             if header_line is None:
                 raise FormatError(f"{path}: empty file")
             header = header_line.split(",")
             kind = next((k for k, h in HEADERS.items() if h == header), None)
             if kind is None:
                 raise FormatError(f"{path}: unrecognized header {header_line!r}")
-            blocks = [np.empty((0, len(header)))]
-            while chunk := list(itertools.islice(lines, _BLOCK)):
-                rows = [ln for ln in chunk if ln]
-                ragged = next((ln for ln in rows if ln.count(",") != len(header) - 1), None)
-                if ragged is not None:
-                    raise FormatError(f"{path}: ragged row {ragged!r}")
-                cells = np.array([c or "nan" for c in ",".join(rows).split(",")] if rows else [], dtype=float)
-                blocks.append(cells.reshape(-1, len(header)))  # its strings freed before the next block's
+            start = fh.tell()
+            if all(ln == "\n" for ln in lines):  # so np.loadtxt never warns of no data
+                raise FormatError(f"{path}: no data rows")
+            fh.seek(start)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if table.shape[1] != len(header):
+                    raise ValueError("rows wider or narrower than the header")
+            except ValueError:  # the blocks name the fault, or read an empty cell as NaN
+                fh.seek(start)
+                lines, blocks = (ln.rstrip("\n") for ln in fh), [np.empty((0, len(header)))]
+                while chunk := list(itertools.islice(lines, _BLOCK)):
+                    rows = [ln for ln in chunk if ln]
+                    ragged = next((ln for ln in rows if ln.count(",") != len(header) - 1), None)
+                    if ragged is not None:
+                        raise FormatError(f"{path}: ragged row {ragged!r}")
+                    cells = np.array([c or "nan" for c in ",".join(rows).split(",")] if rows else [], dtype=float)
+                    blocks.append(cells.reshape(-1, len(header)))  # its strings freed before the next block's
+                table = np.concatenate(blocks)
     except FormatError:
         raise
     except (OSError, ValueError) as e:  # ValueError: a cell or byte that does not decode
         raise FormatError(f"{path}: {e}") from None
-    columns = [np.concatenate([b[:, i] for b in blocks]) for i in range(len(header))]
-    if not len(columns[0]):
-        raise FormatError(f"{path}: no data rows")
-    return kind, dict(zip(header, columns))
+    return kind, dict(zip(header, table.T))

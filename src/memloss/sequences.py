@@ -5,8 +5,7 @@ Four kinds are supported: explicit finite lists, periodic cycles, i.i.d.
 draws from a finite support, and finite-state Markov chains.  Random kinds
 are driven by SplitMix64 streams keyed by (seed, k), so ``param_at`` is
 reproducible and independent of evaluation order; Markov chains cache
-their sampled prefix behind a lock (append-only, so concurrent readers
-are safe).
+their sampled prefix (append-only, so a state once drawn never changes).
 
 The analysis operations count "good" entries (intermittency parameter at
 or below a threshold), estimate the empirical frequency window (a, kappa,
@@ -19,7 +18,6 @@ infinite sequence is made.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence as SeqType
 
@@ -43,7 +41,6 @@ class ParamSequence:
     init: tuple[float, ...] | None = None
     seed: int = 0
     _markov_cache: list = field(default_factory=list, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
 
 def _common_family(entries: SeqType[MapParams]) -> Family:
@@ -133,20 +130,18 @@ def _iid_indices(seq: ParamSequence, ks: np.ndarray) -> np.ndarray:
 
 def _markov_states(seq: ParamSequence, last: int) -> list[int]:
     """The cached states at base indices 1..last or more, extending the
-    cache under the lock: one ``rng.uniforms`` call for the missing range,
-    then one ``searchsorted`` per step."""
+    cache: one ``rng.uniforms`` call for the missing range, then one
+    ``searchsorted`` per step."""
     cache = seq._markov_cache
     if last <= len(cache):
         return cache
-    with seq._lock:
-        start = len(cache) + 1
-        us = rng.uniforms(seq.seed, "markov", np.arange(start, last + 1)).tolist()
-        cum_rows = np.cumsum(np.asarray(seq.transition), axis=1)
-        cum_init = np.cumsum(seq.init)
-        top = len(seq.entries) - 1
-        for u in us:
-            cum = cum_rows[cache[-1]] if cache else cum_init
-            cache.append(min(int(np.searchsorted(cum, u, side="right")), top))
+    us = rng.uniforms(seq.seed, "markov", np.arange(len(cache) + 1, last + 1)).tolist()
+    cum_rows = np.cumsum(np.asarray(seq.transition), axis=1)
+    cum_init = np.cumsum(seq.init)
+    top = len(seq.entries) - 1
+    for u in us:
+        cum = cum_rows[cache[-1]] if cache else cum_init
+        cache.append(min(int(np.searchsorted(cum, u, side="right")), top))
     return cache
 
 

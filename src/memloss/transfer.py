@@ -19,10 +19,12 @@ preimages cross a cell edge or span whole cells.  A step forms no prefix
 integral (see :func:`_apply_images`).  Plans are built and applied in blocks
 of 2**14 edges.  A run of steps (:func:`evolve`, :func:`memory_loss_curve`,
 :func:`mixing_mass`) computes each distinct map's plan at its first step and
-drops it after its last, holding about 4.25 arrays of N+1 per distinct map
-still ahead, and makes its step arrays once: the block rows and two
-outputs, each step writing the one not holding its input, so a step
-allocates nothing of size N.  Nothing is cached between calls.
+drops it after its last, holding about 3.25 arrays of N+1 per distinct map
+still ahead (j is a 4-byte index), and makes its step arrays once: the
+block rows and two outputs, each step writing the one not holding its
+input, so a step allocates nothing of size N.  Nothing is cached between
+calls.  A run checks only what it hands back, not each step: the operator
+is positive, and a non-finite value spreads (NaN times 0 is NaN).
 
 :func:`memory_loss_curve` pushes the signed difference h = f - g (the
 operator is linear): the TV at step n is half the L1 norm of h_n, free of
@@ -190,7 +192,7 @@ def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple, ...]:
     lo, w, n = f.interval[0], f.cell_width, f.n_cells
     plan = []
     for sign, u in _edge_images(params, f):
-        j, cross, wide = np.empty(len(u), np.intp), np.empty(len(u) - 1, np.bool_), []
+        j, cross, wide = np.empty(len(u), np.int32), np.empty(len(u) - 1, np.bool_), []  # j <= N <= 2**20
         for s in range(0, len(u), _BLOCK):  # u turns into t in place
             us, js = u[s : s + _BLOCK], j[s : s + _BLOCK]
             js[:] = np.clip(np.floor((us - lo) / w), 0, n)
@@ -234,7 +236,9 @@ def _apply_images(plan: tuple[tuple, ...], f: GridDensity) -> GridDensity:
             if b:
                 out[s : s + _BLOCK] += d
         out[cells] += np.add.reduceat(v, spans)[::2]
-    return type(f)(out, f.interval)
+    g = object.__new__(type(f))  # not checked again: see the module docstring
+    g.__dict__.update(values=out, interval=f.interval)
+    return g
 
 
 def push_density(params: MapParams, f: GridDensity) -> GridDensity:
@@ -247,7 +251,8 @@ def push_density(params: MapParams, f: GridDensity) -> GridDensity:
     plan and the step's arrays come from that call's run."""
     run = _run.get()
     if run is None:
-        return _apply_images(_edge_plan(params, f), f)
+        g = _apply_images(_edge_plan(params, f), f)
+        return type(g)(g.values, g.interval)  # checked: see the module docstring
     plans, _ = run
     if params not in plans:
         plans[params] = _edge_plan(params, f)
@@ -284,7 +289,7 @@ def evolve(seq: ParamSequence, f: GridDensity, n: int, start: int = 1) -> GridDe
         raise ParamError("n must be >= 0")
     for f in _steps(_maps(seq, start, n), f):
         pass
-    return f
+    return type(f)(f.values, f.interval)
 
 
 def _half_l1(h: GridDensity, out: np.ndarray | None = None) -> float:
@@ -307,6 +312,8 @@ def memory_loss_curve(
     evolved = itertools.chain([h], _steps(_maps(seq, start, n_max), h))
     absh = np.empty(h.n_cells)  # |h| of every step, for its norm
     vals = np.array([_half_l1(h, absh) for h in evolved])
+    if not np.all(np.isfinite(vals)):
+        raise ParamError("density values must be finite")
     return TailTable(values=vals, k=start, label="memloss")
 
 
@@ -341,6 +348,7 @@ def mixing_mass(seq: ParamSequence, k: int, n_max: int, n_cells: int = 2**12) ->
         cells, snap = _snap(reference_set(pn), lo, w)
         worst_snap = max(worst_snap, snap)
         out[n] = float(np.sum(f.values[cells])) * w
+    GridDensity(f.values, f.interval)  # the last density, checked
     out = np.clip(out, 0.0, None)
     return TailTable(
         values=np.minimum(out, 1.0 + 1e-9),

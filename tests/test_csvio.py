@@ -1,8 +1,11 @@
 import filecmp
 import tracemalloc
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memloss import csvio
 from memloss.errors import FormatError
@@ -150,3 +153,66 @@ def test_read_memory_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 16 * n
+
+
+def test_read_memory_peak_of_the_one_table(tmp_path):
+    # measured 1.26 x 16 bytes a row: the C parser's (rows, 2) table, grown
+    # as it reads; the bound leaves a margin of about 20%
+    n = 2**16
+    f = make_density("holder", n)
+    path = str(tmp_path / "density.csv")
+    csvio.write_columns(path, "density", [f.midpoints(), f.values])
+    del f
+    tracemalloc.start()
+    try:
+        _, cols = csvio.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * n
+    assert cols["x"].base is cols["value"].base  # views of one table
+
+
+@pytest.mark.parametrize("text", ["n,tv\n", "n,tv\n\n\n"])
+def test_a_header_only_file_raises_without_a_numpy_warning(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="no data rows"):
+            csvio.read_csv(str(path))
+
+
+_CELLS = st.sampled_from(["0", "1", "-2.5", "1e-320", "1e999", "nan", "-inf", "Infinity", "", " ", " 3 ", "\t4",
+                          "5\f", "1_0", "0x1p3", "+7", ".5", "6.", "abc", "\u00a08", "\uff19", "1 2", "\"1\""])
+_LINES = st.one_of(st.lists(_CELLS, min_size=1, max_size=3).map(",".join), st.sampled_from(["", " ", "\r", "#1,2"]))
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("refused")
+
+
+def _read_or_error(path):
+    try:
+        kind, cols = csvio.read_csv(path)
+    except FormatError as e:
+        return str(e)
+    return kind, {name: c.view(np.int64).tolist() for name, c in cols.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_LINES, max_size=6), end=st.sampled_from(["", "\n"]))
+def test_the_c_parser_reads_what_the_blocks_read(tmp_path_factory, lines, end):
+    # every file the C parser accepts, the block loop reads to the same bits;
+    # every file it refuses goes to the block loop
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("n,tv\n" + "\n".join(lines) + end)
+    got = _read_or_error(path)
+    loadtxt = np.loadtxt
+    try:
+        np.loadtxt = _refuse
+        blocks = _read_or_error(path)
+    finally:
+        np.loadtxt = loadtxt
+    assert got == blocks

@@ -562,6 +562,19 @@ class TestInterpolationPlan:
             tracemalloc.stop()
         assert peak <= 8.0 * 8 * (n + 1)
 
+    def test_evolve_memory_peak_with_int32_plan_indices(self):
+        # measured 6.26 arrays of N+1 floats with a 4-byte plan index (7.01
+        # with an 8-byte one); the bound leaves a margin of about 8%
+        n = 2**16
+        seq = seqs.constant(lsv(0.5))
+        tracemalloc.start()
+        try:
+            evolve(seq, make_density("holder", n), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.75 * 8 * (n + 1)
+
     @pytest.mark.parametrize("interval", _INTERVALS)
     def test_grid_edges_are_exact_multiples_of_the_cell_width(self, interval):
         for k in range(10, 21):
@@ -582,7 +595,7 @@ class TestInterpolationPlan:
         u = np.clip(u, lo, hi)
         monkeypatch.setattr(transfer, "_edge_images", lambda params, f: ((1.0, u.copy()),))
         ((_, j, t, *_),) = _edge_plan(None, f)
-        assert j.dtype == np.intp
+        assert j.dtype == np.int32
         assert np.array_equal(j, np.searchsorted(e, u, side="right") - 1)
         assert np.array_equal(t, (u - e[j]) / f.cell_width)
         assert np.all(j[u == hi] == f.n_cells) and np.all(t[u == hi] == 0.0)
@@ -653,6 +666,43 @@ def _poison_empty(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "empty", poisoned)
+
+
+class TestHandOffChecks:
+    """A run does not check the density of each step, only what it hands back."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @np.errstate(invalid="ignore")  # inf times a fraction 0
+    def test_a_non_finite_start_is_a_param_error(self, bad, monkeypatch):
+        seq = seqs.constant(lsv(0.5))
+        f = make_density("holder", N)
+        f.values[0] = bad  # after the check at construction
+        with pytest.raises(errors.ParamError, match="finite"):
+            push_density(lsv(0.5), f)
+        steps = transfer._steps
+
+        def poisoned(maps, start):  # the start a run steps from, past every check before the run
+            start.values[0] = bad
+            return steps(maps, start)
+
+        monkeypatch.setattr(transfer, "_steps", poisoned)
+        runs = {
+            "evolve": lambda: evolve(seq, make_density("holder", N), 3),
+            "memory_loss_curve": lambda: memory_loss_curve(seq, make_density("holder", N),
+                                                           make_density("uniform", N), 3),
+            "mixing_mass": lambda: mixing_mass(seq, 1, 3, n_cells=N),  # the start's cell 0 lies outside Y
+        }
+        for name, run in runs.items():
+            with pytest.raises(errors.ParamError, match="finite"):
+                run()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_a_step_that_overflows_is_a_param_error(self):
+        # a finite start whose pushforward is not: LSV's two branches add about 1.5 x the cell values
+        f = GridDensity(np.full(N, 1.5e308))
+        for call in (lambda: push_density(lsv(0.5), f), lambda: evolve(seqs.constant(lsv(0.5)), f, 2)):
+            with pytest.raises(errors.ParamError, match="finite"):
+                call()
 
 
 class TestRunArrays:
