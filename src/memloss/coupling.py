@@ -62,7 +62,7 @@ def derive_k_constants(K: float, lam: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CouplingConstants:
-    """The chosen constants; K1, K2 and C_h = 2 exp(K2 diam_x) are derived from them."""
+    """The chosen constants; K2 and C_h = 2 exp(K2 diam_x) are derived from them."""
 
     theta: float
     n0: int
@@ -70,7 +70,6 @@ class CouplingConstants:
     lam: float
     diam_x: float
     delta0: float
-    K1: float = field(init=False)
     K2: float = field(init=False)
     c_h: float = field(init=False)
 
@@ -83,8 +82,7 @@ class CouplingConstants:
             raise ParamError("delta0 must lie in (0, 1]")
         if not (0.0 < self.diam_x < np.inf):
             raise ParamError("diam_x must be positive and finite")
-        k1, k2 = derive_k_constants(self.K, self.lam)
-        object.__setattr__(self, "K1", k1)
+        k2 = derive_k_constants(self.K, self.lam)[1]
         object.__setattr__(self, "K2", k2)
         with np.errstate(over="ignore"):
             c_h = 2.0 * float(np.exp(k2 * self.diam_x))
@@ -258,11 +256,9 @@ def family_from_tables(
 
 @dataclass(frozen=True)
 class WeightTable:
-    """alpha_j for j = j_first .. j_max plus the residual tail mass beyond."""
+    """alpha_j for j = j_first, j_first + 1, ... plus the residual tail mass beyond the last."""
 
-    n0: int
     j_first: int
-    j_max: int
     alphas: np.ndarray
     residual: float
 
@@ -280,9 +276,7 @@ def alpha_weights(r_hat: TailTable, n0: int, j_max: int) -> WeightTable:
     if np.any(alphas < -1e-15):
         raise ParamError("rhat is not nonincreasing")
     return WeightTable(
-        n0=n0,
         j_first=n0 + 1,
-        j_max=j_max,
         alphas=np.maximum(alphas, 0.0),
         residual=float(rv[j_max + 1 - n0]),
     )
@@ -341,6 +335,12 @@ class CouplingModel:
         _running_min(rows)
         self._table = rows[::-1]
         self._table.flags.writeable = False
+
+    def _check_n_max(self, n_max: int) -> None:
+        """A table of P(S >= n) for n = 0..n_max needs n_max in 1..horizon."""
+        check_n_max(n_max)
+        if n_max > self.horizon:
+            raise HorizonError(f"model horizon {self.horizon} < n_max {n_max}")
 
     def _envelopes(self, rows: slice, s: int, length: int, out=None) -> np.ndarray:
         """env[i, l] = clamped composed tail hhat at base offset t = rows.start + i, shift s - t, for
@@ -414,9 +414,7 @@ def s_tail_dp(model: CouplingModel, n_max: int) -> TailTable:
     stationary family, else built in one buffer of (n_max + 3)**2 / 4 floats.
     The sums are not a per-state loop's: on the tests' families each row is
     within 1e-14 (relative) of a long double per-state DP's."""
-    check_n_max(n_max)
-    if n_max > model.horizon:
-        raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
+    model._check_n_max(n_max)
     c = model.constants
     n0, th = c.n0, c.theta
     one_m = 1.0 - th
@@ -481,9 +479,7 @@ def s_tail_mc(model: CouplingModel, n_max: int, samples: int, seed: int) -> Tail
     largest total rise of an h row, plus two entry errors of at most c_h
     (2s + 3) 2**-53 P[s+1, s+1] each (Higham's bound for a sum of s + 1 terms
     added in order).  The other walkers recount on hhat."""
-    check_n_max(n_max)
-    if n_max > model.horizon:
-        raise HorizonError(f"model horizon {model.horizon} < n_max {n_max}")
+    model._check_n_max(n_max)
     if samples < 10**4:
         raise ParamError("samples must be >= 10**4")
     c = model.constants

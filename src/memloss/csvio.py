@@ -37,9 +37,14 @@ HEADERS = {
 
 
 def _write(path: str, parts: Iterable[str]) -> None:
-    """Write ``parts`` to ``path``, created as ``open`` creates one: mode 0o666 less the umask."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(parts)
+    """Write ``parts`` to ``path`` as ``open`` creates it (0o666 less the umask); a failed write removes it."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(parts)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def write_columns(path: str, kind: str, columns: list[np.ndarray | None]) -> None:

@@ -8,7 +8,7 @@ class MemlossError(Exception):
 
 
 class DomainError(MemlossError, ValueError):
-    """Argument lies outside the state interval or a branch image."""
+    """Argument lies outside the state interval."""
 
 
 class SingularPoint(MemlossError, ValueError):

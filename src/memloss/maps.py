@@ -127,10 +127,10 @@ def state_interval(params: MapParams) -> tuple[float, float]:
     return (-1.0, 1.0)
 
 
-def _check_state(params: MapParams, x: float) -> None:
+def _check_domain(params: MapParams, name: str, v: float) -> None:
     lo, hi = state_interval(params)
-    if not (lo <= x <= hi):
-        raise DomainError(f"x = {x} outside state interval [{lo}, {hi}]")
+    if not (lo <= v <= hi):
+        raise DomainError(f"{name} = {v} outside state interval [{lo}, {hi}]")
 
 
 # -- Pikovsky right inverse branch (explicit) and its derivative -------------
@@ -265,7 +265,7 @@ def derivative(params: MapParams, x: float) -> float:
     """T'(x), signed.  SingularPoint at x = 0 for Pikovsky/GH (infinite)
     and at the interior branch boundary 1/2 for LSV/Cui (one-sided
     derivatives differ)."""
-    _check_state(params, x)
+    _check_domain(params, "x", x)
     if params.family in (Family.LSV, Family.CUI):
         if x == 0.5:
             raise SingularPoint("one-sided derivatives differ at x = 1/2")
@@ -293,18 +293,12 @@ def _derivative_array(params: MapParams, x: np.ndarray) -> np.ndarray:
 # -- inverse branches ----------------------------------------------------------
 
 
-def _check_image(params: MapParams, y: float) -> None:
-    lo, hi = state_interval(params)
-    if not (lo <= y <= hi):
-        raise DomainError(f"y = {y} outside branch image [{lo}, {hi}]")
-
-
 def inverse_branch(params: MapParams, branch: Branch, y: float) -> float:
     """The preimage of y under the selected branch.
 
     Closed form everywhere except the LSV/Cui left branch, which is
     root-found (Newton from above)."""
-    _check_image(params, y)
+    _check_domain(params, "y", y)  # every branch maps onto the state interval
     return _at(inverse_branch_array, params, branch, y)
 
 

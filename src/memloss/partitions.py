@@ -171,7 +171,6 @@ class PartitionEndpoints:
 
     params: MapParams
     k: int
-    n_max: int
     x: np.ndarray
     x_next: np.ndarray
 
@@ -202,7 +201,7 @@ def _points(seq: ParamSequence, ks, n_max: int) -> list[PartitionEndpoints]:
         rows = dict(zip(want, _fill_rows(entries, ids, chain, pull, n_max + span, want)))
         for k in group:
             r = k - k0
-            points[k] = PartitionEndpoints(entries[ids[r]], k, n_max, rows[r][: n_max + 1], rows[r + 1][:n_max])
+            points[k] = PartitionEndpoints(entries[ids[r]], k, rows[r][: n_max + 1], rows[r + 1][:n_max])
     return [points[k] for k in ks]
 
 

@@ -27,11 +27,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _purpose_key(purpose: str) -> np.uint64:
-    h = np.uint64(0)
-    for ch in purpose.encode("utf-8"):
-        h = _mix(h + np.uint64(ch) + _GAMMA)
-    return h
+def _bits(seed: int, purpose: str, index: np.ndarray | int) -> np.ndarray:
+    """The 64-bit outputs at the given indices of the stream keyed by (seed, purpose)."""
+    with np.errstate(over="ignore"):
+        key = np.uint64(0)
+        for ch in purpose.encode("utf-8"):
+            key = _mix(key + np.uint64(ch) + _GAMMA)
+        base = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ key)
+        return _mix(base + (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
 
 
 def uniforms(seed: int, purpose: str, index: np.ndarray | int) -> np.ndarray:
@@ -39,15 +42,9 @@ def uniforms(seed: int, purpose: str, index: np.ndarray | int) -> np.ndarray:
 
     ``uniforms(seed, p, k)`` is a pure function of its arguments.
     """
-    with np.errstate(over="ignore"):
-        base = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _purpose_key(purpose))
-        idx = np.asarray(index, dtype=np.uint64)
-        bits = _mix(base + (idx + np.uint64(1)) * _GAMMA)
-        return np.asarray((bits >> _SHIFT53).astype(np.float64) * _INV53)
+    return np.asarray((_bits(seed, purpose, index) >> _SHIFT53).astype(np.float64) * _INV53)
 
 
 def child_seed(seed: int, purpose: str) -> int:
-    """A 64-bit seed derived from (seed, purpose), for numpy generators."""
-    with np.errstate(over="ignore"):
-        base = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _purpose_key(purpose))
-        return int(_mix(base + _GAMMA))
+    """A 64-bit seed derived from (seed, purpose), for numpy generators: the stream's output at index 0."""
+    return int(_bits(seed, purpose, 0))

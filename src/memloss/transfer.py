@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ParamError, ShapeMismatch, check_n_max
 from .maps import Branch, MapParams, inverse_branch_array, state_interval
 from .partitions import reference_set
-from .sequences import ParamSequence, param_at
+from .sequences import ParamSequence, _entry_indices
 from .tables import TailTable
 
 _MIN_CELLS = 2**10
@@ -279,7 +279,7 @@ def _steps(maps: list[MapParams], f: GridDensity) -> Iterator[GridDensity]:
 
 
 def _maps(seq: ParamSequence, start: int, n: int) -> list[MapParams]:
-    return [param_at(seq, start + j) for j in range(n)]
+    return [seq.entries[i] for i in _entry_indices(seq, start, n).tolist()]
 
 
 def evolve(seq: ParamSequence, f: GridDensity, n: int, start: int = 1) -> GridDensity:

@@ -138,6 +138,17 @@ def test_write_rejects_columns_of_different_lengths(tmp_path):
     assert not path.exists() and list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_write_removes_its_file(tmp_path):
+    def parts():
+        yield "n,tv\n"
+        raise OSError("no space left on device")
+
+    path = tmp_path / "x.csv"
+    with pytest.raises(OSError, match="no space"):
+        csvio._write(str(path), parts())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_memory_peak(tmp_path):
     # one block's lines and cell strings, and each column's blocks: about 5.4
     # x 16 bytes a row, where a whole-table block list, its concatenation and

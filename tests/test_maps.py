@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -108,6 +110,16 @@ class TestInverse:
     def test_image_error(self):
         with pytest.raises(errors.DomainError):
             inverse_branch(lsv(0.5), Branch.LEFT, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: derivative(lsv(0.5), 1.5), "x"), (lambda: inverse_branch(lsv(0.5), Branch.LEFT, 1.5), "y")],
+    ids=["derivative", "inverse_branch"],
+)
+def test_domain_error_names_the_argument_its_value_and_the_interval(call, name):
+    with pytest.raises(errors.DomainError, match=re.escape(f"{name} = 1.5 outside state interval [0.0, 1.0]")):
+        call()
 
 
 def _inverse_derivative(params, branch, y):

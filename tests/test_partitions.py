@@ -456,7 +456,7 @@ def _reference_points(seq, k, n_max):
 
     params = [seqs.param_at(seq, j) for j in range(k, k + n_max + 2)]
     rows = _reference_fill_rows(params, 1.0, _reference_pull(seq.family), n_max, 2)
-    return PartitionEndpoints(params[0], k, n_max, rows[0], rows[1][:n_max])
+    return PartitionEndpoints(params[0], k, rows[0], rows[1][:n_max])
 
 
 def _support(family):
@@ -497,7 +497,7 @@ class TestBackwardFillAgainstReference:
         seq = _sequence(kind, _support(family), n + k + 2)
         public = pikovsky_endpoints if family == "pikovsky" else lsv_preimage_points
         got, ref = public(seq, k, n), _reference_points(seq, k, n)
-        assert got.params == ref.params and (got.k, got.n_max) == (k, n)
+        assert got.params == ref.params and (got.k, len(got.x) - 1) == (k, n)
         for f in ("x", "x_next"):
             assert np.array_equal(_bits(getattr(got, f)), _bits(getattr(ref, f))), f
         tails = [return_time_tail(seq, k, n, base=b).values for b in ("m_k", "lebesgue")]

@@ -136,7 +136,7 @@ _SUPPORTS = {
 
 
 def _same_points(a, b):
-    assert (a.params, a.k, a.n_max) == (b.params, b.k, b.n_max)
+    assert (a.params, a.k, len(a.x) - 1) == (b.params, b.k, len(b.x) - 1)
     assert np.array_equal(_bits(a.x), _bits(b.x)) and np.array_equal(_bits(a.x_next), _bits(b.x_next))
 
 

@@ -119,6 +119,13 @@ _KINDS = {
 }
 
 
+def test_splitmix_streams_keep_their_values():
+    # Every seeded artifact reads these streams, so their values are pinned.
+    assert _rng.uniforms(1, "iid", [0, 1, 2]).tolist() == [0.7363472808607701, 0.7825863782109439, 0.1641187514309994]
+    assert _rng.child_seed(1, "s-tail-mc") == 6423042912008450675
+    assert _rng.child_seed(0, "return-mc-1-m_k") == 7511481666275869537
+
+
 class TestEntryIndices:
     @pytest.mark.parametrize("skip", [0, 7])
     @pytest.mark.parametrize("kind", sorted(_KINDS))
