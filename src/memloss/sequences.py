@@ -221,8 +221,8 @@ def theta_profile(seq: ParamSequence, threshold: float, b: float, n_max: int):
 
     Returns a TailTable whose value at n >= 1 is the suffix supremum
     sup over ell in [n, n_max] of |count(1..ell)/ell - b| (a supremum over
-    the tabulated range only, as flagged in the notes); the raw deviation
-    profile theta[n-1] = |count(1..n)/n - b| rides along in the notes.
+    the tabulated range only); the raw deviation profile
+    theta[n-1] = |count(1..n)/n - b| rides along in notes["theta"].
     """
     if not (0.0 < b <= 1.0):
         raise ParamError("b must lie in (0, 1]")
@@ -231,7 +231,7 @@ def theta_profile(seq: ParamSequence, threshold: float, b: float, n_max: int):
     return TailTable(
         values=np.concatenate([[sup_tail[0]], sup_tail]),
         label="theta",
-        notes={"b": b, "theta": theta, "tabulated_range_supremum": True},
+        notes={"theta": theta},
     )
 
 

@@ -150,71 +150,84 @@ def test_the_parent_runs_first_at_odd_seeds_and_last_at_even_ones():
         ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent")]
 
 
-def test_pinned_runs_add_peak_rss_rows_beside_the_default_ones():
-    rss = {"parent": [56.5, 60.3, 56.4, 60.2], "change": [60.0] * 4}
-    pinned = {"parent": [53.0, 53.2, 53.1, 53.3], "change": [52.9, 53.0, 53.1, 53.0]}
-    records = [{"seed": i + 1, **{s: {"sweep_s": 1.0, "peak_rss_mb": rss[s][i]} for s in rss},
-                **{s + " pinned": {"sweep_s": 1.0, "peak_rss_mb": pinned[s][i]} for s in pinned}}
-               for i in range(4)]
-    rows = bench_pairs.batch_rows(records, _SPECS)
-    assert list(rows) == ["sweep_s", "peak_rss_mb", "peak_rss_mb pinned"]
-    pin = rows["peak_rss_mb pinned"]
-    assert pin["sides"] == ("parent pinned", "change pinned")
-    assert pin["parent pinned"] == pytest.approx(bench_pairs.quartiles(pinned["parent"]))
-    assert pin["better"] == 3 and pin["verdict"] == "within bound"
-    assert rows["peak_rss_mb"]["verdict"] == "within bound"
-    text = bench_pairs.format_summary("title", rows)
-    assert "parent modes: 56.45 (x2), 60.25 (x2)" in text and "pinned modes" not in text
-    # without pinned runs a batch has the plain rows only
-    plain = [{s: r[s] for s in ("seed", "parent", "change")} for r in records]
-    assert bench_pairs.batch_rows(plain, _SPECS) == bench_pairs.summarize(plain, _SPECS)
+def _export(rev, path):
+    os.makedirs(path)
+    with open(os.path.join(path, "BENCHMARK.json"), "w") as fh:
+        json.dump({"run_seconds": {"OLD": 3, "NEW": 99}[rev], "end_to_end": _END_TO_END}, fh)
 
 
-def test_only_a_pinned_child_gets_the_mmap_threshold(monkeypatch):
-    monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
-    env = bench_pairs.pinned_env(131072)
-    assert env["MALLOC_MMAP_THRESHOLD_"] == "131072" and env["PATH"] == os.environ["PATH"]
-    assert "MALLOC_MMAP_THRESHOLD_" not in os.environ
+def _bench_child(cmd, returncode=0, stderr="", check=False, **_):
+    """A stand-in for the ``subprocess.run`` call of ``run_bench``; ``check=True``
+    raises as the real call does."""
+    record = {"metrics": {"sweep_s": {"value": 1.5}}, "failed": 0}
+    stdout = "" if returncode else "warming up\n" + json.dumps(record) + "\n"
+    proc = subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr=stderr)
+    if check:
+        proc.check_returncode()
+    return proc
 
 
 def test_main_alternates_the_sides_and_prints_records_and_verdicts(monkeypatch, capsys):
-    def export(rev, path):
-        os.makedirs(path)
-        with open(os.path.join(path, "BENCHMARK.json"), "w") as fh:
-            json.dump({"run_seconds": {"OLD": 3, "NEW": 99}[rev], "end_to_end": _END_TO_END}, fh)
-
     calls = []
 
-    def run_bench(root, workload, seed, seconds, env=None):
-        side, pinned = os.path.basename(root), env is not None
+    def run_bench(root, workload, seed, seconds):
+        side = os.path.basename(root)
         assert workload == "w" and seconds == 3  # the parent's run_seconds
-        assert not pinned or env["MALLOC_MMAP_THRESHOLD_"] == "4096"
-        calls.append((seed, side + " pinned" * pinned))
+        calls.append((seed, side))
         sweep = (1.0 if side == "parent" else 0.75) + seed / 64
-        return {"sweep_s": sweep, "peak_rss_mb": 50.0 + pinned, "failed": 0}
+        return {"sweep_s": sweep, "peak_rss_mb": 50.0, "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "export", _export)
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
-    argv = ["--parent", "OLD", "--change", "NEW", "--workload", "w", "--seeds", "1-10", "--held-out", "21",
-            "--mmap-threshold", "4096"]
+    argv = ["--parent", "OLD", "--change", "NEW", "--workload", "w", "--seeds", "1-10", "--held-out", "21"]
     assert bench_pairs.main(argv) == 0
     odd, even = ("parent", "change"), ("change", "parent")
     seeds = [*range(1, 11), 21]
-    assert calls == [(seed, side + pin) for seed, sides in zip(seeds, [odd, even] * 5 + [odd])
-                     for side in sides for pin in ("", " pinned")]
+    assert calls == [(seed, side) for seed, sides in zip(seeds, [odd, even] * 5 + [odd]) for side in sides]
     lines = capsys.readouterr().out.splitlines()
     records = [json.loads(line) for line in lines[:11]]
     assert [r["seed"] for r in records] == seeds
     assert records[1] == {"seed": 2, "change": {"sweep_s": 0.78125, "peak_rss_mb": 50.0, "failed": 0},
-                          "change pinned": {"sweep_s": 0.78125, "peak_rss_mb": 51.0, "failed": 0},
-                          "parent": {"sweep_s": 1.03125, "peak_rss_mb": 50.0, "failed": 0},
-                          "parent pinned": {"sweep_s": 1.03125, "peak_rss_mb": 51.0, "failed": 0}}
-    assert len(lines) == 23 and lines[11] == "w, seeds 1..10" and lines[17] == "w, held-out seeds [21]"
-    for block in (lines[13:17], lines[19:23]):
-        assert [line[:24].strip() for line in block] == ["sweep_s", "peak_rss_mb", "peak_rss_mb pinned", "failed"]
+                          "parent": {"sweep_s": 1.03125, "peak_rss_mb": 50.0, "failed": 0}}
+    assert len(lines) == 21 and lines[11] == "w, seeds 1..10" and lines[16] == "w, held-out seeds [21]"
+    for block in (lines[13:16], lines[18:21]):
+        assert [line[:24].strip() for line in block] == ["sweep_s", "peak_rss_mb", "failed"]
         assert all(line.endswith("  within bound") for line in block[1:])
     # one held-out pair is no gain
-    assert lines[13].endswith("  gain") and lines[19].endswith("  within bound")
+    assert lines[13].endswith("  gain") and lines[18].endswith("  within bound")
+
+
+def test_run_bench_starts_its_child_with_the_tools_environment(monkeypatch):
+    # an exported MALLOC_MMAP_THRESHOLD_ pins both sides of a batch only through this
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
+    seen = []
+
+    def run(cmd, cwd, **kw):
+        env = os.environ if kw.get("env") is None else kw["env"]
+        seen.append((cwd, env.get("MALLOC_MMAP_THRESHOLD_")))
+        return _bench_child(cmd, **kw)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_bench("/b/parent", "w", 3, 45) == {"sweep_s": 1.5, "failed": 0}
+    assert seen == [("/b/parent", "131072")]
+
+
+def test_a_failed_bench_run_ends_the_tool_with_one_line(monkeypatch, capsys):
+    def run(cmd, cwd, **kw):
+        if cmd[cmd.index("--seed") + 1] == "2" and os.path.basename(cwd) == "parent":
+            stderr = "warming up\nerror: imported memloss from /elsewhere/memloss, not from src\n"
+            return _bench_child(cmd, returncode=2, stderr=stderr, **kw)
+        return _bench_child(cmd, **kw)
+
+    monkeypatch.setattr(bench_pairs, "export", _export)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "OLD", "--change", "NEW", "--workload", "w", "--seeds", "1-3"])
+    # a string code: the interpreter prints it on stderr and exits with status 1
+    assert exc.value.code == (
+        "seed 2, parent: bench/run.py exited 2: error: imported memloss from /elsewhere/memloss, not from src")
+    # the record of seed 1 was printed before the failure and stays
+    assert [json.loads(line)["seed"] for line in capsys.readouterr().out.splitlines()] == [1]
 
 
 def test_outside_a_git_checkout_export_fails_with_one_line(tmp_path):

@@ -11,6 +11,12 @@ Library experiments write no files, so every table that ``memloss.s_tail_dp``
 and ``memloss.s_tail_mc`` return is printed too, as
 ``sha256  NN-experiment/function#i`` over its values, its stderr and its
 ``notes["beyond"]``.
+
+The first line, ``# numpy <version> simd <found>``, names the numpy build
+and the SIMD targets it dispatches to on this CPU (the ``found`` list of
+``np.show_runtime()``): numpy's array ``power`` rounds differently from one
+target to another, so LSV and Cui outputs are byte-identical only between
+runs with the same line.
 """
 
 from __future__ import annotations
@@ -42,6 +48,13 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(root, "bench"), os.path.join(root, "src")]
     import experiments
     import memloss
+    import numpy as np
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    print(f"# numpy {np.__version__} simd {[f for f in __cpu_dispatch__ if __cpu_features__[f]]}")
 
     tables: list[tuple[str, object]] = []
 

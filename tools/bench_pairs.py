@@ -1,7 +1,6 @@
 """Run alternating parent/change pairs of ``bench/run.py`` and give each metric a verdict.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload W --seeds 1-10 [--held-out 21-23]
-                                 [--mmap-threshold BYTES]
 
 Each revision is exported with ``git archive`` into ``parent`` and
 ``change`` under one fresh directory, so the two checkout paths have the
@@ -29,10 +28,11 @@ When one side's runs fall into two clusters (as ``peak_rss_mb`` can, with
 heap layout), the median and size of each cluster are printed too. The
 held-out seeds are summarized on their own. Passing the same revision
 twice gives an A/A batch: the drift of the host under the same rotation.
-``--mmap-threshold BYTES`` runs every checkout a second time with
-``MALLOC_MMAP_THRESHOLD_=BYTES`` in the child's environment only, which
-fixes glibc's mmap threshold, and prints the ``peak_rss_mb`` of those runs
-as a ``pinned`` row, with its own verdict, beside the default one.
+Every bench child inherits this process's environment, so an exported
+``MALLOC_MMAP_THRESHOLD_`` pins glibc's mmap threshold on both sides of a
+batch. A bench run that exits non-zero ends the tool with one line naming
+its seed, side, exit code and last stderr line (exit status 1); the records
+printed before it stay.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import subprocess
 import sys
 import tempfile
 
-PINNED = " pinned"  # suffix of a run whose child pins glibc's mmap threshold
+SIDES = ("parent", "change")
 FAILED = {"better": "lower", "bound": None}  # a count: worse when the change fails more runs in total
 MIN_PAIRS = 10  # no gain from fewer pairs
 
@@ -89,7 +89,7 @@ def modes(values) -> list[tuple[float, int]]:
 
 def run_order(seed: int) -> tuple[str, str]:
     """The parent first at odd seeds, the change first at even ones."""
-    return ("parent", "change") if seed % 2 else ("change", "parent")
+    return SIDES if seed % 2 else SIDES[::-1]
 
 
 def verdict(pairs: list[tuple[float, float]], bound: float | None) -> str:
@@ -107,50 +107,38 @@ def verdict(pairs: list[tuple[float, float]], bound: float | None) -> str:
     return "within bound"
 
 
-def summarize(records: list[dict], specs: dict[str, dict], base: str = "parent",
-              other: str = "change") -> dict[str, dict]:
-    """Per metric, from records ``{base: {metric: value}, other: {...}}``
+def summarize(records: list[dict], specs: dict[str, dict]) -> dict[str, dict]:
+    """Per metric, from records ``{"parent": {metric: value}, "change": {...}}``
     (one per seed) and the metric's ``better`` and ``bound`` in ``specs``:
-    each side's quartiles and modes, the number of pairs in which ``other``
+    each side's quartiles and modes, the number of pairs in which the change
     reads better, the relative change of the medians and the verdict."""
     out = {}
-    for name in records[0][base]:
-        pairs = [(r[base][name], r[other][name]) for r in records]
-        side = {s: [p[i] for p in pairs] for i, s in enumerate((base, other))}
-        (p1, pm, p3), (c1, cm, c3) = (quartiles(side[s]) for s in (base, other))
+    for name in records[0]["parent"]:
+        pairs = [(r["parent"][name], r["change"][name]) for r in records]
+        side = {s: [p[i] for p in pairs] for i, s in enumerate(SIDES)}
+        (p1, pm, p3), (c1, cm, c3) = (quartiles(side[s]) for s in SIDES)
         sign = 1.0 if specs[name]["better"] == "lower" else -1.0
         lower = [(sign * p, sign * c) for p, c in pairs]  # so that lower reads better
         out[name] = {
-            "sides": (base, other),
-            base: (p1, pm, p3),
-            other: (c1, cm, c3),
+            "parent": (p1, pm, p3),
+            "change": (c1, cm, c3),
             "better": sum(c < p for p, c in lower),
             "pairs": len(pairs),
             "relative": (cm - pm) / pm if pm else (0.0 if cm == pm else float("inf")),
             "verdict": verdict(lower, specs[name]["bound"]),
-            "modes": {s: modes(side[s]) for s in (base, other)},
+            "modes": {s: modes(side[s]) for s in SIDES},
         }
     return out
-
-
-def batch_rows(records: list[dict], specs: dict[str, dict]) -> dict[str, dict]:
-    """The rows of one batch: per metric the change against the parent and,
-    where the records hold pinned runs, a ``peak_rss_mb pinned`` row of them."""
-    rows = {"": summarize(records, specs)}
-    if "parent" + PINNED in records[0]:
-        rss = [{s: {"peak_rss_mb": v["peak_rss_mb"]} for s, v in r.items() if s != "seed"} for r in records]
-        rows[PINNED] = summarize(rss, specs, "parent" + PINNED, "change" + PINNED)
-    return {name + label: row[name] for name in rows[""] for label, row in rows.items() if name in row}
 
 
 def format_summary(title: str, summary: dict[str, dict]) -> str:
     lines = [title, f"  {'metric':22s} {'parent median (q1-q3)':>28s} {'change median (q1-q3)':>28s}"
                     "  better  relative  verdict"]
     for name, m in summary.items():
-        cells = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (m[s] for s in m["sides"])]
+        cells = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (m[s] for s in SIDES)]
         lines.append(f"  {name:22s} {cells[0]:>28s} {cells[1]:>28s}  {m['better']:2d}/{m['pairs']:<2d} "
                      f"  {m['relative']:+8.1%}  {m['verdict']}")
-        for s in m["sides"]:
+        for s in SIDES:
             if len(m["modes"][s]) > 1:
                 lines.append(f"    {s} modes: " + ", ".join(f"{c:.4g} (x{k})" for c, k in m["modes"][s]))
     return "\n".join(lines)
@@ -164,17 +152,16 @@ def export(rev: str, path: str) -> None:
     subprocess.run(["tar", "-x", "-C", path], input=archive.stdout, check=True)
 
 
-def pinned_env(mmap_threshold: int) -> dict[str, str]:
-    """A copy of this process's environment that pins glibc's mmap threshold,
-    for a bench child."""
-    return {**os.environ, "MALLOC_MMAP_THRESHOLD_": str(mmap_threshold)}
-
-
-def run_bench(root: str, workload: str, seed: int, seconds: float, env=None) -> dict[str, float]:
-    """The end-to-end metrics of one fresh ``bench/run.py`` process, plus its failure count."""
+def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """The end-to-end metrics of one fresh ``bench/run.py`` process in the
+    checkout ``root``, plus its failure count.  The child inherits this
+    process's environment."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, env=env, capture_output=True, text=True, check=True)
+                          cwd=root, capture_output=True, text=True)
+    if proc.returncode:
+        last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+        raise SystemExit(f"seed {seed}, {os.path.basename(root)}: bench/run.py exited {proc.returncode}: {last}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {**{k: v["value"] for k, v in result["metrics"].items()}, "failed": result["failed"]}
 
@@ -186,12 +173,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--held-out", type=parse_seeds, default=[])
-    parser.add_argument("--mmap-threshold", type=int, metavar="BYTES",
-                        help="run every checkout again with MALLOC_MMAP_THRESHOLD_=BYTES")
     args = parser.parse_args(argv)
-    revs, envs = {"parent": args.parent, "change": args.change}, {"": None}
-    if args.mmap_threshold is not None:
-        envs[PINNED] = pinned_env(args.mmap_threshold)
+    revs = {"parent": args.parent, "change": args.change}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         roots = {s: os.path.join(work, s) for s in revs}
         for s, rev in revs.items():
@@ -203,15 +186,14 @@ def main(argv=None) -> int:
         for seed in args.seeds + args.held_out:
             record = {"seed": seed}
             for s in run_order(seed):
-                for suffix, env in envs.items():
-                    record[s + suffix] = run_bench(roots[s], args.workload, seed, seconds, env)
+                record[s] = run_bench(roots[s], args.workload, seed, seconds)
             print(json.dumps(record), flush=True)
             records.append(record)
     main_runs = [r for r in records if r["seed"] in args.seeds]
-    print(format_summary(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}", batch_rows(main_runs, specs)))
+    print(format_summary(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}", summarize(main_runs, specs)))
     held = [r for r in records if r["seed"] not in args.seeds]
     if held:
-        print(format_summary(f"{args.workload}, held-out seeds {[r['seed'] for r in held]}", batch_rows(held, specs)))
+        print(format_summary(f"{args.workload}, held-out seeds {[r['seed'] for r in held]}", summarize(held, specs)))
     return 0
 
 
