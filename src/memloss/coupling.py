@@ -62,7 +62,7 @@ def derive_k_constants(K: float, lam: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CouplingConstants:
-    """The chosen constants; K2 and C_h = 2 exp(K2 diam_x) are derived from them."""
+    """The chosen constants; C_h = 2 exp(K2 diam_x) is derived from them, K2 by derive_k_constants."""
 
     theta: float
     n0: int
@@ -70,7 +70,6 @@ class CouplingConstants:
     lam: float
     diam_x: float
     delta0: float
-    K2: float = field(init=False)
     c_h: float = field(init=False)
 
     def __post_init__(self):
@@ -83,7 +82,6 @@ class CouplingConstants:
         if not (0.0 < self.diam_x < np.inf):
             raise ParamError("diam_x must be positive and finite")
         k2 = derive_k_constants(self.K, self.lam)[1]
-        object.__setattr__(self, "K2", k2)
         with np.errstate(over="ignore"):
             c_h = 2.0 * float(np.exp(k2 * self.diam_x))
         if not c_h < np.inf:
@@ -118,7 +116,7 @@ def hat_envelope(r) -> TailTable:
         k = 1
     if not np.all(tail >= 0.0):
         raise ParamError("tails must be nonnegative")
-    env = np.minimum.accumulate(np.minimum(tail, 1.0)) if len(tail) else tail
+    env = np.minimum.accumulate(np.minimum(tail, 1.0))
     return TailTable(values=np.concatenate([[1.0], env]), k=k, label="r")
 
 

@@ -215,17 +215,20 @@ def _lsv_left_chain(y: float, gammas: list[float], n: int) -> list[float]:
     out = [y]
     u = min(max(y, 0.0), 0.5)
     last = None
+    two_u, pw = np.empty(1), np.empty(1)  # np.power's input and output: no fresh arrays per power
     for i in range(n):
         gamma, g = cycle[i % len(cycle)]
         if gamma != last:  # a fresh power at the start point, as the array kernel takes
-            p = np.power(2.0 * u, g).item()
+            two_u[0] = 2.0 * u
+            p = np.power(two_u, g, out=pw).item()
             g1, last = 1.0 + gamma, gamma
         for _ in range(MAX_ITER):
             u_new = max(u - (u * (1.0 + p) - y) / (1.0 + g1 * p), 0.0)
             if not u_new < u:
                 break
             u = u_new
-            p = np.power(2.0 * u, g).item()
+            two_u[0] = 2.0 * u
+            p = np.power(two_u, g, out=pw).item()
         out.append(u)
         y = u
     return out

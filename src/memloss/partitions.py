@@ -88,8 +88,6 @@ def default_fit_window(n_available: int) -> tuple[int, int]:
     center = 0.5 * np.log10(n_available)
     lo = max(11, int(round(10 ** (center - 1.0))))
     hi = min(n_available, int(round(10 ** (center + 1.0))))
-    if hi <= lo:
-        lo, hi = max(11, n_available // 10), n_available
     return (lo, hi)
 
 

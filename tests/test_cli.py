@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -277,6 +278,41 @@ class TestCoupling:
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"thetaa": 0.25}))
         assert run_cli(["coupling", "--model", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_file_tails_model_runs_and_summarize_matches_it_bit_for_bit(self, tmp_path, capsys):
+        assert run_cli(["tails", "--family", "lsv", "--gamma", "0.3", "--n-max", "700",
+                        "--out", str(tmp_path / "t")]) == 0
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"tails": f"file:{tmp_path / 't' / 'tails_k1_mk.csv'}", "beta": 2,
+                                   "beta_prime": 2, "C_beta": 5, "C_beta_prime": 5, "horizon": 650}))
+        out = tmp_path / "c"
+        assert run_cli(["coupling", "--model", str(cfg), "--n-max", "600", "--samples", "20000",
+                        "--seed", "3", "--out", str(out)]) == 0
+        metrics = _strict_json((out / "coupling_summary.json").read_text())["metrics"]
+        assert metrics["argmax_n"] == 125 and metrics["max_mc_z"] <= 4.0
+        assert metrics["sup_ratio"] == pytest.approx(1695.7946647954354, rel=1e-9)
+        capsys.readouterr()
+        assert run_cli(["summarize", str(out / "coupling.csv")]) == 0
+        entry = json.loads(capsys.readouterr().out)[str(out / "coupling.csv")]
+        assert entry == {"kind": "coupling", "max_ratio": metrics["sup_ratio"], "argmax_n": metrics["argmax_n"]}
+
+    @pytest.mark.parametrize("config, needle", [
+        pytest.param({"tails": "file:{mixing}"}, "expected a tails CSV", id="file-not-tails"),
+        pytest.param({"tails": "poly"}, "unknown tails spec 'poly'", id="unknown-spec"),
+        pytest.param({"horizon": 19}, "horizon 19 below n_max 20", id="horizon-below-n-max"),
+    ])
+    def test_model_that_cannot_run_exits_2_with_one_line(self, tmp_path, capsys, config, needle):
+        mixing = tmp_path / "mixing.csv"
+        csvio.write_columns(str(mixing), "mixing", [np.arange(3.0), np.array([1.0, 0.5, 0.25])])
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({key: value.format(mixing=mixing) if isinstance(value, str) else value
+                                   for key, value in config.items()}))
+        out = tmp_path / "out"
+        argv = ["coupling", "--model", str(cfg), "--n-max", "20", "--samples", "10000", "--out", str(out)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+        assert os.listdir(out) == []
 
 
 class TestNoComparableMcRow:
@@ -574,6 +610,11 @@ class TestInputErrors:
         assert run_cli([*argv, "--gamma", "2", "--out", str(tmp_path / "b")]) == 0
         assert _hash_dir(tmp_path / "a") == _hash_dir(tmp_path / "b")
 
+    def test_no_config_and_no_family_exits_2_with_one_line(self, tmp_path, capsys):
+        assert run_cli(["tails", "--n-max", "20", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: either --config or --family is required\n"
+        assert os.listdir(tmp_path) == []
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = run_cli(["memloss", "--config", str(tmp_path / "nope.json"), "--n-max", "10",
                         "--grid", "1024", "--out", str(tmp_path)])
@@ -617,6 +658,17 @@ _FAILING_GATES = {
     "mixing": ["--expect-floor", "2"],
     "frequency": ["--expect-a", "0.99", "--tol", "0"],
 }
+
+
+def test_the_package_main_module_exits_with_run_cli_status(tmp_path, monkeypatch):
+    # in process, as ``python -m memloss`` runs it; the test above runs it in a child process
+    argv = ["evolve", "--family", "lsv", "--steps", "2", "--grid", "1024"]
+    for status, out in ((0, tmp_path), (2, tmp_path / "density.csv")):  # a file as --out: exit 2
+        monkeypatch.setattr(sys, "argv", ["memloss", *argv, "--out", str(out)])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("memloss", run_name="__main__")
+        assert info.value.code == status
+    assert sorted(os.listdir(tmp_path)) == ["density.csv", "evolve_summary.json"]
 
 
 class TestFinishPath:
@@ -683,6 +735,22 @@ class TestFinishPath:
         assert run_cli(argv) == 2
         name, code = ("tails_k2_mk.csv", errno.ENOSPC) if stage == "write" else ("tails_summary.json", errno.EACCES)
         assert capsys.readouterr().err == f"error: cannot write {tmp_path / name}: {os.strerror(code)}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_a_memory_error_midway_exits_2_and_removes_what_the_run_wrote(self, tmp_path, capsys, monkeypatch):
+        write_columns = csvio.write_columns
+
+        def run_out_of_memory_in_k2(path, kind, columns):
+            if "_k2_" not in path:
+                return write_columns(path, kind, columns)
+            with open(path, "w") as fh:  # part of the table
+                fh.write("n,value,stderr\n0,")
+            raise MemoryError
+
+        monkeypatch.setattr(csvio, "write_columns", run_out_of_memory_in_k2)
+        argv = ["tails", "--family", "lsv", "--n-max", "50", "--k", "1,2", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
         assert os.listdir(tmp_path) == []
 
     def test_artifacts_follow_the_umask(self, tmp_path):

@@ -61,11 +61,11 @@ class TestConstants:
 
     def test_c_h_consistency(self):
         c = make_constants(K=0.5, lam=2.0, diam_x=1.0)
-        assert c.c_h == pytest.approx(2.0 * math.exp(c.K2), rel=1e-12)
+        assert c.c_h == pytest.approx(2.0 * math.exp(derive_k_constants(c.K, c.lam)[1]), rel=1e-12)
 
     def test_derived_constants_are_not_arguments(self):
         c = CouplingConstants(theta=0.25, n0=1, K=0.5, lam=2.0, diam_x=1.0, delta0=0.5)
-        assert c.K2 == derive_k_constants(0.5, 2.0)[1] and c == make_constants()
+        assert derive_k_constants(c.K, c.lam)[1] == derive_k_constants(0.5, 2.0)[1] and c == make_constants()
         for key in ("K1", "K2", "c_h"):
             with pytest.raises(TypeError):
                 CouplingConstants(theta=0.25, n0=1, K=0.5, lam=2.0, diam_x=1.0, delta0=0.5, **{key: 3.0})
