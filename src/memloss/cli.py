@@ -134,8 +134,9 @@ def _cmd_tails(args):
     base = {"mk": "m_k", "lebesgue": "lebesgue"}[args.base]
     exacts = _return_time_tails(seq, args.k, args.n_max, base=base)
     names = {k: f"tails_k{k}_{args.base}" for k in args.k}
+    suffixes = ["", "_mc"] if args.mc_samples else [""]
     summary = {"base": args.base, "n_max": args.n_max, "k": list(args.k),
-               "artifacts": [f"{names[k]}.csv" for k in args.k]}
+               "artifacts": [f"{names[k]}{x}.csv" for k in args.k for x in suffixes]}
     tables = {}
     for k, exact in sorted(zip(args.k, exacts), key=lambda job: job[0]):
         summary[f"k{k}"] = _fit_metrics(exact.values, args.fit_lo, args.fit_hi)

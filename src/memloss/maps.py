@@ -305,14 +305,21 @@ def inverse_branch(params: MapParams, branch: Branch, y: float) -> float:
     return _at(inverse_branch_array, params, branch, y)
 
 
+def halves_grid(params: MapParams, branch: Branch) -> bool:
+    """Whether the branch's inverse is y -> (y + 1) / 2, the LSV right branch.
+    It sends edge i of N equal cells on [0, 1] exactly to edge N/2 + i/2, so
+    a transfer step needs neither its images nor a plan for them."""
+    return params.family is Family.LSV and branch is Branch.RIGHT
+
+
 def inverse_branch_array(params: MapParams, branch: Branch, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
+    if halves_grid(params, branch):
+        return 0.5 * (y + 1.0)
     fam = params.family
     if fam in (Family.LSV, Family.CUI):
         if branch is Branch.LEFT:
             return _lsv_left_inverse_array(y, params.gamma)
-        if fam is Family.LSV:
-            return 0.5 * (y + 1.0)
         return 0.5 + 0.5 * np.maximum(y, 0.0) ** (1.0 / params.beta)
     if fam is Family.PIKOVSKY:
         if branch is Branch.RIGHT:

@@ -17,10 +17,14 @@ found arithmetically because every allowed grid's edges are exactly lo + i w
 with w a power of two, the fraction t = (u - edges[j]) / w, and which cells'
 preimages cross a cell edge or span whole cells.  A step forms no prefix
 integral (see :func:`_apply_images`).  Plans are built and applied in blocks
-of 2**14 edges.  A run of steps (:func:`evolve`, :func:`memory_loss_curve`,
+of 2**14 edges.  The LSV right branch, y -> (y + 1) / 2, has no plan: it
+sends edge i exactly to edge N/2 + i/2, so it sends cells 2m and 2m + 1,
+with a = f[N/2 + m], the plan's floats 0.5 a + 0.0 and a - 0.5 a, with no
+gather.  A run of steps (:func:`evolve`, :func:`memory_loss_curve`,
 :func:`mixing_mass`) computes each distinct map's plan at its first step and
-drops it after its last, holding about 3.25 arrays of N+1 per distinct map
-still ahead (j is a 4-byte index), and makes its step arrays once: the
+drops it after its last, holding about 1.63 arrays of N+1 per planned branch
+of each distinct map still ahead (j is a 4-byte index): 1.63 for an LSV map,
+3.25 for the others.  It makes its step arrays once: the
 block rows and two outputs, each step writing the one not holding its
 input, so a step allocates nothing of size N.  Nothing is cached between
 calls.  A run checks only what it hands back, not each step: the operator
@@ -44,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParamError, ShapeMismatch, check_n_max
-from .maps import Branch, MapParams, inverse_branch_array, state_interval
+from .maps import Branch, MapParams, halves_grid, inverse_branch_array, state_interval
 from .partitions import reference_set
 from .sequences import ParamSequence, _entry_indices
 from .tables import TailTable
@@ -170,28 +174,32 @@ _run: ContextVar[tuple[dict[MapParams, tuple], list[np.ndarray]] | None] = Conte
 _BLOCK = 2**14  # edges per block of _edge_plan and _apply_images, so their temporaries stay small
 
 
-def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray], ...]:
+def _edge_images(params: MapParams, f: GridDensity) -> tuple[tuple[float, np.ndarray | None], ...]:
     """Inverse-branch images of f's cell edges under one map, clipped to the
-    state interval: per (monotone) branch, its orientation sign and N+1 floats."""
+    state interval: per (monotone) branch, its orientation sign and N+1
+    floats, or None for a branch that halves the grid (see halves_grid)."""
     lo, hi = state_interval(params)
     if f.interval != (lo, hi):
         raise ShapeMismatch(f"density lives on {f.interval}, map on {(lo, hi)}")
     edges = f.edges()
-    images = [np.empty_like(edges) for _ in Branch]  # filled a block at a time: see rootfind
-    for (b, u), s in itertools.product(zip(Branch, images), range(0, len(edges), _BLOCK)):
+    images = {b: np.empty_like(edges) for b in Branch if not halves_grid(params, b)}  # filled by blocks: see rootfind
+    for (b, u), s in itertools.product(images.items(), range(0, len(edges), _BLOCK)):
         np.clip(inverse_branch_array(params, b, edges[s : s + _BLOCK]), lo, hi, out=u[s : s + _BLOCK])
-    return tuple((1.0 if u[-1] >= u[0] else -1.0, u) for u in images)
+    return tuple((1.0 if u is None or u[-1] >= u[0] else -1.0, u) for u in map(images.get, Branch))
 
 
-def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple, ...]:
+def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple | None, ...]:
     """Per branch: its sign, the cell j of each edge image u (N for u = hi),
     the fraction t = (u - edges[j]) / w, whether each cell's preimage crosses
     one cell edge, and the cells whose preimage spans whole cells, with their
-    np.add.reduceat spans.  The edges are exactly lo + i w, so the rounded
-    (u - lo) / w is u's cell or the next one."""
+    np.add.reduceat spans; None for a branch that halves the grid.  The edges
+    are exactly lo + i w, so the rounded (u - lo) / w is u's cell or the next one."""
     lo, w, n = f.interval[0], f.cell_width, f.n_cells
     plan = []
     for sign, u in _edge_images(params, f):
+        if u is None:
+            plan.append(None)
+            continue
         j, cross, wide = np.empty(len(u), np.int32), np.empty(len(u) - 1, np.bool_), []  # j <= N <= 2**20
         for s in range(0, len(u), _BLOCK):  # u turns into t in place
             us, js = u[s : s + _BLOCK], j[s : s + _BLOCK]
@@ -209,12 +217,15 @@ def _edge_plan(params: MapParams, f: GridDensity) -> tuple[tuple, ...]:
     return tuple(plan)
 
 
-def _apply_images(plan: tuple[tuple, ...], f: GridDensity) -> GridDensity:
+def _apply_images(plan: tuple[tuple | None, ...], f: GridDensity) -> GridDensity:
     """One transfer step of f, given its map's plan.  With a = f[j] and p = t a
     at each edge image, a branch sends cell i, divided by w, p_up - p_lo +
     f[j_lo] + ... + f[j_up - 1], lo and up the images of the lower and upper
     ends of its preimage: the prefix integral's increment, with the common
-    prefix cancelled.  The sum is a_lo for a preimage that crosses one edge."""
+    prefix cancelled.  The sum is a_lo for a preimage that crosses one edge.
+    A branch that halves the grid sends cells 2m and 2m + 1, with a = f[N/2 + m],
+    0.5 a + 0.0 and a - 0.5 a: the plan's floats, with t = 0 and 0.5, for
+    every a (a subnormal's half rounds, and a -0.0 turns +0.0)."""
     n, v = f.n_cells, f.values
     _, arrays = _run.get() or ({}, [])
     if not arrays:  # the block rows are shared by the blocks, which then allocate nothing
@@ -223,19 +234,28 @@ def _apply_images(plan: tuple[tuple, ...], f: GridDensity) -> GridDensity:
     out = next((o for o in outs if o is not v), None)
     if out is None:  # a run's second output is made at its second step, once the start is freed
         arrays.append(out := np.empty(n))
-    for b, (sign, j, t, cross, cells, spans) in enumerate(plan):
-        lo, up, a_lo = (p[:-1], p[1:], a[:-1]) if sign > 0 else (p[1:], p[:-1], a[1:])
+    for b, branch in enumerate(plan):
+        if branch is not None:
+            sign, j, t, cross, cells, spans = branch
+            lo, up, a_lo = (p[:-1], p[1:], a[:-1]) if sign > 0 else (p[1:], p[:-1], a[1:])
         for s in range(0, n, _BLOCK):  # an image at hi has j = N and t = 0: clipped, it adds nothing
-            np.take(v, j[s : s + _BLOCK + 1], out=a, mode="clip")  # "raise" buffers
-            np.multiply(a, t[s : s + _BLOCK + 1], out=p)
             o = d if b else out[s : s + _BLOCK]  # the first branch writes the output
-            np.copyto(o, cross[s : s + _BLOCK])  # a cast, then a product: a mixed-type product buffers
-            o *= a_lo
-            o -= lo
-            o += up
+            if branch is None:
+                half, even, odd = v[(n + s) // 2 : (n + s + len(o)) // 2], o[::2], o[1::2]
+                np.multiply(half, 0.5, out=even)
+                np.subtract(half, even, out=odd)
+                even += 0.0
+            else:
+                np.take(v, j[s : s + _BLOCK + 1], out=a, mode="clip")  # "raise" buffers
+                np.multiply(a, t[s : s + _BLOCK + 1], out=p)
+                np.copyto(o, cross[s : s + _BLOCK])  # a cast, then a product: a mixed-type product buffers
+                o *= a_lo
+                o -= lo
+                o += up
             if b:
                 out[s : s + _BLOCK] += d
-        out[cells] += np.add.reduceat(v, spans)[::2]
+        if branch is not None:
+            out[cells] += np.add.reduceat(v, spans)[::2]
     g = object.__new__(type(f))  # not checked again: see the module docstring
     g.__dict__.update(values=out, interval=f.interval)
     return g

@@ -90,6 +90,15 @@ class TestTails:
         assert summary["k"] == [3, 1]
         assert summary["artifacts"] == ["tails_k3_mk.csv", "tails_k1_mk.csv"]
 
+    def test_mc_tables_are_listed_after_their_exact_tables(self, tmp_path):
+        code = run_cli(["tails", "--family", "lsv", "--n-max", "50", "--mc-samples", "1000", "--k", "2,1",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "tails_summary.json").read_text())
+        listed = ["tails_k2_mk.csv", "tails_k2_mk_mc.csv", "tails_k1_mk.csv", "tails_k1_mk_mc.csv"]
+        assert summary["artifacts"] == listed
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(listed)
+
 
 class TestMemloss:
     def test_small_run(self, tmp_path):

@@ -391,8 +391,16 @@ def _orientation_dropping_apply(plan, f):
     a decreasing branch's cell masses land in the mirrored cells, and every
     branch's cell masses are taken in absolute value, as a step made for
     densities only would."""
-    out = sum(np.abs(_apply_images((branch,), f).values[:: int(branch[0])]) for branch in plan)
+    out = sum(np.abs(_apply_images((branch,), f).values[:: int(branch[0]) if branch else 1]) for branch in plan)
     return type(f)(out, f.interval)
+
+
+def _reference_images(params, f):
+    """transfer._edge_images, with every branch's images: a branch that
+    halves the grid takes its clipped images from inverse_branch_array."""
+    lo, hi = f.interval
+    return tuple((sign, np.clip(inverse_branch_array(params, b, f.edges()), lo, hi) if u is None else u)
+                 for b, (sign, u) in zip(Branch, transfer._edge_images(params, f)))
 
 
 def _longdouble_step(images, edges, v):
@@ -417,7 +425,7 @@ def _longdouble_pair_curve(seq, f, g, n):
     pair = [f.values.astype(np.longdouble), g.values.astype(np.longdouble)]
     out = [0.5 * np.sum(np.abs(pair[0] - pair[1])) * w]
     for j in range(n):
-        images = _edge_images(seqs.param_at(seq, 1 + j), f)
+        images = _reference_images(seqs.param_at(seq, 1 + j), f)
         pair = [_longdouble_step(images, edges, v) for v in pair]
         out.append(0.5 * np.sum(np.abs(pair[0] - pair[1])) * w)
     return np.array(out)
@@ -483,7 +491,7 @@ def _assert_same_floats(got, ref):
 def _assert_near_longdouble_step(params, f, plan=None):
     """The step of f is within 1e-14 of its largest cell value of the same
     step in np.longdouble, on the same edge images."""
-    ref = _longdouble_step(transfer._edge_images(params, f), f.edges(), f.values.astype(np.longdouble))
+    ref = _longdouble_step(_reference_images(params, f), f.edges(), f.values.astype(np.longdouble))
     got = _apply_images(plan or _edge_plan(params, f), f)
     assert type(got) is type(f)
     assert np.max(np.abs(got.values - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -544,6 +552,8 @@ class TestInterpolationPlan:
         f = make_density("uniform", n, state_interval(params))
         lo, hi = f.interval
         for branch, (_, u) in zip(Branch, _edge_images(params, f)):
+            if u is None:  # a branch that halves the grid has no images
+                continue
             whole = np.clip(inverse_branch_array(params, branch, f.edges()), lo, hi)
             assert np.array_equal(u.view(np.int64), whole.view(np.int64))
 
@@ -606,7 +616,11 @@ class TestInterpolationPlan:
     def test_cell_index_of_every_branch_image(self, params):
         f = make_density("uniform", 2**12, state_interval(params))
         images, plan = _edge_images(params, f), _edge_plan(params, f)
-        for (sign, u), (plan_sign, j, *_) in zip(images, plan):
+        for (sign, u), branch in zip(images, plan):
+            if branch is None:  # a branch that halves the grid has no images and no plan
+                assert u is None
+                continue
+            plan_sign, j, *_ = branch
             assert sign == plan_sign
             assert np.array_equal(j, np.searchsorted(f.edges(), u, side="right") - 1)
         # the GH right branch is decreasing
@@ -623,7 +637,8 @@ class TestInterpolationPlan:
         f = (_SignedGrid if signed else GridDensity)(v, state_interval(params))
         plan = _edge_plan(params, f)
         ref = _apply_images(plan, f)
-        assert any(np.any(j == n) for _, j, *_ in plan)  # some image sits at hi
+        # some image sits at hi, or a branch that halves the grid reads up to the last cell
+        assert any(branch is None or np.any(branch[1] == n) for branch in plan)
         empty = np.empty
 
         def poisoned(*args, **kwargs):
@@ -634,6 +649,61 @@ class TestInterpolationPlan:
 
         monkeypatch.setattr(np, "empty", poisoned)
         _assert_same_floats(_apply_images(plan, f), ref)
+
+
+# -- the LSV right branch, stepped in closed form ------------------------------------
+
+# signed zeros, subnormals (odd and even multiples of the least one), the
+# least normal and O(1) values, of both signs
+_SPECIAL = np.array([0.0, 5e-324, 1.5e-323, 1e-310, 2.2e-308, 1.0])
+_SPECIAL = np.concatenate([_SPECIAL, -_SPECIAL])
+
+
+class TestHalvingBranch:
+    @settings(max_examples=20, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=2),
+           n=st.sampled_from([2**10, 2**14, 2**15]),  # 2**14: a one-edge last block
+           special=st.floats(0.0, 1.0), scale=st.integers(-320, 0), seed=st.integers(0, 2**32 - 1))
+    def test_every_step_is_the_generic_plans_step(self, gammas, n, special, scale, seed):
+        # a share `special` of the cells special values, the rest uniform in
+        # (-1, 1) times 10**scale: every |value| <= 1, so the TV stays <= 1/2
+        rng = np.random.default_rng(seed)
+        v = np.where(rng.uniform(size=n) < special, rng.choice(_SPECIAL, n), rng.uniform(-1.0, 1.0, n) * 10.0**scale)
+        seq = seqs.periodic([lsv(g) for g in gammas])
+        f, zero = _SignedGrid(v, (0.0, 1.0)), GridDensity(np.zeros(n))
+
+        def calls():
+            return (push_density(lsv(gammas[0]), f), evolve(seq, f, 3),
+                    memory_loss_curve(seq, f, zero, 3), mixing_mass(seq, 1, 3, n_cells=n))
+
+        closed_plan = _edge_plan(lsv(gammas[0]), f)
+        assert [b is None for b in closed_plan] == [False, True]
+        closed = calls()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "halves_grid", lambda params, branch: False)
+            generic_plan = _edge_plan(lsv(gammas[0]), f)
+            assert None not in generic_plan
+            generic = calls()
+        # the right branch alone writes its shares, signed zeros included
+        _assert_same_floats(_apply_images(closed_plan[1:], f), _apply_images(generic_plan[1:], f))
+        for got, ref in zip(closed[:2], generic[:2]):
+            _assert_same_floats(got, ref)
+        for got, ref in zip(closed[2:], generic[2:]):
+            assert np.array_equal(got.values.view(np.int64), ref.values.view(np.int64))
+
+    def test_evolve_memory_peak_with_one_plan_per_map(self):
+        # one branch's plan (1.63 arrays of N+1), the held start, two outputs
+        # and the block rows: measured 4.63 arrays of N+1 floats, where a plan
+        # of both branches read 6.26
+        n = 2**16
+        seq, f = seqs.constant(lsv(0.5)), make_density("holder", n)
+        tracemalloc.start()
+        try:
+            evolve(seq, f, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * 8 * (n + 1)
 
 
 # -- a run's step arrays, made once and reused at every step -----------------------
